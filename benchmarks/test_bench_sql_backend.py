@@ -23,9 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.backend import HAS_NUMPY, NUMPY, PYTHON, SQL
+from repro.engine.backend import NUMPY, SQL
 
-BACKENDS = (SQL, NUMPY if HAS_NUMPY else PYTHON)
+BACKENDS = (SQL, NUMPY)
 
 #: Distinct zips in the synthetic table; each maps to one city, so the
 #: wildcard PFD zip -> city holds, and a few seeded typos give detection

@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 from ..constraints.base import CellRef, Violation
 from ..core.pfd import PFD, prime_for_pfds, prime_partitions_for_pfds
 from ..dataset.relation import Relation
-from ..engine.backend import resolve_backend
 from ..engine.evaluator import PatternEvaluator
 from ..engine.parallel import (
     ParallelExecutor,
@@ -45,9 +44,9 @@ class DetectionReport:
     relation_name: str
     errors: list[DetectedError]
     violations: list[Violation]
-    #: Engine backend the evaluation ran on (``"numpy"``/``"python"``); both
+    #: Engine backend the evaluation ran on (``"numpy"``/``"sql"``); both
     #: produce bit-identical reports — recorded for benchmarks/telemetry.
-    backend: str = "python"
+    backend: str = "numpy"
 
     @property
     def error_cells(self) -> set[CellRef]:
@@ -187,7 +186,7 @@ class ErrorDetector:
             relation_name=relation.name,
             errors=errors,
             violations=all_violations,
-            backend=resolve_backend(relation.backend),
+            backend=relation.backend,
         )
 
     def _collect_violations(

@@ -85,11 +85,10 @@ def _add_stats_argument(parser: argparse.ArgumentParser) -> None:
                         help="print the session's shared-cache counters "
                              "(pattern matching + partition cache)")
     parser.add_argument("--engine", default=None, metavar="BACKEND",
-                        help="engine backend: 'numpy' (vectorized columnar "
-                             "core, default when numpy is importable), "
-                             "'python' (dependency-free fallback), or 'sql' "
-                             "(out-of-core SQLite store for tables larger "
-                             "than RAM); all produce identical results")
+                        help="engine backend: 'numpy' (in-memory engine, "
+                             "default) or 'sql' (out-of-core SQLite store for "
+                             "tables larger than RAM); both produce identical "
+                             "results")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="process-parallel workers for discovery and "
                              "detection (default: REPRO_WORKERS env var, "
@@ -108,9 +107,9 @@ def _config_from_args(args: argparse.Namespace) -> DiscoveryConfig:
 
 
 def _resolve_engine(args: argparse.Namespace) -> Optional[str]:
-    """Validate ``--engine`` eagerly — before any CSV is read — so a typo or
-    an unavailable backend fails with the available choices instead of a
-    late resolution error deep in the pipeline."""
+    """Validate ``--engine`` eagerly — before any CSV is read — so a typo
+    fails with the available choices instead of a late resolution error
+    deep in the pipeline."""
     engine = getattr(args, "engine", None)
     if engine is None:
         return None
@@ -118,7 +117,7 @@ def _resolve_engine(args: argparse.Namespace) -> Optional[str]:
     available = available_backends()
     if normalized not in available:
         raise ReproError(
-            f"unknown or unavailable engine backend {engine!r}: "
+            f"unknown engine backend {engine!r}: "
             f"available backends are {', '.join(available)}"
         )
     return normalized
@@ -860,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress per-request log lines")
     serve.add_argument("--engine", default=None, metavar="BACKEND",
                        help="engine backend for tenant sessions "
-                            "('numpy'/'python'/'sql'; default: process default)")
+                            "('numpy'/'sql'; default: REPRO_ENGINE, else numpy)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="process-parallel workers per tenant session "
                             "(default: REPRO_WORKERS, else 1)")

@@ -42,15 +42,15 @@ value (plus constrained-part extraction on the values that matched).
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 from collections import defaultdict
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from ..constraints.base import CellRef, Violation, embedded_dependency_key
 from ..constraints.fd import FD
 from ..dataset.relation import Relation
-from ..engine.backend import NUMPY, np
 from ..engine.dictionary import DictionaryColumn
 from ..engine.evaluator import PatternEvaluator, default_evaluator
 from ..engine.partitions import PartitionManager, StrippedPartition
@@ -371,47 +371,53 @@ class PFD:
         since_row: int = 0,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
-        found: list[Violation] = []
         partition = self._row_partition(relation, row, evaluator)
         rhs_expected = {
             attribute: row.pattern(attribute).constant_value() for attribute in self.rhs
         }
-        # Per-code equality against the expected constant, per RHS attribute.
         rhs_columns = {attribute: relation.dictionary(attribute) for attribute in self.rhs}
-        if partition.backend == NUMPY and all(
-            column.backend == NUMPY for column in rhs_columns.values()
-        ):
-            return self._constant_row_violations_numpy(
-                row, partition, rhs_expected, rhs_columns, since_row, changed_rows
-            )
         if isinstance(partition, SqlStrippedPartition):
             return self._constant_row_violations_sql(
                 row, partition, rhs_expected, rhs_columns, since_row, changed_rows
             )
-        supported = partition.covered
+        # Vectorized check: per-code equality masks broadcast to the
+        # supported rows via fancy indexing; Python touches only the
+        # offending positions, emitting violations in row-major, then RHS
+        # attribute, order.
+        supported = partition.covered_array()
         if changed_rows is not None:
-            changed_set = set(changed_rows)
-            supported = tuple(
-                row_id for row_id in supported if row_id in changed_set
+            # Both sides are sorted and unique (covered rows ascending, the
+            # changed set normalized in violations()).
+            supported = np.intersect1d(
+                supported,
+                np.asarray(changed_rows, dtype=np.int64),
+                assume_unique=True,
             )
         elif since_row:
-            # Covered rows are ascending: bisect to the first delta row.
-            supported = supported[bisect.bisect_left(supported, since_row):]
-        if not supported:
-            return found
-        rhs_equal = {
-            attribute: [value == rhs_expected[attribute] for value in column.values]
-            for attribute, column in rhs_columns.items()
-        }
-        for row_id in supported:
+            supported = supported[np.searchsorted(supported, since_row):]
+        if not len(supported):
+            return []
+        bad: dict[str, np.ndarray] = {}
+        any_bad = np.zeros(len(supported), dtype=bool)
+        for attribute in self.rhs:
+            column = rhs_columns[attribute]
+            expected = rhs_expected[attribute]
+            equal = np.fromiter(
+                (value == expected for value in column.values),
+                dtype=bool,
+                count=column.distinct_count,
+            )
+            attr_bad = ~equal[column.codes[supported]]
+            bad[attribute] = attr_bad
+            any_bad |= attr_bad
+        found: list[Violation] = []
+        for position in np.flatnonzero(any_bad).tolist():
+            row_id = int(supported[position])
             for attribute in self.rhs:
-                column = rhs_columns[attribute]
-                code = column.codes[row_id]
-                if rhs_equal[attribute][code]:
-                    continue
-                found.append(
-                    self._constant_violation(row, row_id, attribute, rhs_expected)
-                )
+                if bad[attribute][position]:
+                    found.append(
+                        self._constant_violation(row, row_id, attribute, rhs_expected)
+                    )
         return found
 
     def _constant_violation(
@@ -430,55 +436,6 @@ class PFD:
             expected_value=rhs_expected[attribute],
         )
 
-    def _constant_row_violations_numpy(
-        self,
-        row: PatternTuple,
-        partition: StrippedPartition,
-        rhs_expected: Mapping[str, Optional[str]],
-        rhs_columns: Mapping[str, "DictionaryColumn"],
-        since_row: int,
-        changed_rows: Optional[tuple[int, ...]] = None,
-    ) -> list[Violation]:
-        """Vectorized constant-row check: per-code equality masks broadcast
-        to the supported rows via fancy indexing; Python touches only the
-        offending positions, emitting the same violations in the same
-        (row-major, then RHS attribute) order as the fallback path."""
-        supported = partition.covered_array()
-        if changed_rows is not None:
-            # Both sides are sorted and unique (covered rows ascending, the
-            # changed set normalized in violations()).
-            supported = np.intersect1d(
-                supported,
-                np.asarray(changed_rows, dtype=np.int64),
-                assume_unique=True,
-            )
-        elif since_row:
-            supported = supported[np.searchsorted(supported, since_row):]
-        if not len(supported):
-            return []
-        bad: dict[str, "np.ndarray"] = {}
-        any_bad = np.zeros(len(supported), dtype=bool)
-        for attribute in self.rhs:
-            column = rhs_columns[attribute]
-            expected = rhs_expected[attribute]
-            equal = np.fromiter(
-                (value == expected for value in column.values),
-                dtype=bool,
-                count=column.distinct_count,
-            )
-            attr_bad = ~equal[column.codes_array()[supported]]
-            bad[attribute] = attr_bad
-            any_bad |= attr_bad
-        found: list[Violation] = []
-        for position in np.flatnonzero(any_bad).tolist():
-            row_id = int(supported[position])
-            for attribute in self.rhs:
-                if bad[attribute][position]:
-                    found.append(
-                        self._constant_violation(row, row_id, attribute, rhs_expected)
-                    )
-        return found
-
     def _constant_row_violations_sql(
         self,
         row: PatternTuple,
@@ -492,7 +449,7 @@ class PFD:
         attribute (the codes decoding to the expected constant) is shipped
         into one query over the partition's spec, so only the violating rows
         ever leave SQLite — same violations, same (row-major, then RHS
-        attribute) order as the in-memory paths."""
+        attribute) order as the in-memory path."""
         rhs_cols: list[int] = []
         good_codes: list[list[int]] = []
         good_sets: dict[str, set[int]] = {}
@@ -531,58 +488,91 @@ class PFD:
         # singletons are already gone, so the RHS work below scales with the
         # surviving classes, not with the relation.
         partition = self._row_partition(relation, row, evaluator)
-        if partition.backend == NUMPY:
-            return self._variable_row_violations_numpy(
-                relation, row, evaluator, partition, since_row, changed_rows
-            )
         if isinstance(partition, SqlStrippedPartition):
             return self._variable_row_violations_sql(
                 relation, row, evaluator, partition, since_row, changed_rows
             )
-        classes = partition.classes
-        if changed_rows is not None:
-            # A class is in scope iff it *currently contains* a changed row
-            # (the probe table indexes exactly the stripped classes).
-            probe = partition.probe_table()
-            touched = sorted(
-                {probe[row_id] for row_id in changed_rows if row_id in probe}
-            )
-            classes = tuple(classes[index] for index in touched)
-        elif since_row:
-            # A class touches the delta iff its largest (= last) member is an
-            # appended row; untouched classes were fully checked before.
-            classes = tuple(
-                class_rows for class_rows in classes if class_rows[-1] >= since_row
-            )
-        if not classes:
+        # Vectorized check.  Per RHS attribute the bucket keys are interned
+        # to integer ids per *distinct* value, broadcast through the code
+        # vector to the stripped rows, and the violating classes found with
+        # one all-equal-within-class reduction (compare against the class's
+        # first element, repeated).  Python then walks only the violating
+        # classes — typically a tiny fraction — re-deriving their buckets to
+        # emit violations.
+        #
+        # A ``changed_rows`` scope restricts the scan to the touched classes
+        # before any per-row work happens: the probe array maps the changed
+        # ids straight to their classes, the class row arrays are gathered
+        # for just those classes, and the same reduction runs on that subset
+        # — O(changed-class rows) instead of O(stripped rows), which is what
+        # makes a small update batch cheap against a large table.
+        rowids, offsets = partition.class_arrays()
+        class_count = len(offsets) - 1
+        if class_count == 0:
             return []
-        # Per-code RHS bucket, computed once per attribute (it depends only on
-        # the pattern and the column, not on the LHS group): a tuple that
-        # matches the RHS pattern is bucketed by its constrained value, a
-        # non-matching tuple gets a bucket of its own keyed by the full value.
+        class_map = None
+        if changed_rows is not None:
+            # A class is in scope iff it currently contains a changed row:
+            # probe the changed ids to class indices (-1 = singleton).
+            probe = partition.probe_array()
+            changed = np.asarray(changed_rows, dtype=np.int64)
+            changed = changed[changed < len(probe)]
+            touched = np.unique(probe[changed])
+            touched = touched[touched >= 0]
+            if touched.size == 0:
+                return []
+            rowids = np.concatenate(
+                [rowids[offsets[index]:offsets[index + 1]] for index in touched.tolist()]
+            )
+            offsets = np.concatenate(
+                ([0], np.cumsum((offsets[touched + 1] - offsets[touched])))
+            )
+            class_map = touched
+            class_count = len(touched)
+        sizes = np.diff(offsets)
+        violating = np.zeros(class_count, dtype=bool)
+        per_attribute: dict[str, np.ndarray] = {}
         rhs_buckets: dict[str, tuple[Sequence[int], list[tuple[bool, str]]]] = {}
+        class_ids = None
         for attribute in self.rhs:
             column = relation.dictionary(attribute)
             match = evaluator.match_column(row.pattern(attribute), column)
-            rhs_buckets[attribute] = (
-                column.codes,
-                self._rhs_bucket_by_code(column, match),
-            )
+            bucket_by_code = self._rhs_bucket_by_code(column, match)
+            rhs_buckets[attribute] = (column.codes, bucket_by_code)
+            id_of: dict[tuple[bool, str], int] = {}
+            bucket_ids = np.empty(column.distinct_count, dtype=np.int64)
+            for code, bucket in enumerate(bucket_by_code):
+                bucket_ids[code] = id_of.setdefault(bucket, len(id_of))
+            stripped = bucket_ids[column.codes[rowids]]
+            first = np.repeat(stripped[offsets[:-1]], sizes)
+            # A class whose tuples all share one bucket (they agree, or all
+            # fail to match the same way) has no matching partner to falsify
+            # the pairwise implication: only >= 2 buckets violate.
+            disagree = stripped != first
+            attr_bad = np.zeros(class_count, dtype=bool)
+            if disagree.any():
+                if class_ids is None:
+                    class_ids = np.repeat(
+                        np.arange(class_count, dtype=np.int64), sizes
+                    )
+                attr_bad[np.unique(class_ids[disagree])] = True
+            per_attribute[attribute] = attr_bad
+            violating |= attr_bad
+        if since_row and class_map is None:
+            # A class touches the delta iff its largest (= last) member is an
+            # appended row; untouched classes were fully checked before.
+            # (A changed_rows scope takes precedence and already filtered.)
+            violating &= rowids[offsets[1:] - 1] >= since_row
         found: list[Violation] = []
-        for row_ids in classes:
+        for class_index in np.flatnonzero(violating).tolist():
+            row_ids = rowids[offsets[class_index]:offsets[class_index + 1]].tolist()
             for attribute in self.rhs:
+                if not per_attribute[attribute][class_index]:
+                    continue
                 codes, bucket_by_code = rhs_buckets[attribute]
                 buckets: dict[tuple[bool, str], list[int]] = defaultdict(list)
                 for row_id in row_ids:
                     buckets[bucket_by_code[codes[row_id]]].append(row_id)
-                if len(buckets) < 2:
-                    # All tuples agree (or all fail to match in the same way):
-                    # the only remaining violation case is a single bucket of
-                    # non-matching tuples, which cannot be witnessed by the
-                    # pairwise semantics because the LHS-equivalent partner
-                    # also fails the RHS — the implication is then falsified
-                    # only when a matching partner exists, i.e. >= 2 buckets.
-                    continue
                 found.append(
                     self._bucket_violation(relation, row, attribute, row_ids, buckets)
                 )
@@ -644,101 +634,6 @@ class PFD:
             expected_value=expected_value,
         )
 
-    def _variable_row_violations_numpy(
-        self,
-        relation: Relation,
-        row: PatternTuple,
-        evaluator: PatternEvaluator,
-        partition: StrippedPartition,
-        since_row: int,
-        changed_rows: Optional[tuple[int, ...]] = None,
-    ) -> list[Violation]:
-        """Vectorized variable-row check.
-
-        Per RHS attribute the bucket keys are interned to integer ids per
-        *distinct* value, broadcast through the code vector to the stripped
-        rows, and the violating classes found with one all-equal-within-class
-        reduction (compare against the class's first element, repeated).
-        Python then walks only the violating classes — typically a tiny
-        fraction — re-deriving their buckets to emit violations identical,
-        order included, to the fallback path.
-
-        A ``changed_rows`` scope restricts the scan to the touched classes
-        before any per-row work happens: the probe array maps the changed
-        ids straight to their classes, the class row arrays are gathered
-        for just those classes, and the same all-equal-within-class
-        reduction runs on that subset — O(changed-class rows) instead of
-        O(stripped rows), which is what makes a small update batch cheap
-        against a large table."""
-        rowids, offsets = partition.class_arrays()
-        class_count = len(offsets) - 1
-        if class_count == 0:
-            return []
-        class_map = None
-        if changed_rows is not None:
-            # A class is in scope iff it currently contains a changed row:
-            # probe the changed ids to class indices (-1 = singleton).
-            probe = partition.probe_array()
-            changed = np.asarray(changed_rows, dtype=np.int64)
-            changed = changed[changed < len(probe)]
-            touched = np.unique(probe[changed])
-            touched = touched[touched >= 0]
-            if touched.size == 0:
-                return []
-            rowids = np.concatenate(
-                [rowids[offsets[index]:offsets[index + 1]] for index in touched.tolist()]
-            )
-            offsets = np.concatenate(
-                ([0], np.cumsum((offsets[touched + 1] - offsets[touched])))
-            )
-            class_map = touched
-            class_count = len(touched)
-        sizes = np.diff(offsets)
-        violating = np.zeros(class_count, dtype=bool)
-        per_attribute: dict[str, "np.ndarray"] = {}
-        rhs_buckets: dict[str, tuple[Sequence[int], list[tuple[bool, str]]]] = {}
-        class_ids = None
-        for attribute in self.rhs:
-            column = relation.dictionary(attribute)
-            match = evaluator.match_column(row.pattern(attribute), column)
-            bucket_by_code = self._rhs_bucket_by_code(column, match)
-            rhs_buckets[attribute] = (column.codes, bucket_by_code)
-            id_of: dict[tuple[bool, str], int] = {}
-            bucket_ids = np.empty(column.distinct_count, dtype=np.int64)
-            for code, bucket in enumerate(bucket_by_code):
-                bucket_ids[code] = id_of.setdefault(bucket, len(id_of))
-            stripped = bucket_ids[column.codes_array()[rowids]]
-            first = np.repeat(stripped[offsets[:-1]], sizes)
-            disagree = stripped != first
-            attr_bad = np.zeros(class_count, dtype=bool)
-            if disagree.any():
-                if class_ids is None:
-                    class_ids = np.repeat(
-                        np.arange(class_count, dtype=np.int64), sizes
-                    )
-                attr_bad[np.unique(class_ids[disagree])] = True
-            per_attribute[attribute] = attr_bad
-            violating |= attr_bad
-        if since_row and class_map is None:
-            # A class touches the delta iff its largest (= last) member is an
-            # appended row; untouched classes were fully checked before.
-            # (A changed_rows scope takes precedence and already filtered.)
-            violating &= rowids[offsets[1:] - 1] >= since_row
-        found: list[Violation] = []
-        for class_index in np.flatnonzero(violating).tolist():
-            row_ids = rowids[offsets[class_index]:offsets[class_index + 1]].tolist()
-            for attribute in self.rhs:
-                if not per_attribute[attribute][class_index]:
-                    continue
-                codes, bucket_by_code = rhs_buckets[attribute]
-                buckets: dict[tuple[bool, str], list[int]] = defaultdict(list)
-                for row_id in row_ids:
-                    buckets[bucket_by_code[codes[row_id]]].append(row_id)
-                found.append(
-                    self._bucket_violation(relation, row, attribute, row_ids, buckets)
-                )
-        return found
-
     def _variable_row_violations_sql(
         self,
         relation: Relation,
@@ -756,7 +651,7 @@ class PFD:
         only the classes spanning >= 2 buckets on some attribute and touching
         the delta.  Python re-derives those classes' buckets — a point fetch
         of the class's RHS codes, never a column scan — and emits violations
-        identical, order included, to the in-memory paths."""
+        identical, order included, to the in-memory path."""
         store = relation.store
         rhs_cols: list[int] = []
         bucket_tables: list[str] = []
@@ -843,15 +738,8 @@ class PFD:
         partitions = [
             self._row_partition(relation, row, evaluator) for row in self.tableau
         ]
-        if partitions and all(p.backend == NUMPY for p in partitions):
-            union = partitions[0].covered_array()
-            for partition in partitions[1:]:
-                union = np.union1d(union, partition.covered_array())
-            return int(len(union))
-        if (
-            partitions
-            and all(isinstance(p, SqlStrippedPartition) for p in partitions)
-            and len({id(p._store) for p in partitions}) == 1
+        if all(isinstance(p, SqlStrippedPartition) for p in partitions) and (
+            len({id(p._store) for p in partitions}) == 1
         ):
             # All rows' LHSes ground out in one store: the distinct covered
             # row count is a single UNION-of-selects aggregate in SQLite.
@@ -859,10 +747,10 @@ class PFD:
             return partitions[0]._store.fetch_value(
                 f"SELECT COUNT(*) FROM ({union_sql})"
             )
-        covered: set[int] = set()
-        for partition in partitions:
-            covered.update(partition.covered)
-        return len(covered)
+        union = partitions[0].covered_array()
+        for partition in partitions[1:]:
+            union = np.union1d(union, partition.covered_array())
+        return int(len(union))
 
     def coverage(
         self, relation: Relation, evaluator: Optional[PatternEvaluator] = None

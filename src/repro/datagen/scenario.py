@@ -370,7 +370,9 @@ class ScenarioSpec:
         values (dirtied at the spec's error rate), appends add fresh rows,
         deletes tombstone live rows.  Deleted rows never come back into the
         target pool.  ``operations`` counts individual ops; they are grouped
-        into batches of ``batch_size``.
+        into batches of ``batch_size``.  Updates and deletes only target rows
+        that existed before their batch (the :meth:`Relation.apply`
+        contract): rows appended by a batch join the pool once it is yielded.
         """
         if operations < 1:
             raise ReproError("mutation_stream needs operations >= 1")
@@ -389,6 +391,7 @@ class ScenarioSpec:
         emitted = 0
         while emitted < operations:
             ops = []
+            appended: list[int] = []
             for _ in range(min(batch_size, operations - emitted)):
                 roll = rng.random()
                 if (roll < update_w or not append_w + delete_w) and live:
@@ -409,13 +412,14 @@ class ScenarioSpec:
                         index, dirty, _original = corruption
                         row[index] = dirty
                     ops.append(UpsertOp((row,)))
-                    live.append(next_row)
+                    appended.append(next_row)
                     next_row += 1
                 else:
                     victim = live.pop(rng.randrange(len(live)))
                     ops.append(DeleteOp((victim,)))
                 emitted += 1
             yield MutationBatch(ops)
+            live.extend(appended)
 
 
 # ---------------------------------------------------------------------------

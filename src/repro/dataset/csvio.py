@@ -43,14 +43,12 @@ def read_csv(
         Explicit column names (required when ``has_header`` is False and
         useful to override a header).
     backend:
-        Engine backend pin for the loaded relation.  When it resolves to
+        Engine backend for the loaded relation.  When it resolves to
         ``"sql"`` — explicitly, or because the process default
         (``REPRO_ENGINE=sql``) says so — the file is *streamed* in bounded
         chunks into an out-of-core SQLite-backed relation: peak memory is
         one chunk plus the per-column distinct values, never the decoded
-        table.  Any other value pins the in-memory relation's engine
-        backend; ``None`` keeps the previous behavior (in-memory, process
-        default).
+        table.  ``"numpy"`` loads an in-memory relation.
     """
     if resolve_backend(backend) == SQL:
         return _read_csv_sql(source, name, delimiter, has_header, column_names)
@@ -84,7 +82,7 @@ def read_csv(
         header = [f"column_{i + 1}" for i in range(width)]
 
     schema = Schema(header, name=inferred_name)
-    relation = Relation(schema, backend=backend)
+    relation = Relation(schema)
     relation.append_rows(
         (list(row) + [""] * (len(header) - len(row)))[: len(header)]
         for row in data_rows

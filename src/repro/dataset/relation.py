@@ -11,21 +11,18 @@ relational operations the discovery / cleaning pipelines need.  They are not
 a general-purpose dataframe.
 
 The engine structures a relation derives — dictionary columns, match masks,
-stripped partitions — come in two representations (see
-:mod:`repro.engine.backend`): the vectorized ``numpy`` columnar core and the
-pure-Python fallback.  ``Relation(backend=...)`` (or :meth:`set_backend`)
-pins one; by default the process default applies (``REPRO_ENGINE`` env var,
-else numpy when importable).  Derived relations (``copy``/``project``/
-``select_rows``) inherit the pin.
+stripped partitions — are the numpy engine's ndarrays (see
+:mod:`repro.engine.backend`).  ``Relation(..., backend="sql")`` builds the
+out-of-core :class:`~repro.storage.relation.SqlRelation` instead; an
+in-memory relation is always ``numpy``.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from ..engine.backend import resolve_backend
+from ..engine.backend import NUMPY, SQL, resolve_backend
 from ..engine.dictionary import DictionaryColumn, DictionaryUpdate
 from ..engine.partitions import PartitionManager
 from ..exceptions import ReproError, SchemaError
@@ -50,6 +47,10 @@ def _normalize_cell(value: object) -> str:
 class Relation:
     """A named, schema-typed, column-oriented table of strings."""
 
+    #: Engine backend of the relation's derived state: ``"numpy"`` for every
+    #: in-memory relation, ``"sql"`` for :class:`~repro.storage.relation.SqlRelation`.
+    backend = NUMPY
+
     def __new__(
         cls,
         schema: Optional[Schema] = None,
@@ -61,7 +62,7 @@ class Relation:
         # argument dispatches — a bare ``Relation(...)`` stays in memory even
         # under ``REPRO_ENGINE=sql`` (the env default engages via read_csv),
         # so existing construction sites keep their memory profile.
-        if cls is Relation and backend is not None and resolve_backend(backend) == "sql":
+        if cls is Relation and backend is not None and resolve_backend(backend) == SQL:
             from ..storage.relation import SqlRelation
 
             return super().__new__(SqlRelation)
@@ -74,9 +75,6 @@ class Relation:
         backend: Optional[str] = None,
     ):
         self.schema = schema
-        #: Engine backend pin (``"numpy"``/``"python"``); ``None`` defers to
-        #: the process default at each dictionary build.
-        self.backend: Optional[str] = resolve_backend(backend) if backend else None
         self._columns: dict[str, list[str]] = {
             name: list(columns[name]) if columns and name in columns else []
             for name in schema.attribute_names
@@ -187,23 +185,9 @@ class Relation:
         self.schema.position(name)
         cached = self._dictionaries.get(name)
         if cached is None:
-            cached = DictionaryColumn.from_values(
-                self._columns[name], attribute=name, backend=self.backend
-            )
+            cached = DictionaryColumn.from_values(self._columns[name], attribute=name)
             self._dictionaries[name] = cached
         return cached
-
-    def set_backend(self, backend: Optional[str]) -> None:
-        """Re-pin the engine backend and drop the derived engine state.
-
-        Cached dictionaries and partitions are rebuilt lazily on the new
-        backend; the rows themselves are untouched (no version bump — the
-        data did not change, only its derived representation)."""
-        self.backend = resolve_backend(backend) if backend else None
-        self._dictionaries = {}
-        if self._partitions is not None:
-            self._partitions.invalidate()
-            self._partitions = None
 
     def partitions(self) -> PartitionManager:
         """The relation's stripped-partition (PLI) cache.
@@ -250,21 +234,6 @@ class Relation:
                 f"has {len(self.schema)} attributes"
             )
         return [_normalize_cell(value) for value in row]
-
-    def append_row(self, row: Union[Sequence[object], Mapping[str, object]]) -> int:
-        """Append one tuple; returns its row id.
-
-        .. deprecated::
-            Use ``append_rows([row]).start`` (or :meth:`apply` with an
-            upsert op) — batching is the one mutation entry point, and even
-            a single row is a one-element batch.
-        """
-        warnings.warn(
-            "Relation.append_row is deprecated; use append_rows([row]).start",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.append_rows((row,)).start
 
     def append_rows(
         self, rows: Iterable[Union[Sequence[object], Mapping[str, object]]]
@@ -452,18 +421,14 @@ class Relation:
     def copy(self, name: Optional[str] = None) -> "Relation":
         """A deep copy (new column lists, same schema object)."""
         schema = self.schema if name is None else Schema(self.schema.attributes, name=name)
-        clone = Relation(
-            schema, {n: list(c) for n, c in self._columns.items()}, backend=self.backend
-        )
+        clone = Relation(schema, {n: list(c) for n, c in self._columns.items()})
         clone._deleted = set(self._deleted)
         return clone
 
     def project(self, names: Sequence[str], name: Optional[str] = None) -> "Relation":
         """A new relation with only the columns in ``names``."""
         schema = self.schema.project(names, name=name)
-        return Relation(
-            schema, {n: list(self._columns[n]) for n in names}, backend=self.backend
-        )
+        return Relation(schema, {n: list(self._columns[n]) for n in names})
 
     def select_rows(self, row_ids: Sequence[int], name: Optional[str] = None) -> "Relation":
         """A new relation with only the given rows, in the given order."""
@@ -472,7 +437,7 @@ class Relation:
             attr: [self._columns[attr][row_id] for row_id in row_ids]
             for attr in self.schema.attribute_names
         }
-        return Relation(schema, columns, backend=self.backend)
+        return Relation(schema, columns)
 
     def filter_rows(
         self, predicate: Callable[[dict[str, str]], bool], name: Optional[str] = None

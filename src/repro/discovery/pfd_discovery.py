@@ -32,12 +32,13 @@ import time
 from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from ..core.pfd import PFD
 from ..core.tableau import PatternTableau, PatternTuple
 from ..dataset.index import PatternIndex
 from ..dataset.profiler import TableProfile, profile_relation
 from ..dataset.relation import Relation
-from ..engine.backend import NUMPY as BACKEND_NUMPY, np
 from ..engine.evaluator import PatternEvaluator
 from ..engine.parallel import (
     ParallelExecutor,
@@ -733,15 +734,8 @@ class PFDDiscoverer:
         # Dominance counting over dictionary codes: integer bincount instead
         # of hashing one string per row of the group.
         column = relation.dictionary(rhs)
-        if column.backend == BACKEND_NUMPY:
-            group_codes = column.codes_array()[np.asarray(ids, dtype=np.int64)]
-            code_counts = dict(enumerate(np.bincount(group_codes).tolist()))
-        else:
-            codes = column.codes
-            code_counts = {}
-            for row_id in ids:
-                code = codes[row_id]
-                code_counts[code] = code_counts.get(code, 0) + 1
+        group_codes = column.codes[np.asarray(ids, dtype=np.int64)]
+        code_counts = dict(enumerate(np.bincount(group_codes).tolist()))
         counts = {
             column.values[code]: count
             for code, count in code_counts.items()

@@ -1,37 +1,21 @@
-"""Engine backend selection: the NumPy columnar core vs the pure-Python path.
-
-The engine's hot state — dictionary code vectors, match masks, stripped
-partition classes — has two interchangeable representations:
+"""Engine backend selection: the in-memory NumPy engine vs the out-of-core store.
 
 ``numpy``
-    Contiguous ndarrays: ``int32`` code vectors, boolean row masks, and
-    ``(sorted_rowids, class_offsets)`` partition pairs, with broadcasts,
-    intersections, and reductions vectorized.  The default whenever NumPy is
-    importable.
-``python``
-    The original lists/dicts/sets implementation.  Kept as a first-class
-    fallback so environments without NumPy keep working and so property
-    tests can pin the two backends bit-identical against each other.
+    The in-memory engine.  Every relation held in memory keeps its engine
+    state as contiguous ndarrays: ``int32`` dictionary code vectors, boolean
+    per-code match masks, and ``(sorted_rowids, class_offsets)`` partition
+    pairs, with broadcasts, intersections, and reductions vectorized.
 ``sql``
     The out-of-core SQLite-pushdown store (:mod:`repro.storage`): rows live
     dictionary-encoded in a temp database and the group-heavy primitives run
     as SQL aggregates, so peak memory stays bounded by the chunk size rather
-    than the table.  Engaged per relation via ``Relation(backend="sql")`` or
-    ``read_csv(..., backend="sql")``; in-memory relations merely *pinned*
-    ``"sql"`` fall back to the pure-Python code paths.
+    than the table.  Chosen at ingestion time via ``Relation(backend="sql")``
+    or ``read_csv(..., backend="sql")``; whatever an out-of-core relation
+    materializes in memory uses the numpy representation.
 
-Selection is layered (most specific wins):
-
-1. per relation — ``Relation(backend=...)`` / ``Relation.set_backend``,
-   which :class:`repro.session.CleaningSession` and the CLI
-   ``--engine {numpy,python,sql}`` flag route through;
-2. process default — :func:`set_default_backend`, or the ``REPRO_ENGINE``
-   environment variable read at first resolution;
-3. built-in default — ``numpy`` when importable, else ``python``.
-
-Both representations produce bit-identical results (same classes, same
-orders, same violation lists); the hypothesis backend pins in
-``tests/test_engine_backend.py`` enforce this.
+Selection at ingestion time (most specific wins): an explicit ``backend=``
+argument (the CLI ``--engine {numpy,sql}`` flag routes here), else the
+``REPRO_ENGINE`` environment variable, else ``numpy``.
 """
 
 from __future__ import annotations
@@ -39,63 +23,32 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+import numpy as np
+
 NUMPY = "numpy"
-PYTHON = "python"
 SQL = "sql"
-BACKENDS = (NUMPY, PYTHON, SQL)
-
-try:  # pragma: no cover - exercised implicitly by every engine test
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - CI images always carry numpy
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
-
-#: Process-wide default backend; ``None`` = resolve from the environment.
-_default: Optional[str] = None
+BACKENDS = (NUMPY, SQL)
 
 
 def _validate(name: str) -> str:
     if name not in BACKENDS:
         raise ValueError(
-            f"unknown engine backend {name!r}: expected one of {BACKENDS}"
-        )
-    if name == NUMPY and not HAS_NUMPY:
-        raise RuntimeError(
-            "the numpy engine backend was requested but numpy is not importable"
+            f"unknown engine backend {name!r}: available backends are "
+            f"{', '.join(BACKENDS)}"
         )
     return name
 
 
 def available_backends() -> tuple[str, ...]:
-    """The backends usable in this process.
-
-    ``sql`` rides the standard library's :mod:`sqlite3`, so it is always
-    available; ``numpy`` only when importable.
-    """
-    return BACKENDS if HAS_NUMPY else (PYTHON, SQL)
+    """The selectable backends (``sql`` rides the standard library's
+    :mod:`sqlite3`, so both are always available)."""
+    return BACKENDS
 
 
 def default_backend() -> str:
-    """The process default: an explicit :func:`set_default_backend` value,
-    else ``REPRO_ENGINE`` from the environment, else numpy-if-available."""
-    if _default is not None:
-        return _default
+    """``REPRO_ENGINE`` from the environment, else ``numpy``."""
     env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if env:
-        return _validate(env)
-    return NUMPY if HAS_NUMPY else PYTHON
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Override the process default (``None`` restores env resolution).
-
-    Only affects engine objects built afterwards; relations that already
-    cached dictionaries or partitions keep their representation.
-    """
-    global _default
-    _default = None if name is None else _validate(name)
+    return _validate(env) if env else NUMPY
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
@@ -105,8 +58,8 @@ def resolve_backend(name: Optional[str] = None) -> str:
     return _validate(name)
 
 
-def stable_order(sort_keys):
-    """Stable argsort tuned for the engine's ordinal keys (numpy only).
+def stable_order(sort_keys: np.ndarray) -> np.ndarray:
+    """Stable argsort tuned for the engine's ordinal keys.
 
     numpy's ``stable`` kind is a radix sort for <= 16-bit integers but a
     comparison sort for wider ones — an order of magnitude apart on the

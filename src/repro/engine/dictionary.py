@@ -7,13 +7,9 @@ constant — can then be computed per distinct value and broadcast to rows
 through the codes, which is the whole point of the engine: per-row work
 becomes per-*distinct*-value work.
 
-The per-row code vector has two representations, selected through
-:mod:`repro.engine.backend`: the ``numpy`` backend stores an ``int32``
-ndarray (grown geometrically so appends stay amortized O(delta)) and
-broadcasts per-code masks to rows with one fancy-indexing operation; the
-``python`` backend keeps the original plain list.  Both expose the same
-``codes`` sequence — indexable, iterable, ``len()``-able — and produce
-identical codes, row lists, and counts.
+The per-row code vector is an ``int32`` ndarray, grown geometrically so
+appends stay amortized O(delta); per-code masks broadcast to rows with one
+fancy-indexing operation.
 
 The class is deliberately standalone (it knows nothing about relations,
 schemas, or patterns) so that the dataset and core layers can depend on it
@@ -33,9 +29,11 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .backend import NUMPY, np, resolve_backend, stable_order
+import numpy as np
+
+from .backend import stable_order
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,10 +109,8 @@ class DictionaryColumn:
         The distinct cell values in first-seen order; ``values[codes[i]]`` is
         the cell value of row ``i``.
     codes:
-        One code per row, indexing into ``values`` — an ``int32`` ndarray
-        view on the numpy backend, a plain list on the python backend.
-    backend:
-        ``"numpy"`` or ``"python"`` (resolved at construction).
+        One code per row, indexing into ``values`` (an ``int32`` ndarray
+        view).
     has_updates:
         True once :meth:`update_rows` has run.  Until then, codes are in
         first-seen row order (so walking codes in order visits groups by
@@ -130,7 +126,6 @@ class DictionaryColumn:
     __slots__ = (
         "attribute",
         "values",
-        "backend",
         "has_updates",
         "_codes",
         "_length",
@@ -146,31 +141,19 @@ class DictionaryColumn:
         values: Sequence[str],
         codes: Sequence[int],
         attribute: str = "",
-        backend: Optional[str] = None,
     ):
         self.attribute = attribute
         self.values: tuple[str, ...] = tuple(values)
-        self.backend = resolve_backend(backend)
-        if self.backend == NUMPY:
-            array = np.array(codes, dtype=np.int32)
-            self._codes: Union[list[int], "np.ndarray"] = array
-            self._length = len(array)
-        else:
-            self._codes = list(codes)
-            self._length = len(self._codes)
+        self._codes: np.ndarray = np.array(codes, dtype=np.int32)
+        self._length = len(self._codes)
         self.has_updates = False
         self._code_of: Optional[dict[str, int]] = None
         self._rows_by_code: Optional[list[list[int]]] = None
         self._counts: Optional[list[int]] = None
-        self._counts_array: Optional["np.ndarray"] = None
+        self._counts_array: Optional[np.ndarray] = None
 
     @classmethod
-    def from_values(
-        cls,
-        cells: Iterable[str],
-        attribute: str = "",
-        backend: Optional[str] = None,
-    ) -> "DictionaryColumn":
+    def from_values(cls, cells: Iterable[str], attribute: str = "") -> "DictionaryColumn":
         """Encode a raw column (one string per row)."""
         code_of: dict[str, int] = {}
         codes: list[int] = []
@@ -180,38 +163,26 @@ class DictionaryColumn:
                 code = len(code_of)
                 code_of[cell] = code
             codes.append(code)
-        column = cls(tuple(code_of), codes, attribute=attribute, backend=backend)
+        column = cls(tuple(code_of), codes, attribute=attribute)
         column._code_of = code_of
         return column
 
     # -- code storage ---------------------------------------------------------
 
     @property
-    def codes(self) -> Union[list[int], "np.ndarray"]:
-        """The per-row code vector (a view; do not mutate)."""
-        if self.backend == NUMPY:
-            return self._codes[: self._length]
-        return self._codes
-
-    def codes_array(self) -> "np.ndarray":
-        """The code vector as an ``int32`` ndarray (numpy backend only)."""
-        if self.backend != NUMPY:
-            raise RuntimeError("codes_array() requires the numpy backend")
+    def codes(self) -> np.ndarray:
+        """The per-row code vector (an ``int32`` view; do not mutate)."""
         return self._codes[: self._length]
 
     def _append_codes(self, appended: Sequence[int]) -> None:
-        if self.backend == NUMPY:
-            needed = self._length + len(appended)
-            capacity = len(self._codes)
-            if needed > capacity:
-                grown = np.empty(max(needed, capacity * 2, 16), dtype=np.int32)
-                grown[: self._length] = self._codes[: self._length]
-                self._codes = grown
-            self._codes[self._length : needed] = appended
-            self._length = needed
-        else:
-            self._codes.extend(appended)
-            self._length = len(self._codes)
+        needed = self._length + len(appended)
+        capacity = len(self._codes)
+        if needed > capacity:
+            grown = np.empty(max(needed, capacity * 2, 16), dtype=np.int32)
+            grown[: self._length] = self._codes[: self._length]
+            self._codes = grown
+        self._codes[self._length : needed] = appended
+        self._length = needed
 
     # -- mutation -------------------------------------------------------------
 
@@ -221,9 +192,9 @@ class DictionaryColumn:
         Unseen values receive fresh codes *after* every existing one, so all
         previously handed-out codes (and anything memoized per code) remain
         valid; the lazily built ``rows_by_code`` / ``counts`` structures are
-        patched rather than invalidated.  On the numpy backend the code
-        buffer grows geometrically, so the amortized append cost stays
-        O(delta).  This is the primitive behind
+        patched rather than invalidated.  The code buffer grows
+        geometrically, so the amortized append cost stays O(delta).  This is
+        the primitive behind
         :meth:`repro.dataset.relation.Relation.append_rows`.
         """
         if self._code_of is None:
@@ -344,46 +315,34 @@ class DictionaryColumn:
         """Row ids per code, each list in ascending order (built lazily)."""
         if self._rows_by_code is None:
             rows: list[list[int]] = [[] for _ in self.values]
-            if self.backend == NUMPY:
-                # Stable argsort groups rows by code with ascending row ids.
-                codes = self.codes_array()
-                order = stable_order(codes)
-                sorted_codes = codes[order]
-                boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-                row_lists = order.tolist()
-                start = 0
-                for end in (*boundaries.tolist(), len(row_lists)):
-                    if end > start:
-                        rows[sorted_codes[start]] = row_lists[start:end]
-                        start = end
-            else:
-                for row_id, code in enumerate(self._codes):
-                    rows[code].append(row_id)
+            # Stable argsort groups rows by code with ascending row ids.
+            codes = self.codes
+            order = stable_order(codes)
+            sorted_codes = codes[order]
+            boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
+            row_lists = order.tolist()
+            start = 0
+            for end in (*boundaries.tolist(), len(row_lists)):
+                if end > start:
+                    rows[sorted_codes[start]] = row_lists[start:end]
+                    start = end
             self._rows_by_code = rows
         return self._rows_by_code
 
     def counts(self) -> list[int]:
         """Number of rows per code (built lazily)."""
         if self._counts is None:
-            if self.backend == NUMPY:
-                self._counts = self.counts_array().tolist()
-            else:
-                counts = [0] * len(self.values)
-                for code in self._codes:
-                    counts[code] += 1
-                self._counts = counts
+            self._counts = self.counts_array().tolist()
         return self._counts
 
-    def counts_array(self) -> "np.ndarray":
-        """Rows per code as an int64 ndarray (numpy backend only)."""
-        if self.backend != NUMPY:
-            raise RuntimeError("counts_array() requires the numpy backend")
+    def counts_array(self) -> np.ndarray:
+        """Rows per code as an int64 ndarray."""
         if self._counts_array is None:
             if self._counts is not None:
                 self._counts_array = np.asarray(self._counts, dtype=np.int64)
             else:
                 self._counts_array = np.bincount(
-                    self.codes_array(), minlength=self.distinct_count
+                    self.codes, minlength=self.distinct_count
                 ).astype(np.int64)
         return self._counts_array
 
@@ -391,13 +350,11 @@ class DictionaryColumn:
         """Row ids whose code is accepted, in ascending order.
 
         ``accepted`` is a per-code mask (``accepted[code]`` truthy keeps the
-        rows carrying that code).  On the numpy backend this is one
-        fancy-indexing broadcast instead of a per-row Python loop.
+        rows carrying that code), broadcast to rows with one fancy-indexing
+        operation.
         """
-        if self.backend == NUMPY:
-            mask = np.asarray(accepted, dtype=bool)
-            return np.flatnonzero(mask[self.codes_array()]).tolist()
-        return [row_id for row_id, code in enumerate(self._codes) if accepted[code]]
+        mask = np.asarray(accepted, dtype=bool)
+        return np.flatnonzero(mask[self.codes]).tolist()
 
     @property
     def duplication_factor(self) -> float:

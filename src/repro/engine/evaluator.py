@@ -44,10 +44,11 @@ from __future__ import annotations
 import weakref
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from ..patterns.ast import Pattern
 from ..patterns.matcher import CompiledPattern, MatchResult, compile_pattern
 from ..patterns.multi import DEFAULT_STATE_BUDGET, compile_pattern_set, is_dfa_friendly
-from .backend import NUMPY, np
 from .dictionary import DictionaryColumn
 
 PatternLike = Union[Pattern, str, CompiledPattern]
@@ -75,9 +76,9 @@ class ColumnMatch:
         self._column_ref = weakref.ref(column)
         self.compiled = compiled
         self.results = results
-        #: Cached boolean ndarray of ``matched_mask`` (numpy-backend columns);
-        #: dropped whenever ``results`` grows.
-        self._mask_array: Optional["np.ndarray"] = None
+        #: Cached boolean ndarray of ``matched_mask``; dropped whenever
+        #: ``results`` grows.
+        self._mask_array: Optional[np.ndarray] = None
 
     @property
     def column(self) -> DictionaryColumn:
@@ -104,8 +105,8 @@ class ColumnMatch:
         """Per-code mask: does the distinct value match the pattern?"""
         return [result.matched for result in self.results]
 
-    def matched_array(self) -> "np.ndarray":
-        """The per-code mask as a cached boolean ndarray (needs numpy)."""
+    def matched_array(self) -> np.ndarray:
+        """The per-code mask as a cached boolean ndarray."""
         if self._mask_array is None:
             self._mask_array = np.fromiter(
                 (result.matched for result in self.results),
@@ -118,24 +119,14 @@ class ColumnMatch:
         return [code for code, result in enumerate(self.results) if result.matched]
 
     def matching_rows(self) -> list[int]:
-        """Row ids whose value matches, in ascending order (broadcast).
-
-        On numpy-backend columns the per-code mask is broadcast to rows with
-        one fancy-indexing operation (``mask[codes]``)."""
-        column = self.column
-        if column.backend == NUMPY:
-            return np.flatnonzero(
-                self.matched_array()[column.codes_array()]
-            ).tolist()
-        return column.broadcast_codes(self.matched_mask())
+        """Row ids whose value matches, in ascending order: the per-code
+        mask broadcast to rows with one fancy-indexing operation
+        (``mask[codes]``)."""
+        return np.flatnonzero(self.matched_array()[self.column.codes]).tolist()
 
     def match_count(self) -> int:
         """Number of *rows* (not distinct values) that match."""
-        column = self.column
-        if column.backend == NUMPY:
-            return int(column.counts_array()[self.matched_array()].sum())
-        counts = column.counts()
-        return sum(counts[code] for code, result in enumerate(self.results) if result.matched)
+        return int(self.column.counts_array()[self.matched_array()].sum())
 
 
 class ColumnMatchSet:
@@ -165,7 +156,7 @@ class ColumnMatchSet:
         #: Per-member cached boolean ndarrays of ``matched_mask``, keyed by
         #: bit and tagged with the bits length they were derived from (so a
         #: grown ``bits`` vector invalidates them lazily).
-        self._mask_arrays: dict[int, tuple[int, "np.ndarray"]] = {}
+        self._mask_arrays: dict[int, tuple[int, np.ndarray]] = {}
 
     @property
     def column(self) -> DictionaryColumn:
@@ -214,9 +205,9 @@ class ColumnMatchSet:
         bit = self._bit_of[_compiled(pattern)]
         return [bool((mask >> bit) & 1) for mask in self.bits]
 
-    def matched_array(self, pattern: PatternLike) -> "np.ndarray":
+    def matched_array(self, pattern: PatternLike) -> np.ndarray:
         """The per-code mask of one member as a cached boolean ndarray
-        (needs numpy; re-derived lazily after the bits vector grows)."""
+        (re-derived lazily after the bits vector grows)."""
         bit = self._bit_of[_compiled(pattern)]
         cached = self._mask_arrays.get(bit)
         if cached is not None and cached[0] == len(self.bits):
@@ -242,26 +233,14 @@ class ColumnMatchSet:
 
     def match_count(self, pattern: PatternLike) -> int:
         """Number of *rows* (not distinct values) matching one member."""
-        column = self.column
-        if column.backend == NUMPY:
-            return int(column.counts_array()[self.matched_array(pattern)].sum())
-        bit = self._bit_of[_compiled(pattern)]
-        counts = column.counts()
-        return sum(
-            counts[code] for code, mask in enumerate(self.bits) if (mask >> bit) & 1
-        )
+        return int(self.column.counts_array()[self.matched_array(pattern)].sum())
 
     def matching_rows(self, pattern: PatternLike) -> list[int]:
-        """Row ids whose value matches one member, ascending (broadcast).
-
-        On numpy-backend columns the per-code mask is broadcast to rows with
-        one fancy-indexing operation (``mask[codes]``)."""
-        column = self.column
-        if column.backend == NUMPY:
-            return np.flatnonzero(
-                self.matched_array(pattern)[column.codes_array()]
-            ).tolist()
-        return column.broadcast_codes(self.matched_mask(pattern))
+        """Row ids whose value matches one member, ascending: the per-code
+        mask broadcast to rows with one fancy-indexing operation."""
+        return np.flatnonzero(
+            self.matched_array(pattern)[self.column.codes]
+        ).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -13,7 +13,7 @@ independently.  This module owns that parallelism:
 * :class:`ParallelExecutor` — a lazily created
   :class:`~concurrent.futures.ProcessPoolExecutor` bound to one relation
   snapshot.  The dictionary-encoded relation (distinct values + the
-  ``int32`` code vectors from :meth:`DictionaryColumn.codes_array`) is
+  ``int32`` code vectors from :attr:`DictionaryColumn.codes`) is
   pickled **once per pool** through the pool initializer, not once per
   task; tasks then carry only candidate descriptions / PFD lists.  The pool
   rebinds (new broadcast) when the relation object or its
@@ -54,12 +54,6 @@ Worker processes never rely on inherited interpreter state:
   immutable inputs to immutable values — they repopulate independently and
   identically in every worker, so both an inherited (fork) and an empty
   (spawn) cache are correct;
-* the one mutable process-global that *changes results* — the engine
-  backend default in :mod:`repro.engine.backend` — is explicitly seeded in
-  every worker from the parent's **resolved** choice (the snapshot carries
-  it), never re-read from the ``REPRO_ENGINE`` environment variable, so a
-  parent that called :func:`~repro.engine.backend.set_default_backend`
-  after startup still gets matching workers;
 * evaluators (:class:`~repro.engine.evaluator.PatternEvaluator` holds
   ``WeakKeyDictionary`` memos and is deliberately unpicklable) are created
   fresh inside each worker and shared across that worker's tasks.
@@ -81,7 +75,6 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .backend import NUMPY, resolve_backend, set_default_backend
 from .partitions import PartitionStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset -> engine)
@@ -166,28 +159,20 @@ class RelationSnapshot:
     """The pickle-once payload a pool initializer ships to every worker.
 
     ``columns`` maps each attribute to its dictionary: the distinct values
-    plus the per-row code vector (an ``int32`` ndarray on the numpy backend
-    — pickled as its compact buffer — or a plain list on the python
-    backend).  ``backend`` is the parent's *resolved* engine backend.
+    plus the per-row ``int32`` code vector (pickled as its compact buffer).
     """
 
     schema: object
-    backend: str
     columns: dict[str, tuple[tuple[str, ...], object]]
 
 
 def snapshot_relation(relation: "Relation") -> RelationSnapshot:
     """Capture the dictionary-encoded relation for broadcast."""
-    backend = resolve_backend(relation.backend)
     columns: dict[str, tuple[tuple[str, ...], object]] = {}
     for name in relation.attribute_names:
         dictionary = relation.dictionary(name)
-        if dictionary.backend == NUMPY:
-            codes: object = dictionary.codes_array()
-        else:
-            codes = list(dictionary.codes)
-        columns[name] = (dictionary.values, codes)
-    return RelationSnapshot(schema=relation.schema, backend=backend, columns=columns)
+        columns[name] = (dictionary.values, dictionary.codes)
+    return RelationSnapshot(schema=relation.schema, columns=columns)
 
 
 def _restore_relation(snapshot: RelationSnapshot) -> "Relation":
@@ -198,11 +183,9 @@ def _restore_relation(snapshot: RelationSnapshot) -> "Relation":
     columns: dict[str, list[str]] = {}
     dictionaries: dict[str, DictionaryColumn] = {}
     for name, (values, codes) in snapshot.columns.items():
-        column = DictionaryColumn(values, codes, attribute=name, backend=snapshot.backend)
-        dictionaries[name] = column
-        code_list = codes.tolist() if hasattr(codes, "tolist") else codes
-        columns[name] = [values[code] for code in code_list]
-    relation = Relation(snapshot.schema, columns, backend=snapshot.backend)
+        dictionaries[name] = DictionaryColumn(values, codes, attribute=name)
+        columns[name] = [values[code] for code in codes.tolist()]
+    relation = Relation(snapshot.schema, columns)
     # Pre-install the shipped dictionaries: identical values/codes mean every
     # downstream structure (masks, partitions) is bit-identical to the parent.
     relation._dictionaries = dictionaries
@@ -217,10 +200,6 @@ class _WorkerState:
     def __init__(self, snapshot: RelationSnapshot):
         from .evaluator import PatternEvaluator
 
-        # Seed the process default from the parent's resolved backend (the
-        # snapshot value), NOT from a re-read of REPRO_ENGINE: a parent that
-        # picked its backend programmatically must get matching workers.
-        set_default_backend(snapshot.backend)
         self.relation = _restore_relation(snapshot)
         self.evaluator = PatternEvaluator()
         self._discovery_contexts: list[tuple[object, object, tuple]] = []

@@ -19,25 +19,19 @@ the shared-DFA :class:`~repro.engine.evaluator.ColumnMatchSet` masks), so
 building one costs no pattern matching beyond what the evaluator already
 cached.
 
-Two class representations, one partition object
------------------------------------------------
+Class arrays
+------------
 
-A :class:`StrippedPartition` stores its classes either as
-
-* a tuple of row-id tuples (the ``python`` backend's native form), or
-* a ``(sorted_rowids, class_offsets)`` pair of ``int64`` ndarrays (the
-  ``numpy`` backend's native form): ``rowids[offsets[i]:offsets[i+1]]`` is
-  class ``i``, rows ascending within a class, classes ordered by their
-  smallest member.
-
-Each representation is derived lazily from the other, so every existing
-consumer of ``partition.classes`` keeps working regardless of backend while
-the partition algebra — :meth:`~StrippedPartition.intersect` (sort/group
-over packed class-pair keys instead of a Python probe-table dict),
-:meth:`~StrippedPartition.refines`, :meth:`~StrippedPartition.refines_codes`,
-:meth:`~StrippedPartition.minority_rows`, ``error`` — runs vectorized on the
-numpy backend.  Which backend a partition uses follows the backend of the
-dictionary column it was built from (see :mod:`repro.engine.backend`).
+A :class:`StrippedPartition` stores its classes as a ``(sorted_rowids,
+class_offsets)`` pair of ``int64`` ndarrays: ``rowids[offsets[i]:offsets[i+1]]``
+is class ``i``, rows ascending within a class, classes ordered by their
+smallest member.  The partition algebra —
+:meth:`~StrippedPartition.intersect` (sort/group over packed class-pair
+keys), :meth:`~StrippedPartition.refines`,
+:meth:`~StrippedPartition.refines_codes`,
+:meth:`~StrippedPartition.minority_rows`, ``error`` — runs vectorized on
+these arrays; the tuple-of-tuples :attr:`~StrippedPartition.classes` view is
+materialized lazily for consumers that walk classes one by one.
 
 Three partition sources, one cache
 ----------------------------------
@@ -67,47 +61,43 @@ hand it out.
 Delta maintenance
 -----------------
 
-Batch ingestion (:meth:`repro.dataset.relation.Relation.append_rows`) does
-not invalidate this cache — it *extends* it.  :meth:`PartitionManager.extend`
-receives the per-column :class:`~repro.engine.dictionary.DictionaryDelta`
-records and
+Mutations do not invalidate this cache — they *refresh* it.  Batch ingestion
+(:meth:`repro.dataset.relation.Relation.append_rows`) routes the per-column
+:class:`~repro.engine.dictionary.DictionaryDelta` records through
+:meth:`PartitionManager.extend`, and cell overwrites / deletes
+(:meth:`repro.dataset.relation.Relation.apply`) route their
+:class:`~repro.engine.dictionary.DictionaryUpdate` records through
+:meth:`PartitionManager.apply_update`.  Both then
 
-* patches every cached **attribute partition**: on the python backend the
-  appended row ids join the class of their code (promoting singletons,
-  inserting classes of newly seen values in first-occurrence order) and the
-  old partition's probe table — when one was built — is patched alongside
-  (copied, index-remapped if insertions shifted classes, and the changed
-  classes' rows reassigned) instead of being discarded and re-derived on
-  the next ``intersect``; on the numpy backend the class arrays are
-  regrouped from the extended code vector in one vectorized pass (memcpy
-  speed, bit-identical to the patch);
-* patches every cached **pattern partition** from per-key grouping state
-  kept since the build: only the distinct values first seen in the batch
-  are matched against the pattern, then the python backend appends the new
-  covered rows to their component groups (patching the probe table the same
-  way) while the numpy backend regroups vectorized;
-* marks every memoized **intersection** whose leaves were patched as
-  *stale*: the next request refreshes it by re-running the product over the
-  patched leaf classes (cost ``O(||π||)``, never a regroup of raw rows), so
-  appends themselves stay O(patched leaves) and entries a workload stopped
-  reading cost nothing; entries it cannot patch (no delta available for the
-  column) are dropped and rebuilt cold on demand.
+* refresh every cached leaf of a touched attribute: an **attribute
+  partition** is regrouped from the patched code vector in one vectorized
+  pass (:meth:`~PartitionManager.refresh_attribute`); a **pattern
+  partition** matches only the distinct values first seen since its build
+  against the pattern and regroups likewise from per-code grouping state
+  kept since the build (:meth:`~PartitionManager.refresh_pattern`);
+* mark every memoized **intersection** over a refreshed leaf as *stale*:
+  the next request refreshes it by re-running the product over the
+  refreshed leaf classes (cost ``O(||π||)``, never a regroup of raw rows),
+  so mutations themselves stay O(touched leaves) and entries a workload
+  stopped reading cost nothing; entries it cannot refresh (no delta
+  available for the column) are dropped and rebuilt cold on demand.
 
-The patched partitions are bit-identical — classes, class order, covered
+The refreshed partitions are bit-identical — classes, class order, covered
 rows, and row counts — to what a from-scratch rebuild would produce, which
-the incremental-append and backend property tests pin.
+the incremental-append and CRUD property tests pin.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from ..patterns.alphabet import CharClass
 from ..patterns.ast import ClassAtom, ConstrainedGroup, Pattern, Repeat
 from ..patterns.matcher import CompiledPattern, compile_pattern
-from .backend import NUMPY, np, resolve_backend, stable_order
+from .backend import stable_order
 from .dictionary import DictionaryColumn, DictionaryDelta, DictionaryUpdate
 from .evaluator import PatternEvaluator, default_evaluator
 
@@ -125,15 +115,15 @@ _WILDCARD_PATTERN = Pattern(
 )
 
 
-def _empty_arrays() -> tuple["np.ndarray", "np.ndarray"]:
+def _empty_arrays() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
 
 
 def _group_stripped(
-    keys: "np.ndarray",
-    rows: "np.ndarray",
-    sort_keys: Optional["np.ndarray"] = None,
-) -> tuple["np.ndarray", "np.ndarray"]:
+    keys: np.ndarray,
+    rows: np.ndarray,
+    sort_keys: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Group ``rows`` by ``keys`` into stripped class arrays.
 
     Returns a ``(rowids, offsets)`` pair holding only the groups of size
@@ -189,14 +179,10 @@ class StrippedPartition:
         The stripped classes: tuples of row ids, each ascending, ordered by
         their smallest member (which equals first-seen order of the grouping
         keys — consumers that used to iterate insertion-ordered dicts see
-        the same sequence).  On the numpy backend this tuple view is
-        materialized lazily from the class arrays; vectorized consumers
-        should use :meth:`class_arrays` instead.
+        the same sequence).  Materialized lazily from the class arrays;
+        vectorized consumers should use :meth:`class_arrays` instead.
     row_count:
         Total rows of the underlying relation (for error/coverage ratios).
-    backend:
-        ``"numpy"`` or ``"python"`` — which representation is native and
-        whether the partition algebra runs vectorized.
 
     The *covered* rows — every row the grouping key is defined on, including
     the stripped singletons — are kept alongside because PFD semantics need
@@ -208,7 +194,6 @@ class StrippedPartition:
 
     __slots__ = (
         "row_count",
-        "backend",
         "_classes",
         "_rowids",
         "_offsets",
@@ -217,57 +202,54 @@ class StrippedPartition:
         "_parents",
         "_probe",
         "_probe_array",
-        "_stripped",
     )
 
     def __init__(
         self,
         classes: Sequence[Sequence[int]],
         row_count: int,
-        covered: Optional[Sequence[int]] = None,
+        covered: Optional[Iterable[int]] = None,
         parents: Optional[tuple["StrippedPartition", "StrippedPartition"]] = None,
-        backend: Optional[str] = None,
     ):
-        self.backend = resolve_backend(backend)
+        sizes = np.fromiter((len(rows) for rows in classes), dtype=np.int64, count=len(classes))
+        offsets = np.zeros(len(classes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        rowids = np.fromiter(
+            (row for rows in classes for row in rows), dtype=np.int64, count=int(offsets[-1])
+        )
+        if covered is not None:
+            covered = np.fromiter(covered, dtype=np.int64)
+        self._init(rowids, offsets, row_count, covered, parents)
+
+    def _init(self, rowids, offsets, row_count, covered, parents) -> None:
         self.row_count = row_count
-        self._classes: Optional[tuple[tuple[int, ...], ...]] = tuple(
-            tuple(class_rows) for class_rows in classes
-        )
-        self._rowids: Optional["np.ndarray"] = None
-        self._offsets: Optional["np.ndarray"] = None
-        self._covered: Optional[tuple[int, ...]] = (
-            tuple(covered) if covered is not None else None
-        )
-        self._covered_array: Optional["np.ndarray"] = None
+        self._classes: Optional[tuple[tuple[int, ...], ...]] = None
+        self._rowids: Optional[np.ndarray] = rowids
+        self._offsets: Optional[np.ndarray] = offsets
+        self._covered: Optional[tuple[int, ...]] = None
+        self._covered_array: Optional[np.ndarray] = covered
         self._parents = parents
         self._probe: Optional[dict[int, int]] = None
-        self._probe_array: Optional["np.ndarray"] = None
-        self._stripped: Optional[int] = None
+        self._probe_array: Optional[np.ndarray] = None
 
     @classmethod
     def from_arrays(
         cls,
-        rowids: "np.ndarray",
-        offsets: "np.ndarray",
+        rowids: np.ndarray,
+        offsets: np.ndarray,
         row_count: int,
-        covered: Optional["np.ndarray"] = None,
+        covered: Optional[np.ndarray] = None,
         parents: Optional[tuple["StrippedPartition", "StrippedPartition"]] = None,
     ) -> "StrippedPartition":
-        """Build a numpy-backed partition directly from class arrays."""
+        """Build a partition directly from class arrays."""
         partition = cls.__new__(cls)
-        partition.backend = NUMPY
-        partition.row_count = row_count
-        partition._classes = None
-        partition._rowids = np.ascontiguousarray(rowids, dtype=np.int64)
-        partition._offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        partition._covered = None
-        partition._covered_array = (
-            np.ascontiguousarray(covered, dtype=np.int64) if covered is not None else None
+        partition._init(
+            np.ascontiguousarray(rowids, dtype=np.int64),
+            np.ascontiguousarray(offsets, dtype=np.int64),
+            row_count,
+            np.ascontiguousarray(covered, dtype=np.int64) if covered is not None else None,
+            parents,
         )
-        partition._parents = parents
-        partition._probe = None
-        partition._probe_array = None
-        partition._stripped = None
         return partition
 
     # -- representations -----------------------------------------------------
@@ -276,40 +258,17 @@ class StrippedPartition:
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The stripped classes as a tuple of row-id tuples (lazy view)."""
         if self._classes is None:
-            rowids = self._rowids.tolist()
-            offsets = self._offsets.tolist()
+            rowids, offsets = self.class_arrays()
+            rows = rowids.tolist()
+            bounds = offsets.tolist()
             self._classes = tuple(
-                tuple(rowids[offsets[i]:offsets[i + 1]])
-                for i in range(len(offsets) - 1)
+                tuple(rows[bounds[i]:bounds[i + 1]]) for i in range(len(bounds) - 1)
             )
         return self._classes
 
-    def class_arrays(self) -> tuple["np.ndarray", "np.ndarray"]:
-        """The ``(sorted_rowids, class_offsets)`` pair (lazy view).
-
-        ``rowids[offsets[i]:offsets[i+1]]`` is class ``i``; requires numpy
-        to be importable (always true on the numpy backend).
-        """
-        if self._rowids is None:
-            classes = self._classes
-            if not classes:
-                self._rowids, self._offsets = _empty_arrays()
-            else:
-                sizes = np.fromiter(
-                    (len(class_rows) for class_rows in classes),
-                    dtype=np.int64,
-                    count=len(classes),
-                )
-                offsets = np.empty(len(classes) + 1, dtype=np.int64)
-                offsets[0] = 0
-                np.cumsum(sizes, out=offsets[1:])
-                total = int(offsets[-1])
-                self._rowids = np.fromiter(
-                    (row for class_rows in classes for row in class_rows),
-                    dtype=np.int64,
-                    count=total,
-                )
-                self._offsets = offsets
+    def class_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(sorted_rowids, class_offsets)`` pair:
+        ``rowids[offsets[i]:offsets[i+1]]`` is class ``i``."""
         return self._rowids, self._offsets
 
     # -- size ----------------------------------------------------------------
@@ -317,59 +276,34 @@ class StrippedPartition:
     @property
     def class_count(self) -> int:
         """Number of stripped (size >= 2) classes."""
-        if self._classes is not None:
-            return len(self._classes)
-        return len(self._offsets) - 1
+        return len(self.class_arrays()[1]) - 1
 
     @property
     def stripped_row_count(self) -> int:
         """Total rows inside the stripped classes (TANE's ``||π||``)."""
-        if self._stripped is None:
-            if self._rowids is not None:
-                self._stripped = len(self._rowids)
-            else:
-                self._stripped = sum(len(class_rows) for class_rows in self._classes)
-        return self._stripped
+        return len(self.class_arrays()[0])
 
     @property
     def covered(self) -> tuple[int, ...]:
         """All rows the grouping key is defined on (singletons included)."""
         if self._covered is None:
-            if self._covered_array is not None:
-                self._covered = tuple(self._covered_array.tolist())
-            elif self._parents is None:
-                raise ValueError("partition was built without covered rows")
-            elif self.backend == NUMPY:
-                self._covered = tuple(self.covered_array().tolist())
-            else:
-                left, right = self._parents
-                right_covered = set(right.covered)
-                self._covered = tuple(
-                    row for row in left.covered if row in right_covered
-                )
+            self._covered = tuple(self.covered_array().tolist())
         return self._covered
 
-    def covered_array(self) -> "np.ndarray":
-        """The covered rows as an ascending int64 ndarray (lazy view)."""
+    def covered_array(self) -> np.ndarray:
+        """The covered rows as an ascending int64 ndarray."""
         if self._covered_array is None:
-            if self._covered is not None:
-                self._covered_array = np.fromiter(
-                    self._covered, dtype=np.int64, count=len(self._covered)
-                )
-            elif self._parents is None:
+            if self._parents is None:
                 raise ValueError("partition was built without covered rows")
-            else:
-                left, right = self._parents
-                self._covered_array = np.intersect1d(
-                    left.covered_array(), right.covered_array(), assume_unique=True
-                )
+            left, right = self._parents
+            self._covered_array = np.intersect1d(
+                left.covered_array(), right.covered_array(), assume_unique=True
+            )
         return self._covered_array
 
     @property
     def covered_count(self) -> int:
-        if self._covered is None and self._covered_array is not None:
-            return len(self._covered_array)
-        return len(self.covered)
+        return len(self.covered_array())
 
     @property
     def error(self) -> float:
@@ -384,26 +318,14 @@ class StrippedPartition:
     def probe_table(self) -> dict[int, int]:
         """Row id -> index of its stripped class (singletons absent)."""
         if self._probe is None:
-            if self._rowids is not None:
-                sizes = np.diff(self._offsets)
-                indices = np.repeat(
-                    np.arange(len(sizes), dtype=np.int64), sizes
-                )
-                self._probe = dict(zip(self._rowids.tolist(), indices.tolist()))
-            else:
-                probe: dict[int, int] = {}
-                for index, class_rows in enumerate(self._classes):
-                    for row in class_rows:
-                        probe[row] = index
-                self._probe = probe
+            rowids, offsets = self.class_arrays()
+            indices = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+            self._probe = dict(zip(rowids.tolist(), indices.tolist()))
         return self._probe
 
-    def probe_array(self) -> "np.ndarray":
-        """Row id -> stripped class index as an ndarray (``-1`` = singleton).
-
-        The vectorized counterpart of :meth:`probe_table`, used by the
-        array-based partition product and refinement checks.
-        """
+    def probe_array(self) -> np.ndarray:
+        """Row id -> stripped class index as an ndarray (``-1`` = singleton),
+        used by the partition product and refinement checks."""
         if self._probe_array is None:
             rowids, offsets = self.class_arrays()
             probe = np.full(self.row_count, -1, dtype=np.int64)
@@ -417,36 +339,12 @@ class StrippedPartition:
     def intersect(self, other: "StrippedPartition") -> "StrippedPartition":
         """The product partition (rows equivalent under *both* keys).
 
-        On the numpy backend the product is a sort/group over packed
-        ``(self class, other class)`` code pairs — one stable radix argsort
-        plus a handful of vectorized reductions.  The python backend keeps the
-        classic probe-table algorithm.  Either way only the stripped classes
-        are visited, so the cost is near ``O(||self|| + ||other||)`` —
-        independent of the relation's row count.
+        A sort/group over packed ``(self class, other class)`` code pairs —
+        one stable radix argsort plus a handful of vectorized reductions.
+        Only the stripped classes are visited, so the cost is near
+        ``O(||self|| + ||other||)`` — independent of the relation's row
+        count.
         """
-        if self.backend == NUMPY and other.backend == NUMPY:
-            return self._intersect_numpy(other)
-        if not self.classes or not other.classes:
-            return StrippedPartition(
-                (), self.row_count, parents=(self, other), backend=self.backend
-            )
-        probe = self.probe_table()
-        produced: list[tuple[int, ...]] = []
-        for class_rows in other.classes:
-            groups: dict[int, list[int]] = {}
-            for row in class_rows:
-                index = probe.get(row)
-                if index is not None:
-                    groups.setdefault(index, []).append(row)
-            for rows in groups.values():
-                if len(rows) >= 2:
-                    produced.append(tuple(rows))
-        produced.sort(key=lambda rows: rows[0])
-        return StrippedPartition(
-            produced, self.row_count, parents=(self, other), backend=self.backend
-        )
-
-    def _intersect_numpy(self, other: "StrippedPartition") -> "StrippedPartition":
         if self.class_count == 0 or other.class_count == 0:
             rowids, offsets = _empty_arrays()
             return StrippedPartition.from_arrays(
@@ -475,42 +373,25 @@ class StrippedPartition:
     def refines(self, other: "StrippedPartition") -> bool:
         """True when every class of ``self`` sits inside one class of
         ``other`` (the TANE validity check for exact dependencies)."""
-        if self.backend == NUMPY and other.backend == NUMPY:
-            rowids, offsets = self.class_arrays()
-            if not len(rowids):
-                return True
-            probe = other.probe_array()[rowids]
-            if (probe < 0).any():
-                return False
-            first = np.repeat(probe[offsets[:-1]], np.diff(offsets))
-            return bool(np.array_equal(probe, first))
-        probe = other.probe_table()
-        for class_rows in self.classes:
-            target = probe.get(class_rows[0])
-            if target is None:
-                return False
-            for row in class_rows[1:]:
-                if probe.get(row) != target:
-                    return False
-        return True
+        rowids, offsets = self.class_arrays()
+        if not len(rowids):
+            return True
+        probe = other.probe_array()[rowids]
+        if (probe < 0).any():
+            return False
+        first = np.repeat(probe[offsets[:-1]], np.diff(offsets))
+        return bool(np.array_equal(probe, first))
 
     def refines_codes(self, codes: Sequence[int]) -> bool:
         """True when every class agrees on ``codes`` (a per-row code array,
         e.g. a RHS column's dictionary codes — empty values included, which
         is exactly the textbook FD comparison semantics)."""
-        if self.backend == NUMPY:
-            rowids, offsets = self.class_arrays()
-            if not len(rowids):
-                return True
-            class_codes = np.asarray(codes)[rowids]
-            first = np.repeat(class_codes[offsets[:-1]], np.diff(offsets))
-            return bool(np.array_equal(class_codes, first))
-        for class_rows in self.classes:
-            expected = codes[class_rows[0]]
-            for row in class_rows[1:]:
-                if codes[row] != expected:
-                    return False
-        return True
+        rowids, offsets = self.class_arrays()
+        if not len(rowids):
+            return True
+        class_codes = np.asarray(codes)[rowids]
+        first = np.repeat(class_codes[offsets[:-1]], np.diff(offsets))
+        return bool(np.array_equal(class_codes, first))
 
     def minority_rows(self, codes: Sequence[int]) -> list[int]:
         """Rows outside the majority ``codes`` bucket of their class, in
@@ -521,23 +402,6 @@ class StrippedPartition:
         returned suspects drive approximate-dependency ratios without
         materializing violation objects.
         """
-        if self.backend == NUMPY:
-            return self._minority_rows_numpy(codes)
-        suspects: list[int] = []
-        for class_rows in self.classes:
-            buckets: dict[int, list[int]] = {}
-            for row in class_rows:
-                buckets.setdefault(codes[row], []).append(row)
-            if len(buckets) < 2:
-                continue
-            majority = max(buckets.items(), key=lambda item: (len(item[1]), -item[0]))[0]
-            for code, rows in buckets.items():
-                if code != majority:
-                    suspects.extend(rows)
-        suspects.sort()
-        return suspects
-
-    def _minority_rows_numpy(self, codes: Sequence[int]) -> list[int]:
         rowids, offsets = self.class_arrays()
         if not len(rowids):
             return []
@@ -601,19 +465,16 @@ class PartitionStats:
     pattern_misses: int = 0
     intersection_hits: int = 0
     intersection_misses: int = 0
-    #: Cached partitions patched in place by :meth:`PartitionManager.extend`
-    #: (delta maintenance instead of a full rebuild).
+    #: Cached partitions refreshed by :meth:`PartitionManager.extend`
+    #: (delta maintenance instead of a cache drop).
     attribute_extends: int = 0
     pattern_extends: int = 0
     intersection_refreshes: int = 0
-    #: Cached partitions patched in place by :meth:`PartitionManager.apply_update`
+    #: Cached partitions refreshed by :meth:`PartitionManager.apply_update`
     #: (cell overwrites / deletes maintained as deltas instead of the old
     #: per-attribute cache drop).
     attribute_updates: int = 0
     pattern_updates: int = 0
-    #: Probe tables carried forward (patched) across an extend instead of
-    #: being discarded and re-derived on the next ``intersect``.
-    probe_patches: int = 0
 
     @property
     def hits(self) -> int:
@@ -644,23 +505,18 @@ class PartitionStats:
 
 
 class _PatternGroups:
-    """Mutable grouping state behind one cached pattern partition.
+    """Per-code grouping state behind one cached pattern partition.
 
-    Kept so :meth:`PartitionManager.extend_pattern` can patch the partition
-    in O(delta): ``components[code]`` is the extracted constrained part of
-    the distinct value at ``code`` (``None`` = uncovered).  On the python
-    backend ``groups`` maps a component to *all* its row ids (singletons
-    included — the stripped classes are derived by filtering) and
-    ``covered`` is the ascending covered row list; the numpy backend skips
-    both and regroups vectorized from the code vector instead.
+    ``components[code]`` is the extracted constrained part of the distinct
+    value at ``code`` (``None`` = uncovered).  Dictionary codes never
+    renumber, so a refresh only matches the values first seen since the
+    build (:meth:`sync`) and regroups the rows from the code vector.
     """
 
-    __slots__ = ("components", "groups", "covered")
+    __slots__ = ("components",)
 
     def __init__(self) -> None:
         self.components: list[Optional[str]] = []
-        self.groups: dict[str, list[int]] = {}
-        self.covered: list[int] = []
 
     def append_component(self, value: str, result) -> None:
         """Record the grouping component of one distinct value: ``None``
@@ -674,19 +530,19 @@ class _PatternGroups:
         else:
             self.components.append("")
 
-    def partition(self, row_count: int) -> StrippedPartition:
-        # Sorted by smallest member: insertion order equals first-row order
-        # on a cold build (so this is a no-op there) but not after update
-        # surgery moved rows between groups.
-        classes = sorted(
-            (tuple(rows) for rows in self.groups.values() if len(rows) >= 2),
-            key=lambda class_rows: class_rows[0],
-        )
-        return StrippedPartition(
-            classes, row_count, covered=tuple(self.covered), backend="python"
-        )
+    def sync(self, column: DictionaryColumn, compiled: CompiledPattern) -> None:
+        """Match the distinct values ``column`` gained since the last sync.
 
-    def partition_numpy(self, column: DictionaryColumn) -> StrippedPartition:
+        Matched directly rather than through an evaluator: the manager does
+        not know which evaluator built the entry, the work is bounded by the
+        new distinct values, and :meth:`CompiledPattern.match` is the same
+        deterministic function every evaluator path bottoms out in.
+        """
+        for code in range(len(self.components), column.distinct_count):
+            value = column.values[code]
+            self.append_component(value, compiled.match(value) if value else None)
+
+    def regroup(self, column: DictionaryColumn) -> StrippedPartition:
         """Vectorized grouping: broadcast component ids through the code
         vector, then one sort/group pass (no per-row Python work)."""
         component_of: dict[str, int] = {}
@@ -696,7 +552,7 @@ class _PatternGroups:
                 component_ids[code] = -1
             else:
                 component_ids[code] = component_of.setdefault(component, len(component_of))
-        row_components = component_ids[column.codes_array()]
+        row_components = component_ids[column.codes]
         covered = np.flatnonzero(row_components >= 0).astype(np.int64)
         rowids, offsets = _group_stripped(row_components[covered], covered)
         return StrippedPartition.from_arrays(
@@ -708,18 +564,12 @@ class PartitionManager:
     """Build, cache, and intersect stripped partitions for one relation.
 
     Obtained via :meth:`repro.dataset.relation.Relation.partitions`; the
-    relation invalidates the affected entries on cell overwrites
-    (``set_cell`` drops one attribute's partitions and every intersection
-    touching it) and *extends* them on batch ingestion (``append_rows``
-    routes the per-column dictionary deltas through :meth:`extend`), so a
-    served partition always reflects the current rows.  Counters in
-    :attr:`stats` survive invalidation — they describe the manager's whole
-    lifetime.
-
-    Partitions are built on the backend of the dictionary column they come
-    from (ndarray class pairs on numpy, tuple classes on python), so one
-    relation's partitions always share a representation and intersections
-    never mix backends.
+    relation refreshes the affected entries on mutation — batch ingestion
+    routes the per-column dictionary deltas through :meth:`extend`, cell
+    overwrites and deletes route their dictionary updates through
+    :meth:`apply_update` — so a served partition always reflects the
+    current rows.  Counters in :attr:`stats` survive invalidation — they
+    describe the manager's whole lifetime.
     """
 
     def __init__(self, relation: "Relation"):
@@ -728,9 +578,9 @@ class PartitionManager:
         self._pattern: dict[PartitionKey, StrippedPartition] = {}
         self._pattern_groups: dict[PartitionKey, _PatternGroups] = {}
         self._intersections: dict[frozenset[PartitionKey], StrippedPartition] = {}
-        #: Intersections evicted by :meth:`extend` whose leaves were all
-        #: patched: the next request refreshes them from the patched leaf
-        #: classes and is counted as a refresh, not a cold build.
+        #: Intersections evicted by a mutation whose leaves were all
+        #: refreshed: the next request recomputes them from the refreshed
+        #: leaf classes and is counted as a refresh, not a cold build.
         self._stale_intersections: set[frozenset[PartitionKey]] = set()
         self.stats = PartitionStats()
 
@@ -762,43 +612,18 @@ class PartitionManager:
         return partition
 
     def _build_attribute_partition(self, column: DictionaryColumn) -> StrippedPartition:
-        if column.backend == NUMPY:
-            return self._build_attribute_partition_numpy(column)
-        rows_by_code = column.rows_by_code()
-        # Dictionary values are in first-seen order, so walking the codes in
-        # order yields classes already sorted by their smallest row id —
-        # unless updates moved rows between codes, in which case the classes
-        # are re-sorted by smallest member below.
-        classes = []
-        for code, value in enumerate(column.values):
-            if value and len(rows_by_code[code]) >= 2:
-                classes.append(tuple(rows_by_code[code]))
-        if column.has_updates:
-            classes.sort(key=lambda class_rows: class_rows[0])
-        empty_code = column.code_of("")
-        if empty_code is None:
-            covered: tuple[int, ...] = tuple(range(column.row_count))
-        else:
-            covered = tuple(
-                row for row, code in enumerate(column.codes) if code != empty_code
-            )
-        return StrippedPartition(
-            classes, column.row_count, covered=covered, backend=column.backend
-        )
-
-    def _build_attribute_partition_numpy(self, column: DictionaryColumn) -> StrippedPartition:
         """Vectorized attribute grouping: codes are already group keys in
         first-seen (= smallest-member) order, so one stable argsort over the
         code vector yields the classes directly.  After updates broke that
         ordering, the general sort/group pass (which orders classes by their
         smallest member explicitly) takes over."""
-        codes = column.codes_array()
+        codes = column.codes
         empty_code = column.code_of("")
+        if empty_code is not None:
+            covered = np.flatnonzero(codes != empty_code).astype(np.int64)
+        else:
+            covered = np.arange(column.row_count, dtype=np.int64)
         if column.has_updates:
-            if empty_code is not None:
-                covered = np.flatnonzero(codes != empty_code).astype(np.int64)
-            else:
-                covered = np.arange(column.row_count, dtype=np.int64)
             rowids, offsets = _group_stripped(codes[covered], covered)
             return StrippedPartition.from_arrays(
                 rowids, offsets, column.row_count, covered=covered
@@ -808,9 +633,6 @@ class PartitionManager:
         if empty_code is not None:
             keep_code = keep_code.copy()
             keep_code[empty_code] = False
-            covered = np.flatnonzero(codes != empty_code).astype(np.int64)
-        else:
-            covered = np.arange(column.row_count, dtype=np.int64)
         order = stable_order(codes)
         sorted_codes = codes[order]
         keep_rows = keep_code[sorted_codes]
@@ -842,6 +664,9 @@ class PartitionManager:
             return self.attribute_partition(attribute)
         return self._pattern_partition(key, evaluator)
 
+    def _new_pattern_state(self, column: DictionaryColumn) -> _PatternGroups:
+        return _PatternGroups()
+
     def _pattern_partition(
         self, key: PartitionKey, evaluator: Optional[PatternEvaluator]
     ) -> StrippedPartition:
@@ -853,19 +678,10 @@ class PartitionManager:
         evaluator = evaluator or default_evaluator()
         column = self._relation.dictionary(key.attribute)
         match = evaluator.match_column(key.pattern, column)
-        state = _PatternGroups()
+        state = self._new_pattern_state(column)
         for value, result in zip(column.values, match.results):
             state.append_component(value, result)
-        if column.backend == NUMPY:
-            partition = state.partition_numpy(column)
-        else:
-            for row, code in enumerate(column.codes):
-                component = state.components[code]
-                if component is None:
-                    continue
-                state.covered.append(row)
-                state.groups.setdefault(component, []).append(row)
-            partition = state.partition(column.row_count)
+        partition = state.regroup(column)
         self._pattern[key] = partition
         self._pattern_groups[key] = state
         return partition
@@ -925,236 +741,45 @@ class PartitionManager:
     # -- delta maintenance ---------------------------------------------------
 
     def extend(self, deltas: Mapping[str, DictionaryDelta]) -> None:
-        """Patch every cached partition for a batch of appended rows.
+        """Refresh every cached partition for a batch of appended rows.
 
         ``deltas`` maps attribute names to the
         :class:`~repro.engine.dictionary.DictionaryDelta` their dictionary
         returned from the in-place extend (missing attributes had no cached
         dictionary — their partitions, if any, are dropped and rebuilt on
-        demand).  Leaf partitions are patched in place; memoized
+        demand).  Leaf partitions are refreshed in place; memoized
         intersections are marked stale and refreshed on next request by the
-        partition product over the patched leaf classes, reusing the
+        partition product over the refreshed leaf classes, reusing the
         level-wise prefix descent.  Partition *objects* are never mutated —
         each cache slot receives a fresh snapshot, so partitions handed out
         before the append keep describing the old rows.
         """
         for attribute in list(self._attribute):
-            delta = deltas.get(attribute)
-            if delta is None:
+            if attribute in deltas:
+                self.refresh_attribute(attribute)
+                self.stats.attribute_extends += 1
+            else:
                 self._attribute.pop(attribute)
-            else:
-                self.extend_attribute(attribute, delta)
         for key in list(self._pattern):
-            delta = deltas.get(key.attribute)
-            state = self._pattern_groups.get(key)
-            if delta is None or state is None:
-                self._pattern.pop(key)
-                self._pattern_groups.pop(key, None)
+            if key.attribute in deltas:
+                self.refresh_pattern(key)
+                self.stats.pattern_extends += 1
             else:
-                self.extend_pattern(key, delta)
+                self._drop_pattern(key)
         # Intersections go stale, not cold: entries whose leaves were all
-        # patched are refreshed lazily — the next request re-runs the
-        # partition product over the patched leaf classes (the memoized
+        # refreshed are recomputed lazily — the next request re-runs the
+        # partition product over the refreshed leaf classes (the memoized
         # prefix descent refreshes stale prefixes on the way).  Appending is
-        # therefore O(patched leaves), never O(cached intersections), and
+        # therefore O(refreshed leaves), never O(cached intersections), and
         # entries a workload stopped reading cost nothing.
         candidates = set(self._intersections) | self._stale_intersections
         self._stale_intersections = {
-            key_set
-            for key_set in candidates
-            if all(
-                (key.pattern is None and key.attribute in self._attribute)
-                or (key.pattern is not None and key in self._pattern)
-                for key in key_set
-            )
+            key_set for key_set in candidates if all(self._has_leaf(key) for key in key_set)
         }
         self._intersections.clear()
 
-    def extend_attribute(self, attribute: str, delta: DictionaryDelta) -> StrippedPartition:
-        """Patch the cached attribute partition with one appended batch.
-
-        Appended row ids join the class of their code; singletons that
-        gained a partner are promoted to classes (inserted in
-        first-occurrence order, which keeps the class sequence identical to
-        a from-scratch build); values first seen in the batch open new
-        classes once they reach two rows.  On the python backend this reads
-        the row lists the dictionary maintains in place — no regrouping —
-        and carries the old partition's probe table forward (copy + index
-        remap + changed-class reassignment) when one was built.  On the
-        numpy backend the class arrays are regrouped from the extended code
-        vector in one vectorized pass, which is bit-identical and runs at
-        memcpy speed.
-        """
-        column = self._relation.dictionary(attribute)
-        old = self._attribute.get(attribute)
-        if old is None:
-            return self.attribute_partition(attribute)
-        if column.backend == NUMPY:
-            partition = self._build_attribute_partition_numpy(column)
-            self._attribute[attribute] = partition
-            self.stats.attribute_extends += 1
-            return partition
-        rows_by_code = column.rows_by_code()
-        added_by_code: dict[int, int] = {}
-        for code in delta.appended_codes:
-            added_by_code[code] = added_by_code.get(code, 0) + 1
-        old_classes = old.classes
-        classes = list(old_classes)
-        firsts = [class_rows[0] for class_rows in classes]
-        #: (first member, rows to point at the class) per changed class —
-        #: feeds the incremental probe-table patch below.
-        changed: list[tuple[int, tuple[int, ...]]] = []
-        inserted = False
-        for code, added in added_by_code.items():
-            if not column.values[code]:
-                continue
-            rows = rows_by_code[code]
-            if len(rows) < 2:
-                continue
-            full = tuple(rows)
-            if len(rows) - added >= 2:
-                # Existing class: same first member, rows appended at the end.
-                index = bisect.bisect_left(firsts, full[0])
-                classes[index] = full
-                changed.append((full[0], full[-added:]))
-            else:
-                # Promoted singleton or a value first seen in this batch.
-                index = bisect.bisect_left(firsts, full[0])
-                classes.insert(index, full)
-                firsts.insert(index, full[0])
-                changed.append((full[0], full))
-                inserted = True
-        covered = old.covered + tuple(
-            delta.start_row + offset
-            for offset, code in enumerate(delta.appended_codes)
-            if column.values[code]
-        )
-        partition = StrippedPartition(
-            classes, column.row_count, covered=covered, backend=column.backend
-        )
-        if old._probe is not None:
-            partition._probe = self._patch_probe(
-                old, old_classes, firsts, changed, inserted
-            )
-            self.stats.probe_patches += 1
-        self._attribute[attribute] = partition
-        self.stats.attribute_extends += 1
-        return partition
-
-    @staticmethod
-    def _patch_probe(
-        old: StrippedPartition,
-        old_classes: Sequence[Sequence[int]],
-        new_firsts: Sequence[int],
-        changed: Sequence[tuple[int, Sequence[int]]],
-        inserted: bool,
-    ) -> dict[int, int]:
-        """Carry one probe table across an extend instead of rebuilding it.
-
-        Classes are identified by their first member (classes are disjoint,
-        so first members are unique and an extend never changes them).  When
-        insertions shifted class indices the surviving entries are remapped
-        in one dict comprehension; then only the changed classes' rows are
-        reassigned — O(old probe) at worst, O(changed rows) typically,
-        instead of the full class walk a rebuild costs.
-        """
-        old_probe = old._probe
-        assert old_probe is not None
-        if inserted:
-            remap = [
-                bisect.bisect_left(new_firsts, class_rows[0])
-                for class_rows in old_classes
-            ]
-            if remap == list(range(len(remap))):
-                probe = dict(old_probe)
-            else:
-                probe = {row: remap[index] for row, index in old_probe.items()}
-        else:
-            probe = dict(old_probe)
-        for first, rows in changed:
-            index = bisect.bisect_left(new_firsts, first)
-            for row in rows:
-                probe[row] = index
-        return probe
-
-    def extend_pattern(self, key: PartitionKey, delta: DictionaryDelta) -> StrippedPartition:
-        """Patch one cached pattern-projected partition with a batch.
-
-        Only the distinct values *first seen in the batch* are matched
-        against the pattern (``O(new distinct)`` match calls); the appended
-        rows are then routed to their component groups — through the stored
-        grouping state on the python backend (probe table carried forward
-        like :meth:`extend_attribute`), through one vectorized regroup of
-        the extended code vector on numpy.
-        """
-        state = self._pattern_groups.get(key)
-        old = self._pattern.get(key)
-        if state is None or old is None:
-            return self._pattern_partition(key, None)
-        column = self._relation.dictionary(key.attribute)
-        compiled = key.pattern
-        assert compiled is not None  # plain-attribute keys never land here
-        # Matched directly rather than through an evaluator: the manager does
-        # not know which evaluator built the entry, the work is bounded by
-        # the batch's new distinct values, and CompiledPattern.match is the
-        # same deterministic function every evaluator path bottoms out in.
-        for code in range(len(state.components), column.distinct_count):
-            value = column.values[code]
-            state.append_component(value, compiled.match(value) if value else None)
-        if column.backend == NUMPY:
-            partition = state.partition_numpy(column)
-            self._pattern[key] = partition
-            self.stats.pattern_extends += 1
-            return partition
-        #: Components whose group was below the stripped threshold before
-        #: this batch (their pre-existing rows are absent from the probe).
-        promoted: dict[str, None] = {}
-        appended: list[tuple[int, str]] = []
-        for offset, code in enumerate(delta.appended_codes):
-            component = state.components[code]
-            if component is None:
-                continue
-            row = delta.start_row + offset
-            state.covered.append(row)
-            group = state.groups.setdefault(component, [])
-            if len(group) < 2:
-                promoted[component] = None
-            group.append(row)
-        appended = [
-            (delta.start_row + offset, state.components[code])
-            for offset, code in enumerate(delta.appended_codes)
-            if state.components[code] is not None
-        ]
-        old_classes = old.classes
-        partition = state.partition(column.row_count)
-        if old._probe is not None:
-            new_firsts = {
-                class_rows[0]: index
-                for index, class_rows in enumerate(partition.classes)
-            }
-            remap = [new_firsts[class_rows[0]] for class_rows in old_classes]
-            if remap == list(range(len(remap))):
-                probe = dict(old._probe)
-            else:
-                probe = {row: remap[index] for row, index in old._probe.items()}
-            for component in promoted:
-                group = state.groups[component]
-                if len(group) >= 2:
-                    index = new_firsts[group[0]]
-                    for row in group:
-                        probe[row] = index
-            for row, component in appended:
-                group = state.groups[component]
-                if len(group) >= 2:
-                    probe[row] = new_firsts[group[0]]
-            partition._probe = probe
-            self.stats.probe_patches += 1
-        self._pattern[key] = partition
-        self.stats.pattern_extends += 1
-        return partition
-
     def apply_update(self, updates: Mapping[str, DictionaryUpdate]) -> None:
-        """Patch every cached partition for a batch of cell overwrites.
+        """Refresh every cached partition for a batch of cell overwrites.
 
         ``updates`` maps attribute names to the
         :class:`~repro.engine.dictionary.DictionaryUpdate` their dictionary
@@ -1164,20 +789,21 @@ class PartitionManager:
         (which touches every attribute), an update touches only the listed
         attributes, so partitions of untouched attributes — and every
         memoized intersection whose leaves all avoid the updated attributes
-        — stay cached as-is.  Touched leaf partitions receive a fresh
-        snapshot regrouped from the updated dictionary state; intersections
+        — stay cached as-is.  Touched leaves are refreshed; intersections
         touching an updated attribute go stale and refresh lazily from the
-        patched leaves, exactly like an append.
+        refreshed leaves, exactly like an append.
         """
-        effective = {name: update for name, update in updates.items() if update}
-        if not effective:
+        touched = {name for name, update in updates.items() if update}
+        if not touched:
             return
-        for attribute, update in effective.items():
+        for attribute in touched:
             if attribute in self._attribute:
-                self.update_attribute(attribute, update)
-            for key in [key for key in self._pattern if key.attribute == attribute]:
-                self.update_pattern(key, update)
-        touched = set(effective)
+                self.refresh_attribute(attribute)
+                self.stats.attribute_updates += 1
+        for key in list(self._pattern):
+            if key.attribute in touched:
+                self.refresh_pattern(key)
+                self.stats.pattern_updates += 1
         survivors: dict[frozenset[PartitionKey], StrippedPartition] = {}
         for key_set, partition in self._intersections.items():
             if all(key.attribute not in touched for key in key_set):
@@ -1189,123 +815,49 @@ class PartitionManager:
             key_set
             for key_set in self._stale_intersections
             if key_set not in self._intersections
-            and all(
-                (key.pattern is None and key.attribute in self._attribute)
-                or (key.pattern is not None and key in self._pattern)
-                or key.attribute not in touched
-                for key in key_set
-            )
+            and all(self._has_leaf(key) or key.attribute not in touched for key in key_set)
         }
 
-    def update_attribute(self, attribute: str, update: DictionaryUpdate) -> StrippedPartition:
-        """Patch the cached attribute partition after cell overwrites.
-
-        The dictionary has already moved the updated rows between its
-        per-code row lists (``update_rows``), so the new classes are read
-        straight off that state — no regrouping of raw rows on the python
-        backend, one vectorized sort/group pass on numpy.  Classes are
-        ordered by smallest member (the canonical order shared with cold
-        builds, which re-sort the same way once a column ``has_updates``).
-        The covered rows are patched per assignment: a row leaves coverage
-        when its value became empty and joins when it stopped being empty.
-        """
-        column = self._relation.dictionary(attribute)
-        old = self._attribute.get(attribute)
-        if old is None:
-            return self.attribute_partition(attribute)
-        if column.backend == NUMPY:
-            partition = self._build_attribute_partition_numpy(column)
-            self._attribute[attribute] = partition
-            self.stats.attribute_updates += 1
-            return partition
-        rows_by_code = column.rows_by_code()
-        classes = sorted(
-            (
-                tuple(rows_by_code[code])
-                for code, value in enumerate(column.values)
-                if value and len(rows_by_code[code]) >= 2
-            ),
-            key=lambda class_rows: class_rows[0],
-        )
-        covered = list(old.covered)
-        for row_id, old_code, new_code in update.assignments:
-            was_covered = bool(column.values[old_code])
-            now_covered = bool(column.values[new_code])
-            if was_covered and not now_covered:
-                del covered[bisect.bisect_left(covered, row_id)]
-            elif now_covered and not was_covered:
-                bisect.insort(covered, row_id)
-        partition = StrippedPartition(
-            classes, column.row_count, covered=tuple(covered), backend=column.backend
-        )
+    def refresh_attribute(self, attribute: str) -> StrippedPartition:
+        """Replace the cached attribute partition with a snapshot of the
+        current rows, regrouped from the (appended to or updated) dictionary
+        — bit-identical to a cold build."""
+        partition = self._build_attribute_partition(self._relation.dictionary(attribute))
         self._attribute[attribute] = partition
-        self.stats.attribute_updates += 1
         return partition
 
-    def update_pattern(self, key: PartitionKey, update: DictionaryUpdate) -> StrippedPartition:
-        """Patch one cached pattern-projected partition after cell overwrites.
+    def refresh_pattern(self, key: PartitionKey) -> StrippedPartition:
+        """Replace one cached pattern-projected partition with a snapshot of
+        the current rows.
 
-        Values first seen by the update are matched against the pattern
-        (``O(new distinct)`` match calls — revived tombstone codes already
-        have their component cached); then each updated row moves between
-        component groups: removed from its old value's group, inserted into
-        its new value's (rows stay ascending via bisect), with coverage
-        patched when a row's match status flipped.  The numpy backend
-        regroups vectorized from the updated code vector instead.
+        Only the distinct values the column gained since the build are
+        matched against the pattern (``O(new distinct)`` match calls —
+        revived tombstone codes already have their component); the rows are
+        then regrouped from the code vector.
         """
-        state = self._pattern_groups.get(key)
-        old = self._pattern.get(key)
-        if state is None or old is None:
-            self._pattern.pop(key, None)
-            self._pattern_groups.pop(key, None)
-            return self._pattern_partition(key, None)
+        state = self._pattern_groups[key]
         column = self._relation.dictionary(key.attribute)
-        compiled = key.pattern
-        assert compiled is not None  # plain-attribute keys never land here
-        for code in range(len(state.components), column.distinct_count):
-            value = column.values[code]
-            state.append_component(value, compiled.match(value) if value else None)
-        if column.backend == NUMPY:
-            partition = state.partition_numpy(column)
-            self._pattern[key] = partition
-            self.stats.pattern_updates += 1
-            return partition
-        for row_id, old_code, new_code in update.assignments:
-            old_component = state.components[old_code]
-            new_component = state.components[new_code]
-            if old_component == new_component:
-                continue
-            if old_component is not None:
-                group = state.groups[old_component]
-                del group[bisect.bisect_left(group, row_id)]
-                if not group:
-                    del state.groups[old_component]
-            if new_component is not None:
-                bisect.insort(state.groups.setdefault(new_component, []), row_id)
-            if old_component is None:
-                bisect.insort(state.covered, row_id)
-            elif new_component is None:
-                del state.covered[bisect.bisect_left(state.covered, row_id)]
-        partition = state.partition(column.row_count)
+        state.sync(column, key.pattern)
+        partition = state.regroup(column)
         self._pattern[key] = partition
-        self.stats.pattern_updates += 1
         return partition
+
+    def _has_leaf(self, key: PartitionKey) -> bool:
+        if key.pattern is None:
+            return key.attribute in self._attribute
+        return key in self._pattern
 
     # -- invalidation --------------------------------------------------------
+
+    def _drop_pattern(self, key: PartitionKey) -> None:
+        self._pattern.pop(key, None)
+        self._pattern_groups.pop(key, None)
 
     def invalidate_attribute(self, attribute: str) -> None:
         """Drop every cached partition that reads ``attribute``."""
         self._attribute.pop(attribute, None)
-        self._pattern = {
-            key: partition
-            for key, partition in self._pattern.items()
-            if key.attribute != attribute
-        }
-        self._pattern_groups = {
-            key: state
-            for key, state in self._pattern_groups.items()
-            if key.attribute != attribute
-        }
+        for key in [key for key in self._pattern_groups if key.attribute == attribute]:
+            self._drop_pattern(key)
         self._intersections = {
             key_set: partition
             for key_set, partition in self._intersections.items()
@@ -1320,8 +872,8 @@ class PartitionManager:
     def invalidate(self) -> None:
         """Drop every cached partition (counters are kept)."""
         self._attribute.clear()
-        self._pattern.clear()
-        self._pattern_groups.clear()
+        for key in list(self._pattern_groups):
+            self._drop_pattern(key)
         self._intersections.clear()
         self._stale_intersections.clear()
 

@@ -29,7 +29,7 @@ Each stage
   manager, for the session's whole lifetime), and
 * is memoized per argument set — and invalidated when the relation mutates,
   by watching :attr:`Relation.version` (which is bumped by the same
-  ``set_cell``/``append_row`` hooks that invalidate the dictionary and
+  ``append_rows``/``apply`` hooks that delta-maintain the dictionary and
   partition caches).
 
 The historical free functions (:func:`repro.discover_pfds`,
@@ -238,8 +238,9 @@ class CleaningSession:
     ----------
     relation:
         The table to clean.  The session observes (but never copies) it;
-        mutations through ``set_cell``/``append_row`` invalidate every
-        memoized stage result automatically.
+        mutations through ``append_rows``/``apply`` (and the ``set_cell`` /
+        ``delete_rows`` wrappers) invalidate every memoized stage result
+        automatically.
     config:
         Default :class:`DiscoveryConfig` for :meth:`discover` (and for the
         implicit discovery that :meth:`detect` runs when no PFDs are given).
@@ -248,14 +249,13 @@ class CleaningSession:
         session-scoped one — the usual choice, keeping the many throwaway
         candidate patterns of discovery out of the process-wide cache.
     backend:
-        Optional engine backend pin (``"numpy"``/``"python"``/``"sql"``),
-        applied to the relation via :meth:`Relation.set_backend`.  All
-        backends produce bit-identical results; ``None`` keeps the
-        relation's pin (or the process default — ``REPRO_ENGINE``, else
-        numpy when importable).  Note that ``"sql"`` cannot convert an
-        already-loaded in-memory relation — build out-of-core relations at
-        ingestion time (:meth:`from_csv` with ``backend="sql"`` or
-        ``max_memory_rows``, or ``Relation(..., backend="sql")``).
+        Optional engine backend name (``"numpy"``/``"sql"``), validated
+        here.  The backend is a property of the relation, fixed when it is
+        built: an in-memory relation is always ``numpy``, and out-of-core
+        relations are built at ingestion time (:meth:`from_csv` with
+        ``backend="sql"`` or ``max_memory_rows``, or
+        ``Relation(..., backend="sql")``).  Both produce bit-identical
+        results.
     workers:
         Process-parallel workers for discovery and detection (see
         :mod:`repro.engine.parallel`).  ``None`` defers to a per-call
@@ -278,7 +278,7 @@ class CleaningSession:
     ):
         self.relation = relation
         if backend is not None:
-            relation.set_backend(backend)
+            resolve_backend(backend)  # reject unknown names
         self.config = config
         self.evaluator = evaluator or PatternEvaluator()
         if workers is not None and workers < 1:
@@ -419,8 +419,8 @@ class CleaningSession:
     def _sync(self) -> None:
         """Drop every memoized stage result if the relation has mutated.
 
-        Piggybacks on the same mutation hooks that invalidate the
-        dictionary and partition caches: ``set_cell``/``append_row`` bump
+        Piggybacks on the same mutation hooks that maintain the dictionary
+        and partition caches: ``append_rows``/``apply`` bump
         :attr:`Relation.version`, and the next stage call lands here.
         """
         if self.relation.version != self._observed_version:
@@ -764,7 +764,7 @@ class CleaningSession:
             relation_name=self.relation.name,
             row_count=self.relation.row_count,
             column_count=len(self.relation.attribute_names),
-            backend=resolve_backend(self.relation.backend),
+            backend=self.relation.backend,
             stages=tuple(self._stages_run),
             match_calls=self.evaluator.match_calls,
             match_cache_hits=self.evaluator.cache_hits,

@@ -20,24 +20,27 @@ instead — a ``FROM``/``WHERE``/group-expression triple over the store's
 
 Every spec pins ``rid < max_rid`` at build time, so partitions handed out
 before an append keep describing the old rows — the same snapshot contract
-the in-memory delta maintenance guarantees.  Materializing ``classes`` /
-``covered`` stays available as a lazy fallback (rid-ascending fetch, grouped
-by first occurrence = identical class order), which is what the generic
-python code paths (intersection, refinement, minority scans) run on.
+the in-memory delta maintenance guarantees.  Materializing the class arrays
+and covered rows stays available as a lazy fallback (a rid-ascending fetch
+grouped into the same ``(rowids, offsets)`` arrays an in-memory build
+produces), which is what the array algebra — intersections, refinement,
+minority scans — runs on; the product of two SQL leaves is an ordinary
+in-memory :class:`~repro.engine.partitions.StrippedPartition`.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
-from ..engine.backend import SQL
-from ..engine.dictionary import DictionaryColumn, DictionaryDelta, DictionaryUpdate
+import numpy as np
+
+from ..engine.dictionary import DictionaryColumn
 from ..engine.partitions import (
-    PartitionKey,
     PartitionManager,
     StrippedPartition,
+    _group_stripped,
     _PatternGroups,
-    default_evaluator,
 )
 from .relation import SqlDictionaryColumn, SqlRelation
 from .store import SqlStore
@@ -46,7 +49,15 @@ from .store import SqlStore
 class SqlStrippedPartition(StrippedPartition):
     """A stripped partition described by a SQL spec, materialized lazily."""
 
-    __slots__ = ("_store", "_sql_from", "_sql_where", "_sql_group", "_class_count_cache", "_covered_count_cache")
+    __slots__ = (
+        "_store",
+        "_sql_from",
+        "_sql_where",
+        "_sql_group",
+        "_class_count_cache",
+        "_stripped_cache",
+        "_covered_count_cache",
+    )
 
     @classmethod
     def build(
@@ -58,22 +69,13 @@ class SqlStrippedPartition(StrippedPartition):
         row_count: int,
     ) -> "SqlStrippedPartition":
         partition = cls.__new__(cls)
-        partition.backend = SQL
-        partition.row_count = row_count
-        partition._classes = None
-        partition._rowids = None
-        partition._offsets = None
-        partition._covered = None
-        partition._covered_array = None
-        partition._parents = None
-        partition._probe = None
-        partition._probe_array = None
-        partition._stripped = None
+        partition._init(None, None, row_count, None, None)
         partition._store = store
         partition._sql_from = from_clause
         partition._sql_where = where
         partition._sql_group = group
         partition._class_count_cache = None
+        partition._stripped_cache = None
         partition._covered_count_cache = None
         return partition
 
@@ -92,75 +94,54 @@ class SqlStrippedPartition(StrippedPartition):
 
     # -- lazy materialization -------------------------------------------------
 
-    @property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        if self._classes is None:
+    def class_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._rowids is None:
             sql = (
                 f"SELECT {self._sql_group} AS g, r.rid FROM {self._sql_from} "
                 f"WHERE {self._sql_where} AND {self._sql_group} IN "
                 f"(SELECT g FROM ({self._stripped_groups_sql()})) ORDER BY r.rid"
             )
-            groups: dict[int, list[int]] = {}
-            for group_key, rid in self._store.execute(sql):
-                groups.setdefault(group_key, []).append(rid)
-            # rid-ascending fetch + dict insertion order = classes ordered by
-            # smallest member, rows ascending within each class — identical
-            # to the in-memory build.
-            self._classes = tuple(tuple(rows) for rows in groups.values())
-        return self._classes
+            cursor = self._store.execute(sql)
+            pairs = np.fromiter(itertools.chain.from_iterable(cursor), dtype=np.int64)
+            pairs = pairs.reshape(-1, 2)
+            # rid-ascending fetch: rows are ascending within every group, so
+            # the shared grouping yields the in-memory build's exact arrays.
+            self._rowids, self._offsets = _group_stripped(pairs[:, 0], pairs[:, 1])
+        return self._rowids, self._offsets
 
-    @property
-    def covered(self) -> tuple[int, ...]:
-        if self._covered is None:
-            self._covered = tuple(
-                row[0]
-                for row in self._store.execute(f"{self.covered_select()} ORDER BY r.rid")
-            )
-        return self._covered
-
-    def class_arrays(self):
-        self.classes
-        return super().class_arrays()
-
-    def covered_array(self):
-        self.covered
-        return super().covered_array()
-
-    def probe_table(self) -> dict[int, int]:
-        self.classes
-        return super().probe_table()
+    def covered_array(self) -> np.ndarray:
+        if self._covered_array is None:
+            cursor = self._store.execute(f"{self.covered_select()} ORDER BY r.rid")
+            self._covered_array = np.fromiter((row[0] for row in cursor), dtype=np.int64)
+        return self._covered_array
 
     # -- pushed-down aggregates -----------------------------------------------
 
     def _fetch_counts(self) -> None:
-        row = self._store.fetch_one(
+        self._class_count_cache, self._stripped_cache = self._store.fetch_one(
             f"SELECT COUNT(*), COALESCE(SUM(n), 0) FROM ({self._stripped_groups_sql()})"
         )
-        self._class_count_cache = row[0]
-        if self._stripped is None:
-            self._stripped = row[1]
 
     @property
     def class_count(self) -> int:
-        if self._classes is not None:
-            return len(self._classes)
+        if self._rowids is not None:
+            return len(self._offsets) - 1
         if self._class_count_cache is None:
             self._fetch_counts()
         return self._class_count_cache
 
     @property
     def stripped_row_count(self) -> int:
-        if self._stripped is None:
-            if self._classes is not None:
-                self._stripped = sum(len(class_rows) for class_rows in self._classes)
-            else:
-                self._fetch_counts()
-        return self._stripped
+        if self._rowids is not None:
+            return len(self._rowids)
+        if self._stripped_cache is None:
+            self._fetch_counts()
+        return self._stripped_cache
 
     @property
     def covered_count(self) -> int:
-        if self._covered is not None:
-            return len(self._covered)
+        if self._covered_array is not None:
+            return len(self._covered_array)
         if self._covered_count_cache is None:
             self._covered_count_cache = self._store.fetch_value(
                 f"SELECT COUNT(*) FROM {self._sql_from} WHERE {self._sql_where}"
@@ -270,25 +251,50 @@ class SqlStrippedPartition(StrippedPartition):
 
 
 class SqlPatternState(_PatternGroups):
-    """Pattern-partition grouping state plus its SQL scratch-table handle."""
+    """Pattern-partition grouping state mirrored into a ``(code, comp)``
+    SQL scratch table, so the partition itself is a join spec."""
 
-    __slots__ = ("comp_of", "table", "col_index")
+    __slots__ = ("store", "col_index", "comp_of", "table", "mapped")
 
-    def __init__(self) -> None:
+    def __init__(self, store: SqlStore, col_index: int) -> None:
         super().__init__()
+        self.store = store
+        self.col_index = col_index
         self.comp_of: dict[str, int] = {}
         self.table: Optional[str] = None
-        self.col_index = -1
+        #: Codes already written to the scratch table (codes never
+        #: renumber, so existing map rows stay valid across mutations).
+        self.mapped = 0
+
+    def regroup(self, column: DictionaryColumn) -> "SqlStrippedPartition":
+        pairs = (
+            (code, self.comp_of.setdefault(component, len(self.comp_of)))
+            for code, component in enumerate(self.components[self.mapped :], self.mapped)
+            if component is not None
+        )
+        if self.table is None:
+            self.table = self.store.int_map_table(pairs)
+        else:
+            self.store.extend_int_map(self.table, pairs)
+        self.mapped = len(self.components)
+        max_rid = self.store.row_count
+        return SqlStrippedPartition.build(
+            self.store,
+            f"rows r JOIN {self.table} m ON m.code = r.c{self.col_index}",
+            f"r.rid < {max_rid}",
+            "m.comp",
+            max_rid,
+        )
 
 
 class SqlPartitionManager(PartitionManager):
     """A :class:`PartitionManager` whose leaf partitions are SQL specs.
 
-    Cache keys, hit/miss/extend counters, intersection memoization, and the
-    snapshot contract are all inherited; only the leaf builds (and their
-    append-time refresh) change.  Intersections and any partition consumer
-    that needs explicit row ids fall back to the lazy materialization the
-    base python paths run on.
+    Cache keys, hit/miss/refresh counters, intersection memoization, leaf
+    refreshes, and the snapshot contract are all inherited; only the leaf
+    builds change.  A refreshed leaf is a fresh spec snapshot (new rid
+    bound, re-checked empty code) over rows the store already holds, so
+    SQLite regroups on demand.
     """
 
     def __init__(self, relation: SqlRelation):
@@ -297,153 +303,23 @@ class SqlPartitionManager(PartitionManager):
 
     # -- leaf builds ----------------------------------------------------------
 
-    def _sql_attribute_partition(self, attribute: str) -> SqlStrippedPartition:
+    def _build_attribute_partition(self, column: SqlDictionaryColumn) -> SqlStrippedPartition:
         store = self._store
-        col = store.column_index(attribute)
+        col = column._col_index
         max_rid = store.row_count
         where = f"r.rid < {max_rid}"
-        empty_code = store.code_of[attribute].get("")
+        empty_code = store.code_of[column.attribute].get("")
         if empty_code is not None:
             where += f" AND r.c{col} != {empty_code}"
         return SqlStrippedPartition.build(store, "rows r", where, f"r.c{col}", max_rid)
 
-    def _sql_pattern_partition(self, state: SqlPatternState) -> SqlStrippedPartition:
-        store = self._store
-        max_rid = store.row_count
-        return SqlStrippedPartition.build(
-            store,
-            f"rows r JOIN {state.table} m ON m.code = r.c{state.col_index}",
-            f"r.rid < {max_rid}",
-            "m.comp",
-            max_rid,
-        )
-
-    def _build_attribute_partition(self, column: DictionaryColumn) -> StrippedPartition:
-        if not isinstance(column, SqlDictionaryColumn):
-            return super()._build_attribute_partition(column)
-        return self._sql_attribute_partition(column.attribute)
-
-    def _pattern_partition(self, key: PartitionKey, evaluator) -> StrippedPartition:
-        cached = self._pattern.get(key)
-        if cached is not None:
-            self.stats.pattern_hits += 1
-            return cached
-        column = self._relation.dictionary(key.attribute)
-        if not isinstance(column, SqlDictionaryColumn):
-            return super()._pattern_partition(key, evaluator)
-        self.stats.pattern_misses += 1
-        evaluator = evaluator or default_evaluator()
-        match = evaluator.match_column(key.pattern, column)
-        state = SqlPatternState()
-        state.col_index = column._col_index
-        for value, result in zip(column.values, match.results):
-            state.append_component(value, result)
-        state.table = self._store.int_map_table(
-            (code, state.comp_of.setdefault(component, len(state.comp_of)))
-            for code, component in enumerate(state.components)
-            if component is not None
-        )
-        partition = self._sql_pattern_partition(state)
-        self._pattern[key] = partition
-        self._pattern_groups[key] = state
-        return partition
-
-    # -- delta maintenance ----------------------------------------------------
-
-    def extend_attribute(self, attribute: str, delta: DictionaryDelta) -> StrippedPartition:
-        column = self._relation.dictionary(attribute)
-        if not isinstance(column, SqlDictionaryColumn):
-            return super().extend_attribute(attribute, delta)
-        if self._attribute.get(attribute) is None:
-            return self.attribute_partition(attribute)
-        # The appended rows are already in the store; a fresh spec snapshot
-        # (new rid bound, re-checked empty code) *is* the patched partition.
-        partition = self._sql_attribute_partition(attribute)
-        self._attribute[attribute] = partition
-        self.stats.attribute_extends += 1
-        return partition
-
-    def extend_pattern(self, key: PartitionKey, delta: DictionaryDelta) -> StrippedPartition:
-        state = self._pattern_groups.get(key)
-        if not isinstance(state, SqlPatternState):
-            return super().extend_pattern(key, delta)
-        if self._pattern.get(key) is None:
-            return self._pattern_partition(key, None)
-        column = self._relation.dictionary(key.attribute)
-        compiled = key.pattern
-        assert compiled is not None
-        new_pairs: list[tuple[int, int]] = []
-        for code in range(len(state.components), column.distinct_count):
-            value = column.values[code]
-            state.append_component(value, compiled.match(value) if value else None)
-            component = state.components[code]
-            if component is not None:
-                new_pairs.append(
-                    (code, state.comp_of.setdefault(component, len(state.comp_of)))
-                )
-        if new_pairs:
-            self._store.extend_int_map(state.table, new_pairs)
-        partition = self._sql_pattern_partition(state)
-        self._pattern[key] = partition
-        self.stats.pattern_extends += 1
-        return partition
-
-    def update_attribute(self, attribute: str, update: DictionaryUpdate) -> StrippedPartition:
-        column = self._relation.dictionary(attribute)
-        if not isinstance(column, SqlDictionaryColumn):
-            return super().update_attribute(attribute, update)
-        if self._attribute.get(attribute) is None:
-            return self.attribute_partition(attribute)
-        # The updated cells are already in the store's rows table; a fresh
-        # spec snapshot (re-checked empty code, new materialization caches)
-        # *is* the patched partition — SQLite regroups on demand.
-        partition = self._sql_attribute_partition(attribute)
-        self._attribute[attribute] = partition
-        self.stats.attribute_updates += 1
-        return partition
-
-    def update_pattern(self, key: PartitionKey, update: DictionaryUpdate) -> StrippedPartition:
-        state = self._pattern_groups.get(key)
-        if not isinstance(state, SqlPatternState):
-            return super().update_pattern(key, update)
-        if self._pattern.get(key) is None:
-            return self._pattern_partition(key, None)
-        # Values first seen by the update get matched and appended to the
-        # (code, comp) scratch map — codes never renumber, so existing map
-        # rows stay valid; the refreshed spec then regroups in SQLite.
-        column = self._relation.dictionary(key.attribute)
-        compiled = key.pattern
-        assert compiled is not None
-        new_pairs: list[tuple[int, int]] = []
-        for code in range(len(state.components), column.distinct_count):
-            value = column.values[code]
-            state.append_component(value, compiled.match(value) if value else None)
-            component = state.components[code]
-            if component is not None:
-                new_pairs.append(
-                    (code, state.comp_of.setdefault(component, len(state.comp_of)))
-                )
-        if new_pairs:
-            self._store.extend_int_map(state.table, new_pairs)
-        partition = self._sql_pattern_partition(state)
-        self._pattern[key] = partition
-        self.stats.pattern_updates += 1
-        return partition
+    def _new_pattern_state(self, column: SqlDictionaryColumn) -> SqlPatternState:
+        return SqlPatternState(self._store, column._col_index)
 
     # -- invalidation (also releases the scratch tables) ----------------------
 
-    def invalidate_attribute(self, attribute: str) -> None:
-        for key, state in self._pattern_groups.items():
-            if (
-                key.attribute == attribute
-                and isinstance(state, SqlPatternState)
-                and state.table
-            ):
-                self._store.drop_table(state.table)
-        super().invalidate_attribute(attribute)
-
-    def invalidate(self) -> None:
-        for state in self._pattern_groups.values():
-            if isinstance(state, SqlPatternState) and state.table:
-                self._store.drop_table(state.table)
-        super().invalidate()
+    def _drop_pattern(self, key) -> None:
+        state = self._pattern_groups.get(key)
+        if state is not None and state.table:
+            self._store.drop_table(state.table)
+        super()._drop_pattern(key)

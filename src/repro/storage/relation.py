@@ -11,14 +11,16 @@ per-attribute distinct values, never by the row count.
 engine.  The distinct values, value → code map, and per-code counts are the
 store's live structures (always in memory, always small); the per-row code
 vector is fetched from SQLite only when a consumer genuinely needs a full
-scan, and arrives as a compact ``array('i')`` (4 bytes/row) rather than a
-list of boxed ints.
+scan, and then lives as the same ``int32`` ndarray (4 bytes/row) an
+in-memory dictionary holds.
 """
 
 from __future__ import annotations
 
 import bisect
 from typing import Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from ..dataset.relation import Relation
 from ..dataset.schema import Schema
@@ -38,7 +40,6 @@ class SqlDictionaryColumn(DictionaryColumn):
         # *shared live* with the store (updated by store appends), and the
         # code vector stays in SQLite until someone scans it.
         self.attribute = attribute
-        self.backend = SQL
         self.values = tuple(store.values[attribute])
         self._codes = None
         self._length = store.row_count
@@ -51,25 +52,16 @@ class SqlDictionaryColumn(DictionaryColumn):
         self._col_index = store.column_index(attribute)
 
     @property
-    def codes(self):
+    def codes(self) -> np.ndarray:
         """The per-row code vector, fetched from SQLite on first use."""
         if self._codes is None:
-            self._codes = self._store.codes_for(self._col_index)
-        return self._codes
+            self._codes = np.asarray(self._store.codes_for(self._col_index), dtype=np.int32)
+        return super().codes
 
     def value_of_row(self, row_id: int) -> str:
         if self._codes is None:
             return self.values[self._store.code_at(row_id, self._col_index)]
         return self.values[self._codes[row_id]]
-
-    def rows_by_code(self) -> list[list[int]]:
-        if self._rows_by_code is None:
-            self.codes  # materialize before the base python-path scan
-        return super().rows_by_code()
-
-    def broadcast_codes(self, accepted: Sequence[bool]) -> list[int]:
-        self.codes
-        return super().broadcast_codes(accepted)
 
     def extend(self, cells) -> DictionaryDelta:
         raise RuntimeError(
@@ -89,8 +81,9 @@ class SqlDictionaryColumn(DictionaryColumn):
         if len(store_values) > len(self.values):
             self.values = self.values + tuple(store_values[len(self.values) :])
         if self._codes is not None:
-            self._codes.extend(delta.appended_codes)
-        self._length += len(delta.appended_codes)
+            self._append_codes(delta.appended_codes)
+        else:
+            self._length += len(delta.appended_codes)
         if self._rows_by_code is not None:
             self._rows_by_code.extend(
                 [] for _ in range(len(self.values) - delta.old_distinct_count)
@@ -135,6 +128,7 @@ class SqlRelation(Relation):
     #: "is_sql_backed", False)``): discovery/detection stay serial and use
     #: code-level indexes on sql relations.
     is_sql_backed = True
+    backend = SQL
 
     def __init__(
         self,
@@ -147,7 +141,6 @@ class SqlRelation(Relation):
                 f"SqlRelation is always backed by the {SQL!r} backend, got {backend!r}"
             )
         self.schema = schema
-        self.backend = SQL
         self._store = SqlStore(schema.attribute_names)
         self._dictionaries = {}
         self._partitions = None
@@ -204,20 +197,6 @@ class SqlRelation(Relation):
             cached = SqlDictionaryColumn(self._store, name)
             self._dictionaries[name] = cached
         return cached
-
-    def set_backend(self, backend: Optional[str]) -> None:
-        """Re-pinning ``"sql"`` (or the default) drops derived caches like the
-        base class; switching an out-of-core relation to an in-memory backend
-        is refused — decode explicitly via ``select_rows(range(...))``."""
-        if backend and resolve_backend(backend) != SQL:
-            raise ValueError(
-                f"cannot re-pin an out-of-core sql relation to {backend!r}; "
-                "materialize an in-memory copy instead"
-            )
-        self._dictionaries = {}
-        if self._partitions is not None:
-            self._partitions.invalidate()
-            self._partitions = None
 
     def partitions(self):
         if self._partitions is None:
@@ -298,7 +277,6 @@ class SqlRelation(Relation):
         schema = self.schema if name is None else Schema(self.schema.attributes, name=name)
         clone = SqlRelation.__new__(SqlRelation)
         clone.schema = schema
-        clone.backend = SQL
         clone._store = self._store.copy()
         clone._dictionaries = {}
         clone._partitions = None

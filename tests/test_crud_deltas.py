@@ -354,10 +354,10 @@ class TestSessionCrud:
         with pytest.raises(ReproError):
             session.detect_changed()
 
-    def test_append_row_is_deprecated(self, session):
-        with pytest.warns(DeprecationWarning):
-            row_id = session.relation.append_row(("90021", "Los Angeles"))
-        assert row_id == 16
+    def test_append_row_is_removed(self, session):
+        # A single row is a one-element batch through the one entry point.
+        assert not hasattr(session.relation, "append_row")
+        assert session.relation.append_rows([("90021", "Los Angeles")]).start == 16
 
 
 class TestDictionaryTombstones:

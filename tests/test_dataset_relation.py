@@ -72,7 +72,7 @@ class TestRelationConstruction:
     def test_wrong_row_width_rejected(self):
         relation = Relation(Schema(["a", "b"]))
         with pytest.raises(SchemaError):
-            relation.append_row(["only one"])
+            relation.append_rows([["only one"]])
 
     def test_mismatched_column_lengths_rejected(self):
         with pytest.raises(SchemaError):

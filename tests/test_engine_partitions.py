@@ -151,7 +151,7 @@ class TestPartitionManager:
         manager.attribute_set_partition(("zip", "city"))
         assert manager.cached_partition_count() == 3
 
-        relation.append_row(("90002", "Los Angeles", "CA"))
+        relation.append_rows([("90002", "Los Angeles", "CA")])
 
         # The leaves were patched in place; the memoized intersection went
         # stale and is refreshed from the patched classes on next request.
@@ -211,6 +211,28 @@ def _reference_lhs_keys(pfd: PFD, relation: Relation, row) -> dict[int, tuple[st
             )
         else:
             keys[row_id] = tuple(key)
+    return keys
+
+
+def _reference_classes(keys: dict[int, tuple]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Stripped classes (ordered by smallest member) and covered rows of a
+    row id -> grouping key map, by plain dict grouping."""
+    groups: dict[tuple, list[int]] = defaultdict(list)
+    for row_id in sorted(keys):
+        groups[keys[row_id]].append(row_id)
+    classes = sorted(
+        (tuple(ids) for ids in groups.values() if len(ids) >= 2), key=lambda ids: ids[0]
+    )
+    return classes, sorted(keys)
+
+
+def _reference_attribute_keys(relation: Relation, lhs) -> dict[int, tuple[str, ...]]:
+    """Row id -> tuple of values on ``lhs``, for rows with no empty cell."""
+    keys: dict[int, tuple[str, ...]] = {}
+    for row_id in range(relation.row_count):
+        key = tuple(relation.cell(row_id, attribute) for attribute in lhs)
+        if all(key):
+            keys[row_id] = key
     return keys
 
 
@@ -325,18 +347,8 @@ def test_partition_evaluation_agrees_with_dict_grouping(rows, data, lhs_size):
 def test_attribute_partitions_agree_with_dict_grouping(rows):
     relation = Relation.from_rows(["a", "b", "c"], rows)
     for lhs in (("a",), ("a", "b"), ("a", "b", "c")):
-        groups: dict[tuple[str, ...], list[int]] = defaultdict(list)
-        for row_id in range(relation.row_count):
-            key = tuple(relation.cell(row_id, attribute) for attribute in lhs)
-            if any(not part for part in key):
-                continue
-            groups[key].append(row_id)
-        expected_classes = sorted(
-            (tuple(ids) for ids in groups.values() if len(ids) >= 2),
-            key=lambda ids: ids[0],
-        )
-        expected_covered = sorted(
-            row_id for ids in groups.values() for row_id in ids
+        expected_classes, expected_covered = _reference_classes(
+            _reference_attribute_keys(relation, lhs)
         )
         partition = relation.partitions().attribute_set_partition(lhs)
         assert list(partition.classes) == expected_classes

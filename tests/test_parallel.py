@@ -2,8 +2,8 @@
 
 The contract of :mod:`repro.engine.parallel` is *bit-identical* results at
 any worker count: ``workers=2..4`` must reproduce the ``workers=1`` output
-exactly — dependencies, candidate counts, violations, errors, repairs — on
-both engine backends, cold and after ``append_rows`` deltas.  And
+exactly — dependencies, candidate counts, violations, errors, repairs —
+cold and after ``append_rows`` deltas.  And
 ``workers=1`` (the default) must never create a pool or touch a process.
 """
 
@@ -17,7 +17,6 @@ from repro.discovery.config import DiscoveryConfig
 from repro.discovery.pfd_discovery import discover_pfds
 from repro.dataset.relation import Relation
 from repro.engine import parallel as parallel_module
-from repro.engine.backend import HAS_NUMPY, NUMPY, PYTHON
 from repro.engine.parallel import (
     ParallelExecutor,
     chunk_round_robin,
@@ -34,8 +33,6 @@ _CONFIG = DiscoveryConfig(min_support=2, min_coverage=0.05, max_lhs_size=2)
 _cells = st.text(alphabet="ab1 ", max_size=3)
 _tables = st.lists(st.tuples(_cells, _cells, _cells), min_size=0, max_size=25)
 _batches = st.lists(st.tuples(_cells, _cells, _cells), min_size=1, max_size=8)
-
-_BACKENDS = [NUMPY, PYTHON] if HAS_NUMPY else [PYTHON]
 
 
 def _dirty_rows():
@@ -158,13 +155,12 @@ def test_parallel_paths_do_use_the_pool(monkeypatch):
 # -- bit-identical pins --------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
 @settings(max_examples=6, deadline=None)
 @given(rows=_tables, batch=_batches, workers=st.integers(min_value=2, max_value=4))
-def test_discover_detect_parity_random_tables(backend, rows, batch, workers):
-    serial = CleaningSession.from_rows(_SCHEMA, rows, config=_CONFIG, backend=backend)
+def test_discover_detect_parity_random_tables(rows, batch, workers):
+    serial = CleaningSession.from_rows(_SCHEMA, rows, config=_CONFIG)
     with CleaningSession.from_rows(
-        _SCHEMA, rows, config=_CONFIG, backend=backend, workers=workers
+        _SCHEMA, rows, config=_CONFIG, workers=workers
     ) as parallel:
         assert _discovery_fingerprint(serial.discover()) == _discovery_fingerprint(
             parallel.discover()
@@ -188,14 +184,11 @@ def test_discover_detect_parity_random_tables(backend, rows, batch, workers):
         assert serial_delta.violations == parallel_delta.violations
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("workers", [2, 3, 4])
-def test_clean_pipeline_parity_dirty_table(backend, workers):
-    serial = CleaningSession.from_rows(
-        _SCHEMA, _dirty_rows(), config=_CONFIG, backend=backend
-    )
+def test_clean_pipeline_parity_dirty_table(workers):
+    serial = CleaningSession.from_rows(_SCHEMA, _dirty_rows(), config=_CONFIG)
     with CleaningSession.from_rows(
-        _SCHEMA, _dirty_rows(), config=_CONFIG, backend=backend, workers=workers
+        _SCHEMA, _dirty_rows(), config=_CONFIG, workers=workers
     ) as parallel:
         assert _discovery_fingerprint(serial.discover()) == _discovery_fingerprint(
             parallel.discover()

@@ -10,6 +10,7 @@ machinery.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -191,6 +192,36 @@ class TestMutationStream:
             if not code:
                 continue  # tombstoned
             assert mapping.setdefault(code[:2], region) == region
+
+    def test_batched_stream_only_targets_pre_batch_rows(self):
+        """Updates and deletes never target a row appended earlier in the
+        same batch, so every batch of a 70/20/10 stream applies."""
+        spec = SCENARIO_MATRIX["tall_narrow"]
+        relation = spec.build(scale=0.02).relation
+        applied = 0
+        for batch in spec.mutation_stream(relation, operations=400, batch_size=20):
+            before = relation.row_count
+            for op in batch:
+                if isinstance(op, UpdateOp):
+                    assert op.row_id < before
+                elif isinstance(op, DeleteOp):
+                    assert all(row_id < before for row_id in op.row_ids)
+            relation.apply(batch)
+            applied += len(batch)
+        assert applied == 400
+
+    def test_append_only_stream_is_independent_of_batch_size(self):
+        spec = dataclasses.replace(_CLEAN_SPEC, mix=OpMix(update=0.0, append=1.0))
+        relation = spec.build().relation
+
+        def flat(batch_size):
+            return [
+                op
+                for batch in spec.mutation_stream(relation, operations=30, batch_size=batch_size)
+                for op in batch
+            ]
+
+        assert flat(1) == flat(10)
 
 
 class TestScenarioMatrix:

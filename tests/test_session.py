@@ -178,7 +178,7 @@ class TestMutationInvalidation:
         result = session.discover()
         report = session.detect()
         validation = session.validate()
-        session.relation.append_row(("90200", "Los Angeles"))
+        session.relation.append_rows([("90200", "Los Angeles")])
         assert session.discover() is not result
         assert session.detect() is not report
         assert session.validate() is not validation
@@ -200,7 +200,7 @@ class TestMutationInvalidation:
         version = relation.version
         relation.set_cell(0, "a", "3")
         assert relation.version == version + 1
-        relation.append_row(("4", "5"))
+        relation.append_rows([("4", "5")])
         assert relation.version == version + 2
 
 

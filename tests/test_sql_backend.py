@@ -4,8 +4,8 @@ The `SqlRelation` contract is the same one the columnar refactor set: *bit
 identical* results.  Every engine query — dictionary codes, partitions (plain,
 set, and pattern-projected), PFD violations / support / row statistics,
 discovery, detection, repair — must return exactly the same values (same
-elements, same order) whether the rows live in Python lists or in the
-dictionary-encoded SQLite table, including after ``append_rows`` deltas and
+elements, same order) whether the rows live in the in-memory numpy engine or
+in the dictionary-encoded SQLite table, including after ``append_rows`` deltas and
 ``set_cell`` overwrites.  Hypothesis drives random tables and appends through
 both representations side by side; any divergence is a bug in a pushed-down
 SQL query (or in the in-memory path it mirrors).
@@ -23,7 +23,8 @@ from repro.cli import main as cli_main
 from repro.core.pfd import make_pfd
 from repro.dataset.csvio import estimate_csv_rows, read_csv
 from repro.dataset.relation import Relation
-from repro.engine.backend import PYTHON, SQL
+from repro.dataset.schema import Schema
+from repro.engine.backend import NUMPY, SQL
 from repro.engine.evaluator import PatternEvaluator
 from repro.exceptions import SchemaError
 from repro.session import CleaningSession
@@ -42,7 +43,7 @@ def _pair(rows):
     """The same table out-of-core and in memory."""
     return (
         Relation.from_rows(_SCHEMA, rows, backend=SQL),
-        Relation.from_rows(_SCHEMA, rows, backend=PYTHON),
+        Relation.from_rows(_SCHEMA, rows, backend=NUMPY),
     )
 
 
@@ -91,11 +92,13 @@ def test_bare_relation_stays_in_memory_under_env_default(monkeypatch):
 
 
 def test_sql_relation_cannot_switch_backends():
-    relation = Relation.from_rows(_SCHEMA, [("a", "b", "c")], backend=SQL)
-    relation.set_backend(SQL)  # no-op
-    relation.set_backend(None)  # no-op (cache drop)
+    # The backend is fixed when a relation is built: an out-of-core relation
+    # refuses any other engine, and a session cannot re-pin it.
+    assert SqlRelation(Schema(_SCHEMA), backend=SQL).backend == SQL
     with pytest.raises(ValueError):
-        relation.set_backend(PYTHON)
+        SqlRelation(Schema(_SCHEMA), backend=NUMPY)
+    relation = Relation.from_rows(_SCHEMA, [("a", "b", "c")], backend=SQL)
+    assert CleaningSession(relation, backend=SQL).stats().backend == SQL
 
 
 def test_cli_rejects_unknown_engine_eagerly(tmp_path, capsys):
@@ -105,7 +108,7 @@ def test_cli_rejects_unknown_engine_eagerly(tmp_path, capsys):
     assert code == 2
     message = capsys.readouterr().err
     assert "duckdb" in message
-    assert "sql" in message and "python" in message
+    assert "available backends are numpy, sql" in message
 
 
 def test_cli_accepts_sql_engine_end_to_end(tmp_path, capsys):
@@ -181,7 +184,7 @@ def test_from_csv_auto_selects_sql_over_budget(tmp_path, monkeypatch):
     with CleaningSession.from_csv(path, max_memory_rows=100) as session:
         assert not isinstance(session.relation, SqlRelation)
     # Explicit backend always wins over the budget heuristic.
-    with CleaningSession.from_csv(path, backend=PYTHON, max_memory_rows=5) as session:
+    with CleaningSession.from_csv(path, backend=NUMPY, max_memory_rows=5) as session:
         assert not isinstance(session.relation, SqlRelation)
 
 
@@ -334,9 +337,9 @@ def _pipeline(backend):
 
 
 def test_discover_detect_repair_parity():
-    results = {backend: _pipeline(backend) for backend in (SQL, PYTHON)}
+    results = {backend: _pipeline(backend) for backend in (SQL, NUMPY)}
     sql_discovery, sql_detection, sql_repair, _ = results[SQL]
-    mem_discovery, mem_detection, mem_repair, _ = results[PYTHON]
+    mem_discovery, mem_detection, mem_repair, _ = results[NUMPY]
     assert [str(d.pfd) for d in sql_discovery.dependencies] == [
         str(d.pfd) for d in mem_discovery.dependencies
     ]
@@ -353,12 +356,12 @@ def test_discover_detect_repair_parity():
 
 def test_detector_parity_after_append():
     reports = {}
-    for backend in (SQL, PYTHON):
+    for backend in (SQL, NUMPY):
         session = CleaningSession.from_rows(
             ["zip", "city"], list(_zip_rows), backend=backend
         )
         pfds = session.discover().pfds
         session.append([("90003", "City3"), ("90001", "Wrong9")])
         reports[backend] = session.detect_new(pfds)
-    assert reports[SQL].errors == reports[PYTHON].errors
-    assert reports[SQL].violations == reports[PYTHON].violations
+    assert reports[SQL].errors == reports[NUMPY].errors
+    assert reports[SQL].violations == reports[NUMPY].violations
