@@ -73,10 +73,9 @@ class Repairer:
     verify:
         When True (and not a dry run), the repaired relation is re-detected
         and the still-flagged suspect cells are reported in
-        :attr:`RepairResult.remaining_error_cells`.  Each applied repair
-        invalidates only the touched attribute's cached partitions, so the
-        re-detection regroups exactly the mutated columns and reuses the
-        rest of the shared equivalence classes.
+        :attr:`RepairResult.remaining_error_cells`.  Repairs are written
+        into a fresh copy of the relation, so the re-detection builds its
+        partitions cold over the repaired rows.
     workers:
         Forwarded to the internal :class:`ErrorDetector` passes (detection
         and verification).  ``None`` defers to ``REPRO_WORKERS``.

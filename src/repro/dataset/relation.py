@@ -192,12 +192,14 @@ class Relation:
     def partitions(self) -> PartitionManager:
         """The relation's stripped-partition (PLI) cache.
 
-        Built lazily on first use; :meth:`append_rows` *extends* the cached
-        entries with the appended row ids, and :meth:`apply` (so also
-        ``set_cell`` / ``delete_rows``) regroups only the touched
-        attributes' entries in place, mirroring the dictionary cache.  The
-        manager object itself is stable across mutations, so its hit/miss
-        statistics describe the relation's whole lifetime.
+        Built lazily on first use; :meth:`append_rows` and :meth:`apply`
+        (so also ``set_cell`` / ``delete_rows``) hand the dictionary deltas
+        to it, and it patches the cached leaf classes of the touched
+        attributes positionally — moved and appended rows are deleted from
+        and inserted into the class arrays, never regrouped from the code
+        vector — mirroring the dictionary cache.  The manager object itself
+        is stable across mutations, so its hit/miss statistics describe the
+        relation's whole lifetime.
         """
         if self._partitions is None:
             self._partitions = PartitionManager(self)
@@ -245,8 +247,9 @@ class Relation:
         :class:`~repro.engine.dictionary.DictionaryColumn` is extended in
         place (fresh codes for unseen values, row lists patched) and the
         resulting per-column deltas are routed to the stripped-partition
-        cache, which patches its equivalence classes and refreshes memoized
-        intersections.  Downstream consumers keyed on the dictionary
+        cache, which inserts the appended rows into its cached leaf classes
+        (:meth:`~repro.engine.partitions.PartitionManager.extend`) and marks
+        memoized intersections for a lazy refresh.  Downstream consumers keyed on the dictionary
         objects' identity (the pattern evaluator's memoized masks) observe
         the growth and extend themselves lazily.  An empty batch is a no-op
         (no version bump).
@@ -283,7 +286,8 @@ class Relation:
         (which dropped the attribute's dictionary and partitions wholesale),
         the engine caches are now *patched* in place: the dictionary object
         survives — so the evaluator's memoized per-distinct-value masks stay
-        valid — and the partition cache regroups only the touched attribute.
+        valid — and the partition cache moves the row between the touched
+        attribute's cached classes.
         Writing the value the cell already holds is a no-op (no version
         bump).
         """
@@ -309,8 +313,8 @@ class Relation:
         cell changes.  Cached engine state is delta-maintained, not
         dropped — dictionaries patch their code vectors in place
         (:meth:`~repro.engine.dictionary.DictionaryColumn.update_rows`, so
-        memoized evaluator masks survive), partitions regroup only the
-        touched attributes
+        memoized evaluator masks survive), the cached partition classes of
+        the touched attributes are patched for the moved rows
         (:meth:`~repro.engine.partitions.PartitionManager.apply_update`),
         and appended rows ride the existing :meth:`append_rows` extend path.
         """

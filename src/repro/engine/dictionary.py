@@ -14,15 +14,20 @@ fancy-indexing operation.
 The class is deliberately standalone (it knows nothing about relations,
 schemas, or patterns) so that the dataset and core layers can depend on it
 without cycles.  Relations build and cache one instance per column via
-:meth:`repro.dataset.relation.Relation.dictionary`.  Cell overwrites
-(``set_cell``) invalidate the cache, but batch ingestion *extends* it:
-:meth:`DictionaryColumn.extend` appends new rows in place — unseen values
-get fresh codes at the end of the dictionary, ``rows_by_code``/``counts``
-are patched rather than rebuilt — and returns a :class:`DictionaryDelta`
-describing exactly what changed, which the partition layer and the pattern
-evaluator use to delta-maintain their own caches.  Existing codes, values,
-and row lists are never reordered by an extend, so every result computed
-per distinct value stays valid; downstream caches only have to *grow*.
+:meth:`repro.dataset.relation.Relation.dictionary`, and mutations patch it
+in place rather than invalidating it.  Batch ingestion calls
+:meth:`DictionaryColumn.extend`, which appends new rows — unseen values get
+fresh codes at the end of the dictionary, ``rows_by_code``/``counts`` are
+patched rather than rebuilt — and returns a :class:`DictionaryDelta`.  Cell
+overwrites and deletes (``Relation.apply``, so also ``set_cell``) call
+:meth:`DictionaryColumn.update_rows`, which rewrites the touched codes and
+returns a :class:`DictionaryUpdate` of ``(row, old_code, new_code)``
+triples.  Both records describe exactly what changed; the partition layer
+patches its cached classes from them and the pattern evaluator
+delta-maintains its masks.  Existing codes and values never renumber
+(values whose rows all moved away stay as zero-count tombstones), so every
+result computed per distinct value stays valid; downstream caches only have
+to *grow*.
 """
 
 from __future__ import annotations
@@ -67,6 +72,14 @@ class DictionaryDelta:
         """The appended row ids."""
         return range(self.start_row, self.start_row + len(self.appended_codes))
 
+    def code_changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, old_codes, new_codes)`` int64 arrays, rows ascending; an
+        appended row had no code before, so its old code is ``-1``."""
+        count = len(self.appended_codes)
+        rows = np.arange(self.start_row, self.start_row + count, dtype=np.int64)
+        new_codes = np.asarray(self.appended_codes, dtype=np.int64).reshape(count)
+        return rows, np.full(count, -1, dtype=np.int64), new_codes
+
 
 @dataclasses.dataclass(frozen=True)
 class DictionaryUpdate:
@@ -93,6 +106,11 @@ class DictionaryUpdate:
     def rows(self) -> tuple[int, ...]:
         """The updated row ids, ascending."""
         return tuple(assignment[0] for assignment in self.assignments)
+
+    def code_changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, old_codes, new_codes)`` int64 arrays, rows ascending."""
+        table = np.asarray(self.assignments, dtype=np.int64).reshape(-1, 3)
+        return table[:, 0], table[:, 1], table[:, 2]
 
     def __bool__(self) -> bool:
         return bool(self.assignments)

@@ -61,7 +61,7 @@ hand it out.
 Delta maintenance
 -----------------
 
-Mutations do not invalidate this cache — they *refresh* it.  Batch ingestion
+Mutations do not invalidate this cache — they *patch* it.  Batch ingestion
 (:meth:`repro.dataset.relation.Relation.append_rows`) routes the per-column
 :class:`~repro.engine.dictionary.DictionaryDelta` records through
 :meth:`PartitionManager.extend`, and cell overwrites / deletes
@@ -69,12 +69,23 @@ Mutations do not invalidate this cache — they *refresh* it.  Batch ingestion
 :class:`~repro.engine.dictionary.DictionaryUpdate` records through
 :meth:`PartitionManager.apply_update`.  Both then
 
-* refresh every cached leaf of a touched attribute: an **attribute
-  partition** is regrouped from the patched code vector in one vectorized
-  pass (:meth:`~PartitionManager.refresh_attribute`); a **pattern
-  partition** matches only the distinct values first seen since its build
-  against the pattern and regroups likewise from per-code grouping state
-  kept since the build (:meth:`~PartitionManager.refresh_pattern`);
+* patch every cached leaf of a touched attribute
+  (:meth:`~PartitionManager.refresh_attribute`,
+  :meth:`~PartitionManager.refresh_pattern`).  Each leaf keeps, next to
+  its ``(rowids, offsets)`` snapshot, a per-key row count and smallest
+  member (the key is the code for an attribute leaf, a stable
+  constrained-component id for a pattern leaf, whose state first matches
+  only the distinct values seen since the last refresh).  The delta's
+  ``(row, old code, new code)`` triples become key moves: a moved row is
+  deleted from its old class — a class left with one row dissolves — and
+  inserted at its sorted position in its new class; a former singleton and
+  an incoming row form a new class placed by its smallest member, and a
+  class whose smallest member changed is re-seated.  The edits land in one
+  batched ``np.delete``/``np.insert`` per array (class rows, class sizes,
+  covered rows); a probe array built on the old snapshot is carried over by
+  shifting its class indices in one pass and rewriting the moved rows.  A
+  refresh therefore costs ``O(delta log rows)`` index work plus one copy of
+  the arrays — the full regroup runs only as the cold build;
 * mark every memoized **intersection** over a refreshed leaf as *stale*:
   the next request refreshes it by re-running the product over the
   refreshed leaf classes (cost ``O(||π||)``, never a regroup of raw rows),
@@ -82,9 +93,11 @@ Mutations do not invalidate this cache — they *refresh* it.  Batch ingestion
   stopped reading cost nothing; entries it cannot refresh (no delta
   available for the column) are dropped and rebuilt cold on demand.
 
-The refreshed partitions are bit-identical — classes, class order, covered
-rows, and row counts — to what a from-scratch rebuild would produce, which
-the incremental-append and CRUD property tests pin.
+Every patch yields fresh arrays, so partitions handed out earlier stay
+valid snapshots.  The patched partitions are bit-identical — classes, class
+order, covered rows, row counts and probe arrays — to what a from-scratch
+rebuild would produce, which the incremental-append and CRUD property tests
+pin.
 """
 
 from __future__ import annotations
@@ -119,6 +132,49 @@ def _empty_arrays() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
 
 
+def _group_runs(
+    keys: np.ndarray,
+    rows: np.ndarray,
+    sort_keys: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``rows`` into runs of equal ``keys``.
+
+    Returns ``(sorted_keys, sorted_rows, starts, sizes)``: run ``i`` is
+    ``sorted_rows[starts[i]:starts[i] + sizes[i]]``, runs ordered by key.
+    Precondition (see :func:`_group_stripped`): within each run of equal
+    keys, ``rows`` are already ascending in input order — a stable key-only
+    argsort then keeps every run ascending, so ``sorted_rows[starts]`` are
+    the runs' smallest members.
+    """
+    order = stable_order(keys if sort_keys is None else sort_keys)
+    sorted_keys = keys[order]
+    sorted_rows = rows[order]
+    boundary = np.empty(len(sorted_keys), dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    sizes = np.diff(np.append(starts, len(sorted_keys)))
+    return sorted_keys, sorted_rows, starts, sizes
+
+
+def _strip_runs(
+    sorted_rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class arrays of the runs of size >= 2, ordered by smallest member."""
+    keep = sizes >= 2
+    starts = starts[keep]
+    sizes = sizes[keep]
+    if len(starts) == 0:
+        return _empty_arrays()
+    # Reorder groups by their first (= smallest) member.
+    group_order = np.argsort(sorted_rows[starts], kind="stable")
+    starts = starts[group_order]
+    sizes = sizes[group_order]
+    offsets = _offsets_of(sizes)
+    take = np.arange(offsets[-1], dtype=np.int64) + np.repeat(starts - offsets[:-1], sizes)
+    return sorted_rows[take], offsets
+
+
 def _group_stripped(
     keys: np.ndarray,
     rows: np.ndarray,
@@ -146,28 +202,64 @@ def _group_stripped(
     """
     if len(rows) == 0:
         return _empty_arrays()
-    order = stable_order(keys if sort_keys is None else sort_keys)
-    sorted_keys = keys[order]
-    sorted_rows = rows[order]
-    boundary = np.empty(len(sorted_keys), dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    sizes = np.diff(np.append(starts, len(sorted_keys)))
-    keep = sizes >= 2
-    starts = starts[keep]
-    sizes = sizes[keep]
-    if len(starts) == 0:
-        return _empty_arrays()
-    # Reorder groups by their first (= smallest) member.
-    group_order = np.argsort(sorted_rows[starts], kind="stable")
-    starts = starts[group_order]
-    sizes = sizes[group_order]
+    _, sorted_rows, starts, sizes = _group_runs(keys, rows, sort_keys)
+    return _strip_runs(sorted_rows, starts, sizes)
+
+
+def _offsets_of(sizes: np.ndarray) -> np.ndarray:
     offsets = np.empty(len(sizes) + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(sizes, out=offsets[1:])
-    take = np.arange(offsets[-1], dtype=np.int64) + np.repeat(starts - offsets[:-1], sizes)
-    return sorted_rows[take], offsets
+    return offsets
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``[starts[i], stops[i])``."""
+    sizes = stops - starts
+    heads = _offsets_of(sizes)
+    return np.arange(heads[-1], dtype=np.int64) + np.repeat(starts - heads[:-1], sizes)
+
+
+def _class_positions(
+    rowids: np.ndarray, offsets: np.ndarray, classes: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Per element, the index in ``rowids`` of the first member of class
+    ``classes[i]`` that is ``>= rows[i]`` (the class end when none).
+
+    A row above the class's largest member (every appended row) goes to
+    the class end; the rest — a removed member is never above it — take one
+    ``searchsorted`` per touched class over that class's ascending slice,
+    reading ``O(log class size)`` entries per row instead of gathering whole
+    classes.
+    """
+    positions = offsets[classes + 1]
+    inside = np.flatnonzero(rows <= rowids[positions - 1])
+    order = inside[stable_order(classes[inside])]
+    grouped = classes[order]
+    bounds = (np.flatnonzero(np.diff(grouped)) + 1).tolist()
+    for start, stop in zip([0, *bounds], [*bounds, len(order)] if len(order) else []):
+        members = order[start:stop]
+        lo, hi = offsets[grouped[start]], offsets[grouped[start] + 1]
+        positions[members] = lo + np.searchsorted(rowids[lo:hi], rows[members])
+    return positions
+
+
+def _splice(
+    array: np.ndarray, remove: np.ndarray, insert_at: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``array`` without the elements at the ascending positions ``remove``
+    and with ``values`` inserted before the original positions
+    ``insert_at`` (equal positions keep the order of ``values``).
+
+    Returns a fresh array (or ``array`` itself when nothing changes) —
+    the input is never written, so snapshots sharing it stay intact.
+    """
+    if len(remove):
+        insert_at = insert_at - np.searchsorted(remove, insert_at)
+        array = np.delete(array, remove)
+    if len(values):
+        array = np.insert(array, insert_at, values)
+    return array
 
 
 class StrippedPartition:
@@ -504,31 +596,294 @@ class PartitionStats:
         )
 
 
-class _PatternGroups:
-    """Per-code grouping state behind one cached pattern partition.
+class _LeafGroups:
+    """Per-key bookkeeping behind one cached in-memory leaf partition.
 
-    ``components[code]`` is the extracted constrained part of the distinct
-    value at ``code`` (``None`` = uncovered).  Dictionary codes never
-    renumber, so a refresh only matches the values first seen since the
-    build (:meth:`sync`) and regroups the rows from the code vector.
+    A leaf groups the covered rows by an integer *key* per dictionary code
+    (:meth:`row_keys`; ``-1`` = uncovered).  ``counts[k]`` is the number of
+    covered rows carrying key ``k`` and ``first[k]`` the smallest of them
+    (``-1`` when none), so a key with ``counts[k] >= 2`` owns the stripped
+    class whose smallest member is ``first[k]`` and a key with
+    ``counts[k] == 1`` is the singleton ``first[k]``.  The cold build
+    (:meth:`build`) regroups the whole code vector; every later mutation is
+    a positional patch of the class arrays (:meth:`refresh`).
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("counts", "first")
 
     def __init__(self) -> None:
-        self.components: list[Optional[str]] = []
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.first = np.zeros(0, dtype=np.int64)
 
-    def append_component(self, value: str, result) -> None:
-        """Record the grouping component of one distinct value: ``None``
-        excludes its rows (empty value or failed match); a match without a
+    def row_keys(self, column: DictionaryColumn, codes: np.ndarray) -> np.ndarray:
+        """The group key of each code in ``codes`` (``-1`` stays ``-1``)."""
+        raise NotImplementedError
+
+    def _reserve(self, key_count: int) -> None:
+        size = len(self.counts)
+        if key_count > size:
+            grow = max(key_count, 2 * size) - size
+            self.counts = np.concatenate((self.counts, np.zeros(grow, dtype=np.int64)))
+            self.first = np.concatenate((self.first, np.full(grow, -1, dtype=np.int64)))
+
+    def build(self, column: DictionaryColumn) -> StrippedPartition:
+        """Cold build: one sort/group pass over the whole code vector (no
+        per-row Python work), recording ``counts``/``first`` on the way."""
+        keys = self.row_keys(column, column.codes)
+        covered = np.flatnonzero(keys >= 0).astype(np.int64)
+        if not len(covered):
+            rowids, offsets = _empty_arrays()
+        else:
+            sorted_keys, sorted_rows, starts, sizes = _group_runs(keys[covered], covered)
+            run_keys = sorted_keys[starts]
+            self._reserve(int(run_keys[-1]) + 1)
+            self.counts[run_keys] = sizes
+            self.first[run_keys] = sorted_rows[starts]
+            rowids, offsets = _strip_runs(sorted_rows, starts, sizes)
+        return StrippedPartition.from_arrays(
+            rowids, offsets, column.row_count, covered=covered
+        )
+
+    def refresh(
+        self,
+        partition: StrippedPartition,
+        column: DictionaryColumn,
+        change: Union[DictionaryDelta, DictionaryUpdate],
+    ) -> StrippedPartition:
+        """``partition`` patched for one dictionary delta or update."""
+        rows, old_codes, new_codes = change.code_changes()
+        return self._patch(
+            partition,
+            rows,
+            self.row_keys(column, old_codes),
+            self.row_keys(column, new_codes),
+            column.row_count,
+        )
+
+    def _patch(
+        self,
+        partition: StrippedPartition,
+        rows: np.ndarray,
+        old: np.ndarray,
+        new: np.ndarray,
+        row_count: int,
+    ) -> StrippedPartition:
+        """Move ``rows`` (ascending) from key ``old`` to key ``new``.
+
+        A class that keeps >= 2 rows and its smallest member is edited in
+        place: moved rows are deleted from it and inserted at their sorted
+        position.  Every other touched key — a class that dissolves, one
+        whose smallest member changed, a former singleton joined by moved
+        rows, a key seen for the first time — is regrouped from its members
+        and (re)seated at the position of its smallest member.  All edits
+        land in one splice per array, so the cost is ``O(delta log rows)``
+        index work plus one copy of the class arrays, never a sort of the
+        code vector.  The input partition is never written.
+        """
+        moved = old != new
+        rows, old, new = rows[moved], old[moved], new[moved]
+        leaving = old >= 0
+        entering = new >= 0
+        # One event per row leaving a key, then one per row entering a key.
+        event_rows = np.concatenate((rows[leaving], rows[entering]))
+        joins = np.arange(len(event_rows)) >= np.count_nonzero(leaving)
+        event_keys = np.concatenate((old[leaving], new[entering]))
+        keys = np.unique(event_keys)
+        if len(keys):
+            self._reserve(int(keys[-1]) + 1)
+        # Index of each event's key in ``keys``, through a key-space table.
+        key_index = np.empty(len(self.counts), dtype=np.int64)
+        key_index[keys] = np.arange(len(keys))
+        event_key = key_index[event_keys]
+        old_count = self.counts[keys]
+        first = self.first[keys]
+        new_count = old_count + np.bincount(
+            event_key, weights=np.where(joins, 1, -1), minlength=len(keys)
+        ).astype(np.int64)
+        self.counts[keys] = new_count
+
+        # A touched class stays in place unless it dissolves or its smallest
+        # member changes; classes are found by their smallest member.
+        rowids, offsets = partition.class_arrays()
+        class_mins = rowids[offsets[:-1]]
+        class_of = np.searchsorted(class_mins, first)
+        event_first = first[event_key]
+        reseat = np.zeros(len(keys), dtype=bool)
+        moves_min = np.where(joins, event_rows < event_first, event_rows == event_first)
+        reseat[event_key[moves_min]] = True
+        in_place = (old_count >= 2) & (new_count >= 2) & ~reseat
+        dropped = np.sort(class_of[(old_count >= 2) & ~in_place])
+
+        stays = in_place[event_key]
+        edit_rows = event_rows[stays]
+        edit_class = class_of[event_key[stays]]
+        edit_at = _class_positions(rowids, offsets, edit_class, edit_rows)
+        edit_joins = joins[stays]
+        joined, join_class = edit_rows[edit_joins], edit_class[edit_joins]
+
+        # Every other key that keeps rows is regrouped from its members: the
+        # old class (or singleton) minus the rows that left, plus arrivals.
+        self.first[keys[new_count == 0]] = -1
+        regroup = ~in_place & (new_count > 0)
+        if regroup.any():
+            gather = regroup & (old_count >= 2)
+            span = _spans(offsets[class_of[gather]], offsets[class_of[gather] + 1])
+            solo = regroup & (old_count == 1)
+            member_rows = np.concatenate((rowids[span], first[solo]))
+            member_keys = np.concatenate(
+                (np.repeat(keys[gather], old_count[gather]), keys[solo])
+            )
+            left = event_rows[~joins]
+            if len(left):
+                # ``left`` is ascending: one searchsorted tests membership.
+                hit = left[np.minimum(np.searchsorted(left, member_rows), len(left) - 1)]
+                kept = hit != member_rows
+                member_rows, member_keys = member_rows[kept], member_keys[kept]
+            arrive = joins & regroup[event_key]
+            seated, seated_offsets = self._seat(
+                np.concatenate((member_rows, event_rows[arrive])),
+                np.concatenate((member_keys, keys[event_key[arrive]])),
+            )
+        else:
+            seated, seated_offsets = _empty_arrays()
+        seated_sizes = np.diff(seated_offsets)
+        seat = np.searchsorted(class_mins, seated[seated_offsets[:-1]])
+
+        remove_at = edit_at[~edit_joins]
+        if len(dropped):
+            remove_at = np.concatenate((remove_at, _spans(offsets[dropped], offsets[dropped + 1])))
+        patched_rowids = _splice(
+            rowids,
+            np.sort(remove_at),
+            np.concatenate((edit_at[edit_joins], np.repeat(offsets[seat], seated_sizes))),
+            np.concatenate((joined, seated)),
+        )
+        sizes = np.diff(offsets)
+        sizes[class_of[in_place]] += (new_count - old_count)[in_place]
+        patched_offsets = _offsets_of(_splice(sizes, dropped, seat, seated_sizes))
+        covered = partition.covered_array()
+        lost = rows[leaving & ~entering]
+        gained = rows[entering & ~leaving]
+        if len(lost) or len(gained):
+            covered = _splice(
+                covered, np.searchsorted(covered, lost), np.searchsorted(covered, gained), gained
+            )
+        patched = StrippedPartition.from_arrays(
+            patched_rowids, patched_offsets, row_count, covered=covered
+        )
+        probe = partition._probe_array
+        if probe is not None:
+            # Shift class indices in one pass (dropped classes -> -1), then
+            # write the rows whose class changed.
+            renumber = np.arange(len(class_mins) + 1, dtype=np.int64)
+            renumber[-1] = -1
+            # Seated class ``i`` lands at its seat among the kept classes,
+            # after the ``i`` seated before it.
+            seat_after = seat - np.searchsorted(dropped, seat)
+            if len(dropped) or len(seat):
+                renumber[:-1] -= np.searchsorted(dropped, renumber[:-1])
+                renumber[:-1] += np.searchsorted(seat_after, renumber[:-1], side="right")
+                renumber[dropped] = -1
+                probe = renumber[probe]
+            else:
+                probe = probe.copy()
+            if row_count > len(probe):
+                grown = np.full(row_count - len(probe), -1, dtype=np.int64)
+                probe = np.concatenate((probe, grown))
+            probe[rows[leaving]] = -1
+            probe[joined] = renumber[join_class]
+            probe[seated] = np.repeat(seat_after + np.arange(len(seat)), seated_sizes)
+            patched._probe_array = probe
+        return patched
+
+    def _seat(self, rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Class arrays of ``rows`` grouped by ``keys``, recording each
+        key's smallest member."""
+        order = np.argsort(rows)
+        sorted_keys, sorted_rows, starts, sizes = _group_runs(keys[order], rows[order])
+        self.first[sorted_keys[starts]] = sorted_rows[starts]
+        return _strip_runs(sorted_rows, starts, sizes)
+
+
+class _AttributeGroups(_LeafGroups):
+    """Grouping state of a plain attribute partition: the key is the code
+    itself, the empty value's code excluded."""
+
+    __slots__ = ()
+
+    def row_keys(self, column: DictionaryColumn, codes: np.ndarray) -> np.ndarray:
+        keys = codes.astype(np.int64)
+        empty_code = column.code_of("")
+        if empty_code is not None:
+            keys[keys == empty_code] = -1
+        return keys
+
+    def build(self, column: DictionaryColumn) -> StrippedPartition:
+        """Codes are already group keys in first-seen (= smallest-member)
+        order, so one stable argsort over the code vector yields the classes
+        directly.  After updates broke that ordering, the general sort/group
+        pass (which orders classes by their smallest member explicitly)
+        takes over."""
+        if column.has_updates:
+            return super().build(column)
+        codes = column.codes
+        empty_code = column.code_of("")
+        counts = column.counts_array().copy()
+        order = stable_order(codes)
+        # A code's run in ``order`` starts at the running total of the
+        # smaller codes' counts; its first row is the code's smallest.
+        self.first = np.full(len(counts), -1, dtype=np.int64)
+        present = counts > 0
+        self.first[present] = order[(np.cumsum(counts) - counts)[present]]
+        if empty_code is not None:
+            covered = np.flatnonzero(codes != empty_code).astype(np.int64)
+            counts[empty_code] = 0
+            self.first[empty_code] = -1
+        else:
+            covered = np.arange(column.row_count, dtype=np.int64)
+        self.counts = counts
+        keep_code = counts >= 2
+        rowids = order[keep_code[codes[order]]].astype(np.int64)
+        return StrippedPartition.from_arrays(
+            rowids, _offsets_of(counts[keep_code]), column.row_count, covered=covered
+        )
+
+
+class _PatternGroups(_LeafGroups):
+    """Grouping state of one pattern-projected partition.
+
+    The key of a code is the id of its distinct value's extracted
+    constrained part (``-1`` = uncovered), in ``component_ids``; ids are
+    handed out in first-seen order and never renumber.  Dictionary codes
+    never renumber either, so a refresh only matches the values first seen
+    since the last :meth:`sync` before patching the classes.
+    """
+
+    __slots__ = ("component_of", "component_ids")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.component_of: dict[str, int] = {}
+        self.component_ids = np.zeros(0, dtype=np.int64)
+
+    def add_values(self, values: Sequence[str], results: Sequence) -> None:
+        """Record the grouping component of the next distinct values: ``-1``
+        excludes their rows (empty value or failed match); a match without a
         constrained part contributes a constant component — matching is then
         the only requirement."""
-        if not value or not result.matched:
-            self.components.append(None)
-        elif result.constrained_value is not None:
-            self.components.append(result.constrained_value)
-        else:
-            self.components.append("")
+        ids = []
+        for value, result in zip(values, results):
+            if not value or not result.matched:
+                ids.append(-1)
+                continue
+            component = result.constrained_value
+            if component is None:
+                component = ""
+            ids.append(self.component_of.setdefault(component, len(self.component_of)))
+        if ids:
+            self.component_ids = np.concatenate(
+                (self.component_ids, np.asarray(ids, dtype=np.int64))
+            )
 
     def sync(self, column: DictionaryColumn, compiled: CompiledPattern) -> None:
         """Match the distinct values ``column`` gained since the last sync.
@@ -538,26 +893,13 @@ class _PatternGroups:
         new distinct values, and :meth:`CompiledPattern.match` is the same
         deterministic function every evaluator path bottoms out in.
         """
-        for code in range(len(self.components), column.distinct_count):
-            value = column.values[code]
-            self.append_component(value, compiled.match(value) if value else None)
+        values = column.values[len(self.component_ids):]
+        self.add_values(values, [compiled.match(value) if value else None for value in values])
 
-    def regroup(self, column: DictionaryColumn) -> StrippedPartition:
-        """Vectorized grouping: broadcast component ids through the code
-        vector, then one sort/group pass (no per-row Python work)."""
-        component_of: dict[str, int] = {}
-        component_ids = np.empty(len(self.components), dtype=np.int64)
-        for code, component in enumerate(self.components):
-            if component is None:
-                component_ids[code] = -1
-            else:
-                component_ids[code] = component_of.setdefault(component, len(component_of))
-        row_components = component_ids[column.codes]
-        covered = np.flatnonzero(row_components >= 0).astype(np.int64)
-        rowids, offsets = _group_stripped(row_components[covered], covered)
-        return StrippedPartition.from_arrays(
-            rowids, offsets, column.row_count, covered=covered
-        )
+    def row_keys(self, column: DictionaryColumn, codes: np.ndarray) -> np.ndarray:
+        if not len(self.component_ids):
+            return np.full(len(codes), -1, dtype=np.int64)
+        return np.where(codes >= 0, self.component_ids[codes], -1)
 
 
 class PartitionManager:
@@ -575,6 +917,7 @@ class PartitionManager:
     def __init__(self, relation: "Relation"):
         self._relation = relation
         self._attribute: dict[str, StrippedPartition] = {}
+        self._attribute_groups: dict[str, _LeafGroups] = {}
         self._pattern: dict[PartitionKey, StrippedPartition] = {}
         self._pattern_groups: dict[PartitionKey, _PatternGroups] = {}
         self._intersections: dict[frozenset[PartitionKey], StrippedPartition] = {}
@@ -607,43 +950,11 @@ class PartitionManager:
             return cached
         self.stats.attribute_misses += 1
         column = self._relation.dictionary(attribute)
-        partition = self._build_attribute_partition(column)
+        groups = self._new_attribute_state(column)
+        partition = groups.build(column)
         self._attribute[attribute] = partition
+        self._attribute_groups[attribute] = groups
         return partition
-
-    def _build_attribute_partition(self, column: DictionaryColumn) -> StrippedPartition:
-        """Vectorized attribute grouping: codes are already group keys in
-        first-seen (= smallest-member) order, so one stable argsort over the
-        code vector yields the classes directly.  After updates broke that
-        ordering, the general sort/group pass (which orders classes by their
-        smallest member explicitly) takes over."""
-        codes = column.codes
-        empty_code = column.code_of("")
-        if empty_code is not None:
-            covered = np.flatnonzero(codes != empty_code).astype(np.int64)
-        else:
-            covered = np.arange(column.row_count, dtype=np.int64)
-        if column.has_updates:
-            rowids, offsets = _group_stripped(codes[covered], covered)
-            return StrippedPartition.from_arrays(
-                rowids, offsets, column.row_count, covered=covered
-            )
-        counts = column.counts_array()
-        keep_code = counts >= 2
-        if empty_code is not None:
-            keep_code = keep_code.copy()
-            keep_code[empty_code] = False
-        order = stable_order(codes)
-        sorted_codes = codes[order]
-        keep_rows = keep_code[sorted_codes]
-        rowids = order[keep_rows].astype(np.int64)
-        sizes = counts[keep_code]
-        offsets = np.empty(len(sizes) + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(sizes, out=offsets[1:])
-        return StrippedPartition.from_arrays(
-            rowids, offsets, column.row_count, covered=covered
-        )
 
     def pattern_partition(
         self,
@@ -664,6 +975,10 @@ class PartitionManager:
             return self.attribute_partition(attribute)
         return self._pattern_partition(key, evaluator)
 
+    # Leaf state factories: the sql backend swaps in spec-building states.
+    def _new_attribute_state(self, column: DictionaryColumn) -> _LeafGroups:
+        return _AttributeGroups()
+
     def _new_pattern_state(self, column: DictionaryColumn) -> _PatternGroups:
         return _PatternGroups()
 
@@ -679,9 +994,8 @@ class PartitionManager:
         column = self._relation.dictionary(key.attribute)
         match = evaluator.match_column(key.pattern, column)
         state = self._new_pattern_state(column)
-        for value, result in zip(column.values, match.results):
-            state.append_component(value, result)
-        partition = state.regroup(column)
+        state.add_values(column.values, match.results)
+        partition = state.build(column)
         self._pattern[key] = partition
         self._pattern_groups[key] = state
         return partition
@@ -756,13 +1070,13 @@ class PartitionManager:
         """
         for attribute in list(self._attribute):
             if attribute in deltas:
-                self.refresh_attribute(attribute)
+                self.refresh_attribute(attribute, deltas[attribute])
                 self.stats.attribute_extends += 1
             else:
-                self._attribute.pop(attribute)
+                self._drop_attribute(attribute)
         for key in list(self._pattern):
             if key.attribute in deltas:
-                self.refresh_pattern(key)
+                self.refresh_pattern(key, deltas[key.attribute])
                 self.stats.pattern_extends += 1
             else:
                 self._drop_pattern(key)
@@ -798,11 +1112,11 @@ class PartitionManager:
             return
         for attribute in touched:
             if attribute in self._attribute:
-                self.refresh_attribute(attribute)
+                self.refresh_attribute(attribute, updates[attribute])
                 self.stats.attribute_updates += 1
         for key in list(self._pattern):
             if key.attribute in touched:
-                self.refresh_pattern(key)
+                self.refresh_pattern(key, updates[key.attribute])
                 self.stats.pattern_updates += 1
         survivors: dict[frozenset[PartitionKey], StrippedPartition] = {}
         for key_set, partition in self._intersections.items():
@@ -818,27 +1132,35 @@ class PartitionManager:
             and all(self._has_leaf(key) or key.attribute not in touched for key in key_set)
         }
 
-    def refresh_attribute(self, attribute: str) -> StrippedPartition:
+    def refresh_attribute(
+        self, attribute: str, change: Union[DictionaryDelta, DictionaryUpdate]
+    ) -> StrippedPartition:
         """Replace the cached attribute partition with a snapshot of the
-        current rows, regrouped from the (appended to or updated) dictionary
-        — bit-identical to a cold build."""
-        partition = self._build_attribute_partition(self._relation.dictionary(attribute))
+        current rows: the cached classes patched for ``change`` (the
+        attribute's dictionary delta or update) — bit-identical to a cold
+        build."""
+        column = self._relation.dictionary(attribute)
+        partition = self._attribute_groups[attribute].refresh(
+            self._attribute[attribute], column, change
+        )
         self._attribute[attribute] = partition
         return partition
 
-    def refresh_pattern(self, key: PartitionKey) -> StrippedPartition:
+    def refresh_pattern(
+        self, key: PartitionKey, change: Union[DictionaryDelta, DictionaryUpdate]
+    ) -> StrippedPartition:
         """Replace one cached pattern-projected partition with a snapshot of
         the current rows.
 
         Only the distinct values the column gained since the build are
         matched against the pattern (``O(new distinct)`` match calls —
-        revived tombstone codes already have their component); the rows are
-        then regrouped from the code vector.
+        revived tombstone codes already have their component); the cached
+        classes are then patched for ``change`` like an attribute leaf's.
         """
         state = self._pattern_groups[key]
         column = self._relation.dictionary(key.attribute)
         state.sync(column, key.pattern)
-        partition = state.regroup(column)
+        partition = state.refresh(self._pattern[key], column, change)
         self._pattern[key] = partition
         return partition
 
@@ -849,13 +1171,17 @@ class PartitionManager:
 
     # -- invalidation --------------------------------------------------------
 
+    def _drop_attribute(self, attribute: str) -> None:
+        self._attribute.pop(attribute, None)
+        self._attribute_groups.pop(attribute, None)
+
     def _drop_pattern(self, key: PartitionKey) -> None:
         self._pattern.pop(key, None)
         self._pattern_groups.pop(key, None)
 
     def invalidate_attribute(self, attribute: str) -> None:
         """Drop every cached partition that reads ``attribute``."""
-        self._attribute.pop(attribute, None)
+        self._drop_attribute(attribute)
         for key in [key for key in self._pattern_groups if key.attribute == attribute]:
             self._drop_pattern(key)
         self._intersections = {
@@ -872,6 +1198,7 @@ class PartitionManager:
     def invalidate(self) -> None:
         """Drop every cached partition (counters are kept)."""
         self._attribute.clear()
+        self._attribute_groups.clear()
         for key in list(self._pattern_groups):
             self._drop_pattern(key)
         self._intersections.clear()

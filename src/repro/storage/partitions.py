@@ -40,6 +40,7 @@ from ..engine.partitions import (
     PartitionManager,
     StrippedPartition,
     _group_stripped,
+    _LeafGroups,
     _PatternGroups,
 )
 from .relation import SqlDictionaryColumn, SqlRelation
@@ -250,33 +251,58 @@ class SqlStrippedPartition(StrippedPartition):
         return [tuple(rows) for rows in groups.values()]
 
 
+class SqlAttributeState(_LeafGroups):
+    """Attribute-partition state of the sql backend: every build and
+    refresh is a fresh spec snapshot (new rid bound, re-checked empty code)
+    over rows the store already holds, so SQLite regroups on demand."""
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: SqlStore) -> None:
+        super().__init__()
+        self.store = store
+
+    def build(self, column: SqlDictionaryColumn) -> SqlStrippedPartition:
+        store = self.store
+        col = column._col_index
+        max_rid = store.row_count
+        where = f"r.rid < {max_rid}"
+        empty_code = store.code_of[column.attribute].get("")
+        if empty_code is not None:
+            where += f" AND r.c{col} != {empty_code}"
+        return SqlStrippedPartition.build(store, "rows r", where, f"r.c{col}", max_rid)
+
+    def refresh(self, partition, column, change) -> SqlStrippedPartition:
+        return self.build(column)
+
+
 class SqlPatternState(_PatternGroups):
     """Pattern-partition grouping state mirrored into a ``(code, comp)``
     SQL scratch table, so the partition itself is a join spec."""
 
-    __slots__ = ("store", "col_index", "comp_of", "table", "mapped")
+    __slots__ = ("store", "col_index", "table", "mapped")
 
     def __init__(self, store: SqlStore, col_index: int) -> None:
         super().__init__()
         self.store = store
         self.col_index = col_index
-        self.comp_of: dict[str, int] = {}
         self.table: Optional[str] = None
         #: Codes already written to the scratch table (codes never
         #: renumber, so existing map rows stay valid across mutations).
         self.mapped = 0
 
-    def regroup(self, column: DictionaryColumn) -> "SqlStrippedPartition":
+    def build(self, column: DictionaryColumn) -> "SqlStrippedPartition":
+        ids = self.component_ids
         pairs = (
-            (code, self.comp_of.setdefault(component, len(self.comp_of)))
-            for code, component in enumerate(self.components[self.mapped :], self.mapped)
-            if component is not None
+            (code, component)
+            for code, component in enumerate(ids[self.mapped :].tolist(), self.mapped)
+            if component >= 0
         )
         if self.table is None:
             self.table = self.store.int_map_table(pairs)
         else:
             self.store.extend_int_map(self.table, pairs)
-        self.mapped = len(self.components)
+        self.mapped = len(ids)
         max_rid = self.store.row_count
         return SqlStrippedPartition.build(
             self.store,
@@ -286,32 +312,27 @@ class SqlPatternState(_PatternGroups):
             max_rid,
         )
 
+    def refresh(self, partition, column, change) -> "SqlStrippedPartition":
+        return self.build(column)
+
 
 class SqlPartitionManager(PartitionManager):
     """A :class:`PartitionManager` whose leaf partitions are SQL specs.
 
-    Cache keys, hit/miss/refresh counters, intersection memoization, leaf
-    refreshes, and the snapshot contract are all inherited; only the leaf
-    builds change.  A refreshed leaf is a fresh spec snapshot (new rid
-    bound, re-checked empty code) over rows the store already holds, so
-    SQLite regroups on demand.
+    Cache keys, hit/miss/refresh counters, intersection memoization, and
+    the snapshot contract are all inherited; only the leaf states change.
+    A refreshed leaf is a fresh spec snapshot over rows the store already
+    holds (no class arrays to patch), so SQLite regroups on demand.
     """
 
     def __init__(self, relation: SqlRelation):
         super().__init__(relation)
         self._store: SqlStore = relation.store
 
-    # -- leaf builds ----------------------------------------------------------
+    # -- leaf states ----------------------------------------------------------
 
-    def _build_attribute_partition(self, column: SqlDictionaryColumn) -> SqlStrippedPartition:
-        store = self._store
-        col = column._col_index
-        max_rid = store.row_count
-        where = f"r.rid < {max_rid}"
-        empty_code = store.code_of[column.attribute].get("")
-        if empty_code is not None:
-            where += f" AND r.c{col} != {empty_code}"
-        return SqlStrippedPartition.build(store, "rows r", where, f"r.c{col}", max_rid)
+    def _new_attribute_state(self, column: SqlDictionaryColumn) -> SqlAttributeState:
+        return SqlAttributeState(self._store)
 
     def _new_pattern_state(self, column: SqlDictionaryColumn) -> SqlPatternState:
         return SqlPatternState(self._store, column._col_index)

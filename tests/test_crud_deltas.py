@@ -10,10 +10,18 @@ final rows, on all available engine backends, cold and interleaved with
 updates leave zero-count tombstones where a fresh build never allocates a
 code, so equality is asserted on classes, covered sets, cell values, and
 reports — the things every downstream consumer reads.
+
+Leaf partitions are maintained by positional patches of their class arrays
+(never a regroup of the code vector), so the batteries here also pin the
+patch against a cold rebuild across *sequences* of batches, its individual
+cases (dissolving, forming and re-seating classes, coverage changes,
+revived codes, new pattern components, oversized appends), and the
+snapshot contract: a partition handed out before a batch never changes.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,6 +178,8 @@ def _assert_relation_matches_cold_rebuild(relation, evaluator, expected, backend
         assert got.classes == want.classes, label
         assert got.covered == want.covered, label
         assert got.row_count == want.row_count, label
+        # Also builds the probe arrays the next patch carries forward.
+        assert np.array_equal(got.probe_array(), want.probe_array()), label
 
     return fresh, fresh_evaluator
 
@@ -397,3 +407,198 @@ class TestDictionaryTombstones:
                 assert seen[row] is None
                 seen[row] = dictionary.values[code]
         assert seen == [relation.cell(r, "a") for r in range(relation.row_count)]
+
+
+# -- multi-step patch battery -------------------------------------------------
+
+_op = st.one_of(
+    st.tuples(
+        st.just("update"),
+        st.integers(min_value=0, max_value=40),
+        st.sampled_from(["zip", "city"]),
+        st.sampled_from(_ZIPS + _CITIES),
+    ),
+    st.tuples(st.just("delete"), st.integers(min_value=0, max_value=40)),
+    st.tuples(
+        st.just("append"),
+        st.lists(
+            st.tuples(st.sampled_from(_ZIPS), st.sampled_from(_CITIES)),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+)
+_batch_sequences = st.lists(st.lists(_op, min_size=1, max_size=3), min_size=1, max_size=6)
+
+
+def _batch_of(row_count, draws):
+    """One MutationBatch from raw op draws (row ids mapped onto the
+    pre-batch rows; row-targeting ops are dropped on an empty table).
+
+    Updates are listed before deletes, the order ``_expected_rows`` replays:
+    ``apply`` lets a delete win over any update of the same row.
+    """
+    kinds = {"update": 0, "delete": 1, "append": 2}
+    ops = []
+    for draw in sorted(draws, key=lambda draw: kinds[draw[0]]):
+        if draw[0] == "append":
+            ops.append(UpsertOp([list(row) for row in draw[1]]))
+        elif row_count and draw[0] == "update":
+            _, raw_row, attribute, value = draw
+            ops.append(UpdateOp(raw_row % row_count, ((attribute, value),)))
+        elif row_count:
+            ops.append(DeleteOp([draw[1] % row_count]))
+    return MutationBatch(ops) if ops else None
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+@settings(max_examples=30, deadline=None)
+@given(base=_base_rows, batches=_batch_sequences)
+def test_patch_sequences_equal_cold_rebuild_after_every_batch(backend, base, batches):
+    """Every cached leaf and intersection matches a cold rebuild after each
+    batch of a sequence — patches compound on patched (and probed) leaves."""
+    relation, evaluator = _primed(base, backend)
+    expected = [list(row) for row in base]
+    for draws in batches:
+        batch = _batch_of(relation.row_count, draws)
+        if batch is None:
+            continue
+        relation.apply(batch)
+        expected = _expected_rows(expected, batch)
+        _assert_relation_matches_cold_rebuild(relation, evaluator, expected, backend)
+
+
+# -- patch edge cases ---------------------------------------------------------
+
+
+class TestPatchCases:
+    """One deterministic test per patch case, each checked against a cold
+    rebuild on every backend."""
+
+    @pytest.fixture(params=_BACKENDS)
+    def backend(self, request):
+        return request.param
+
+    @staticmethod
+    def _run(backend, rows, *batches):
+        relation, evaluator = _primed(rows, backend)
+        expected = [list(row) for row in rows]
+        for batch in batches:
+            relation.apply(batch)
+            expected = _expected_rows(expected, batch)
+            _assert_relation_matches_cold_rebuild(relation, evaluator, expected, backend)
+        return relation
+
+    def test_size_two_class_dissolves(self, backend):
+        rows = [("90001", "Chicago"), ("90001", "New York"), ("10001", "Chicago")]
+        relation = self._run(backend, rows, MutationBatch.update_cells([(1, "zip", "10002")]))
+        assert relation.partitions().attribute_partition("zip").classes == ()
+
+    def test_former_singleton_and_moved_row_form_a_class(self, backend):
+        rows = [
+            ("90001", "Chicago"),
+            ("10001", "Chicago"),
+            ("10001", "Chicago"),
+            ("10002", "Chicago"),
+            ("90003", "Chicago"),
+        ]
+        relation = self._run(backend, rows, MutationBatch.update_cells([(4, "zip", "90001")]))
+        # The new class is seated by its smallest member, ahead of (1, 2).
+        assert relation.partitions().attribute_partition("zip").classes == ((0, 4), (1, 2))
+
+    def test_smallest_member_moves_out_of_a_class(self, backend):
+        rows = [(zip_code, "Chicago") for zip_code in ("90001", "10001", "90001", "90001", "10001")]
+        relation = self._run(backend, rows, MutationBatch.update_cells([(0, "zip", "10001")]))
+        assert relation.partitions().attribute_partition("zip").classes == ((0, 1, 4), (2, 3))
+
+    def test_smallest_member_moves_into_a_class(self, backend):
+        rows = [(zip_code, "Chicago") for zip_code in ("90003", "90001", "10001", "90001", "10001")]
+        relation = self._run(backend, rows, MutationBatch.update_cells([(0, "zip", "10001")]))
+        assert relation.partitions().attribute_partition("zip").classes == ((0, 2, 4), (1, 3))
+
+    def test_largest_member_moves_out_of_a_class(self, backend):
+        rows = [(zip_code, "Chicago") for zip_code in ("90001", "10001", "90001", "10001", "90001")]
+        relation = self._run(backend, rows, MutationBatch.update_cells([(4, "zip", "10001")]))
+        assert relation.partitions().attribute_partition("zip").classes == ((0, 2), (1, 3, 4))
+
+    def test_deleted_value_becomes_uncovered_and_comes_back(self, backend):
+        rows = [(zip_code, "Chicago") for zip_code in ("90001", "90001", "90001", "10001", "10001")]
+        relation = self._run(
+            backend,
+            rows,
+            MutationBatch.deletes([0]),
+            MutationBatch.update_cells([(0, "zip", "10001")]),
+        )
+        partition = relation.partitions().attribute_partition("zip")
+        assert partition.classes == ((0, 3, 4), (1, 2))
+        assert partition.covered == (0, 1, 2, 3, 4)
+
+    def test_tombstoned_code_is_revived(self, backend):
+        rows = [("90001", "Chicago"), ("10001", "New York"), ("10001", "New York")]
+        self._run(
+            backend,
+            rows,
+            MutationBatch.update_cells([(0, "zip", "10001")]),  # "90001" dies
+            MutationBatch.update_cells([(1, "zip", "90001"), (2, "zip", "90001")]),
+        )
+
+    def test_new_distinct_value_joins_and_opens_pattern_components(self, backend):
+        rows = [("90001", "Chicago"), ("90002", "Chicago"), ("10001", "Chicago")]
+        relation = self._run(
+            backend,
+            rows,
+            # "90017" is new to the dictionary but shares the "900" component;
+            # "12345" opens a fresh component.
+            MutationBatch.update_cells([(2, "zip", "90017")]),
+            MutationBatch([UpsertOp([["12345", "Chicago"], ["12399", "Chicago"]])]),
+        )
+        manager = relation.partitions()
+        assert manager.pattern_partition("zip", _zip_pattern).classes == ((0, 1, 2), (3, 4))
+
+    def test_append_batch_larger_than_the_table(self, backend):
+        rows = [("90001", "Chicago"), ("10001", "New York"), ("", "Chicago")]
+        appended = [[_ZIPS[i % len(_ZIPS)], _CITIES[i % len(_CITIES)]] for i in range(17)]
+        relation = self._run(backend, rows, MutationBatch([UpsertOp(appended)]))
+        assert relation.row_count == 20
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_partitions_fetched_before_a_batch_are_unchanged_snapshots(backend):
+    """A patch never writes the arrays of a partition handed out earlier —
+    class arrays, covered rows and any built probe array stay exactly as
+    they were, batch after batch."""
+    rows = [(_ZIPS[i % 6], _CITIES[i % 4]) for i in range(24)]
+    relation, evaluator = _primed(rows, backend)
+    manager = relation.partitions()
+    batches = [
+        MutationBatch.update_cells([(0, "zip", "10002"), (5, "city", "Chicago")]),
+        MutationBatch([DeleteOp([1, 2]), UpsertOp([["90001", "Chicago"], ["abc", ""]])]),
+        MutationBatch.update_cells([(1, "zip", "90001"), (3, "zip", "90002")]),
+    ]
+    held = []
+    for batch in batches:
+        for partition in (
+            manager.attribute_partition("zip"),
+            manager.attribute_partition("city"),
+            manager.pattern_partition("zip", _zip_pattern, evaluator=evaluator),
+            manager.intersection(
+                [manager.key("zip", _zip_pattern), manager.key("city")], evaluator=evaluator
+            ),
+        ):
+            rowids, offsets = partition.class_arrays()
+            held.append(
+                (
+                    partition,
+                    rowids.copy(),
+                    offsets.copy(),
+                    partition.covered_array().copy(),
+                    partition.probe_array().copy(),
+                )
+            )
+        relation.apply(batch)
+        for partition, rowids, offsets, covered, probe in held:
+            got_rowids, got_offsets = partition.class_arrays()
+            assert np.array_equal(got_rowids, rowids)
+            assert np.array_equal(got_offsets, offsets)
+            assert np.array_equal(partition.covered_array(), covered)
+            assert np.array_equal(partition.probe_array(), probe)
