@@ -161,20 +161,29 @@ class ErrorDetector:
             )
         else:
             all_violations = self._collect_violations(relation, since_row, changed_rows)
-        evidence: dict[CellRef, list[Violation]] = defaultdict(list)
+        # Evidence is keyed by plain ``(row_id, attribute)`` tuples — the
+        # order ``CellRef`` sorts by, without its dataclass ``__lt__`` — and
+        # keeps the first suspect ``CellRef`` seen as the error's cell.
+        evidence: dict[tuple[int, str], tuple[CellRef, list[Violation]]] = {}
         for violation in all_violations:
             for cell in violation.suspect_cells:
-                evidence[cell].append(violation)
+                key = (cell.row_id, cell.attribute)
+                entry = evidence.get(key)
+                if entry is None:
+                    evidence[key] = (cell, [violation])
+                else:
+                    entry[1].append(violation)
 
         errors: list[DetectedError] = []
-        for cell, cell_violations in sorted(evidence.items()):
+        for key in sorted(evidence):
+            cell, cell_violations = evidence[key]
             if len(cell_violations) < self.min_evidence:
                 continue
             suggestion = self._best_suggestion(cell_violations)
             errors.append(
                 DetectedError(
                     cell=cell,
-                    current_value=relation.cell(cell.row_id, cell.attribute),
+                    current_value=relation.cell(*key),
                     suggested_value=suggestion,
                     evidence_count=len(cell_violations),
                     constraints=tuple(

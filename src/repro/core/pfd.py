@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..constraints.base import CellRef, Violation, embedded_dependency_key
+from ..constraints.base import CellRef, ClassCells, Violation, embedded_dependency_key
 from ..constraints.fd import FD
 from ..dataset.relation import Relation
 from ..engine.dictionary import DictionaryColumn
@@ -152,6 +152,167 @@ def prime_partitions_for_pfds(
         if attribute in known:
             manager.pattern_partition(attribute, pattern, evaluator=evaluator)
     return manager
+
+
+@dataclasses.dataclass(frozen=True)
+class RhsBuckets:
+    """The RHS buckets of one variable tableau cell over one column.
+
+    Two tuples of an LHS class agree on the RHS iff they fall in the same
+    bucket: a value matching the cell's pattern is bucketed by its
+    extracted constrained part ``(True, part)``, a non-matching value by
+    itself ``(False, value)``.  ``ids`` interns the bucket key of every
+    dictionary code to a small integer (first-seen order) and ``keys`` maps
+    the ids back; ``values`` decodes codes to cell values.
+    """
+
+    attribute: str
+    ids: np.ndarray
+    keys: tuple[tuple[bool, str], ...]
+    values: Sequence[str]
+
+    @classmethod
+    def of(cls, attribute: str, column: DictionaryColumn, match) -> "RhsBuckets":
+        id_of: dict[tuple[bool, str], int] = {}
+        ids = np.fromiter(
+            (
+                id_of.setdefault(
+                    (True, result.constrained_value or "")
+                    if result.matched
+                    else (False, value),
+                    len(id_of),
+                )
+                for value, result in zip(column.values, match.results)
+            ),
+            dtype=np.int64,
+        )
+        return cls(attribute, ids, tuple(id_of), column.values)
+
+
+def variable_class_violations(
+    constraint_repr: str,
+    lhs: Sequence[str],
+    rowids: np.ndarray,
+    offsets: np.ndarray,
+    rhs: Sequence[tuple[RhsBuckets, np.ndarray]],
+    since_row: int = 0,
+) -> list[Violation]:
+    """The violations of one variable tableau row over its LHS classes.
+
+    ``rowids[offsets[i]:offsets[i + 1]]`` is class ``i`` (ascending row
+    ids); ``rhs`` pairs each RHS attribute's buckets with the RHS codes of
+    ``rowids``, position for position.  A class whose tuples all share one
+    bucket on an attribute has no matching partner to falsify the pairwise
+    implication, so only classes spanning >= 2 buckets violate; they are
+    found with one all-equal-within-class reduction per attribute (compare
+    each row's bucket with its class's first).  With ``since_row``, only
+    classes whose largest (= last) member is at or after it are reported —
+    the others were fully checked before an append.
+
+    Violations come out class by class, RHS attribute by attribute.  Each
+    covers its class's cells ``rows × (*lhs, attribute)`` as a lazy
+    :class:`~repro.constraints.base.ClassCells`; only the suspects — every
+    row outside the majority bucket — become ``CellRef``s.
+    """
+    sizes = np.diff(offsets)
+    class_count = len(sizes)
+    if class_count == 0:
+        return []
+    touched = rowids[offsets[1:] - 1] >= since_row if since_row else None
+    class_ids = None
+    found: list[tuple[int, int, Violation]] = []
+    for position, (buckets, codes) in enumerate(rhs):
+        row_buckets = buckets.ids[codes]
+        disagree = row_buckets != np.repeat(row_buckets[offsets[:-1]], sizes)
+        if not disagree.any():
+            continue
+        if class_ids is None:
+            class_ids = np.repeat(np.arange(class_count, dtype=np.int64), sizes)
+        violating = np.zeros(class_count, dtype=bool)
+        violating[class_ids[disagree]] = True
+        if touched is not None:
+            violating &= touched
+        classes = np.flatnonzero(violating)
+        if classes.size:
+            emitted = _bucket_violations(
+                constraint_repr, lhs, buckets, rowids, offsets, codes, row_buckets, classes
+            )
+            found.extend(
+                (class_index, position, violation)
+                for class_index, violation in zip(classes.tolist(), emitted)
+            )
+    if len(rhs) > 1:
+        # Attribute-major emission back to class-major order.
+        found.sort(key=lambda item: item[:2])
+    return [violation for _, _, violation in found]
+
+
+def _bucket_violations(
+    constraint_repr: str,
+    lhs: Sequence[str],
+    buckets: RhsBuckets,
+    rowids: np.ndarray,
+    offsets: np.ndarray,
+    codes: np.ndarray,
+    row_buckets: np.ndarray,
+    classes: np.ndarray,
+) -> list[Violation]:
+    """One violation per class in ``classes`` (each spans >= 2 buckets).
+
+    All classes are handled in one vectorized pass.  Their rows are
+    gathered into one array (which the violations' cell views slice, so
+    nothing pins the partition's arrays) and grouped by ``(class, bucket)``
+    with one ``np.unique``.  Per class, the majority bucket is the one with
+    the most rows, ties going to the larger ``(matched, text)`` key; every
+    other row is a suspect, listed by its bucket's first appearance in the
+    class, then by row order.  The expected value is the majority bucket's
+    first row's value when that bucket matched the pattern.
+    """
+    starts = offsets[classes]
+    sizes = offsets[classes + 1] - starts
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    gather = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], sizes)
+    rows = rowids[gather]
+    member = np.repeat(np.arange(len(classes), dtype=np.int64), sizes)
+    bucket = row_buckets[gather]
+    width = int(bucket.max()) + 1
+    groups, first, group_of, counts = np.unique(
+        member * width + bucket,
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    group_class, group_bucket = np.divmod(groups, width)
+    # Rank the bucket keys present, so the tie-break is an integer sort key.
+    present = np.unique(group_bucket).tolist()
+    rank = np.zeros(width, dtype=np.int64)
+    rank[sorted(present, key=buckets.keys.__getitem__)] = np.arange(len(present))
+    order = np.lexsort((rank[group_bucket], counts, group_class))
+    last_of_class = np.append(group_class[order][1:] != group_class[order][:-1], True)
+    majority = order[last_of_class]
+    suspects = np.flatnonzero(group_of != majority[member])
+    suspects = suspects[np.argsort(first[group_of[suspects]], kind="stable")]
+    suspect_bounds = np.searchsorted(
+        member[suspects], np.arange(len(classes) + 1)
+    ).tolist()
+    attribute = buckets.attribute
+    suspect_cells = [CellRef(row_id, attribute) for row_id in rows[suspects].tolist()]
+    attributes = (*lhs, attribute)
+    keys, values = buckets.keys, buckets.values
+    majority_codes = codes[gather[first[majority]]].tolist()
+    bounds = bounds.tolist()
+    return [
+        Violation(
+            constraint_kind="PFD",
+            constraint_repr=constraint_repr,
+            cells=ClassCells(rows[bounds[k]:bounds[k + 1]], attributes),
+            suspect_cells=tuple(suspect_cells[suspect_bounds[k]:suspect_bounds[k + 1]]),
+            expected_value=values[code] if keys[bucket_id][0] else None,
+        )
+        for k, (bucket_id, code) in enumerate(
+            zip(group_bucket[majority].tolist(), majority_codes)
+        )
+    ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -317,6 +478,11 @@ class PFD:
         Constant rows yield one violation per offending tuple; variable rows
         yield one violation per offending group (with the minority cells
         marked as suspects, as used by the error-detection experiments).
+        A group's violation carries its cells as a lazy
+        :class:`~repro.constraints.base.ClassCells` view over the class's
+        row ids, and only its suspects become ``CellRef`` objects, so
+        emission costs O(suspects + violating classes) in Python work, not
+        O(class size) (see :func:`variable_class_violations`).
 
         ``since_row`` scopes the search to the *delta* of an append: only
         tuples with ``row_id >= since_row`` (constant rows) and equivalence
@@ -410,19 +576,22 @@ class PFD:
             attr_bad = ~equal[column.codes[supported]]
             bad[attribute] = attr_bad
             any_bad |= attr_bad
+        constraint_repr = self._row_repr(row)
         found: list[Violation] = []
         for position in np.flatnonzero(any_bad).tolist():
             row_id = int(supported[position])
             for attribute in self.rhs:
                 if bad[attribute][position]:
                     found.append(
-                        self._constant_violation(row, row_id, attribute, rhs_expected)
+                        self._constant_violation(
+                            constraint_repr, row_id, attribute, rhs_expected
+                        )
                     )
         return found
 
     def _constant_violation(
         self,
-        row: PatternTuple,
+        constraint_repr: str,
         row_id: int,
         attribute: str,
         rhs_expected: Mapping[str, Optional[str]],
@@ -430,7 +599,7 @@ class PFD:
         cells = tuple(CellRef(row_id, attr) for attr in (*self.lhs, attribute))
         return Violation(
             constraint_kind="PFD",
-            constraint_repr=f"{self} @ {row.render(self.lhs, self.rhs)}",
+            constraint_repr=constraint_repr,
             cells=cells,
             suspect_cells=(CellRef(row_id, attribute),),
             expected_value=rhs_expected[attribute],
@@ -462,6 +631,7 @@ class PFD:
             ]
             good_codes.append(good)
             good_sets[attribute] = set(good)
+        constraint_repr = self._row_repr(row)
         found: list[Violation] = []
         for fetched in partition.constant_violation_rows(
             rhs_cols, good_codes, since_row, changed_rows
@@ -471,7 +641,9 @@ class PFD:
                 if fetched[1 + offset] in good_sets[attribute]:
                     continue
                 found.append(
-                    self._constant_violation(row, row_id, attribute, rhs_expected)
+                    self._constant_violation(
+                        constraint_repr, row_id, attribute, rhs_expected
+                    )
                 )
         return found
 
@@ -486,31 +658,23 @@ class PFD:
         # Variable rows need a pair of LHS-equivalent tuples to witness a
         # violation — which is exactly what the stripped classes are: the
         # singletons are already gone, so the RHS work below scales with the
-        # surviving classes, not with the relation.
+        # surviving classes, not with the relation.  Both backends hand their
+        # class arrays and per-row RHS codes to ``variable_class_violations``,
+        # which finds the disagreeing classes and emits their violations.
         partition = self._row_partition(relation, row, evaluator)
         if isinstance(partition, SqlStrippedPartition):
             return self._variable_row_violations_sql(
                 relation, row, evaluator, partition, since_row, changed_rows
             )
-        # Vectorized check.  Per RHS attribute the bucket keys are interned
-        # to integer ids per *distinct* value, broadcast through the code
-        # vector to the stripped rows, and the violating classes found with
-        # one all-equal-within-class reduction (compare against the class's
-        # first element, repeated).  Python then walks only the violating
-        # classes — typically a tiny fraction — re-deriving their buckets to
-        # emit violations.
-        #
         # A ``changed_rows`` scope restricts the scan to the touched classes
         # before any per-row work happens: the probe array maps the changed
-        # ids straight to their classes, the class row arrays are gathered
-        # for just those classes, and the same reduction runs on that subset
-        # — O(changed-class rows) instead of O(stripped rows), which is what
-        # makes a small update batch cheap against a large table.
+        # ids straight to their classes and the class row arrays are
+        # gathered for just those classes — O(changed-class rows) instead of
+        # O(stripped rows), which is what makes a small update batch cheap
+        # against a large table.
         rowids, offsets = partition.class_arrays()
-        class_count = len(offsets) - 1
-        if class_count == 0:
+        if len(offsets) <= 1:
             return []
-        class_map = None
         if changed_rows is not None:
             # A class is in scope iff it currently contains a changed row:
             # probe the changed ids to class indices (-1 = singleton).
@@ -527,112 +691,22 @@ class PFD:
             offsets = np.concatenate(
                 ([0], np.cumsum((offsets[touched + 1] - offsets[touched])))
             )
-            class_map = touched
-            class_count = len(touched)
-        sizes = np.diff(offsets)
-        violating = np.zeros(class_count, dtype=bool)
-        per_attribute: dict[str, np.ndarray] = {}
-        rhs_buckets: dict[str, tuple[Sequence[int], list[tuple[bool, str]]]] = {}
-        class_ids = None
+            # The scope already picked the classes; recency plays no part.
+            since_row = 0
+        rhs = []
         for attribute in self.rhs:
             column = relation.dictionary(attribute)
-            match = evaluator.match_column(row.pattern(attribute), column)
-            bucket_by_code = self._rhs_bucket_by_code(column, match)
-            rhs_buckets[attribute] = (column.codes, bucket_by_code)
-            id_of: dict[tuple[bool, str], int] = {}
-            bucket_ids = np.empty(column.distinct_count, dtype=np.int64)
-            for code, bucket in enumerate(bucket_by_code):
-                bucket_ids[code] = id_of.setdefault(bucket, len(id_of))
-            stripped = bucket_ids[column.codes[rowids]]
-            first = np.repeat(stripped[offsets[:-1]], sizes)
-            # A class whose tuples all share one bucket (they agree, or all
-            # fail to match the same way) has no matching partner to falsify
-            # the pairwise implication: only >= 2 buckets violate.
-            disagree = stripped != first
-            attr_bad = np.zeros(class_count, dtype=bool)
-            if disagree.any():
-                if class_ids is None:
-                    class_ids = np.repeat(
-                        np.arange(class_count, dtype=np.int64), sizes
-                    )
-                attr_bad[np.unique(class_ids[disagree])] = True
-            per_attribute[attribute] = attr_bad
-            violating |= attr_bad
-        if since_row and class_map is None:
-            # A class touches the delta iff its largest (= last) member is an
-            # appended row; untouched classes were fully checked before.
-            # (A changed_rows scope takes precedence and already filtered.)
-            violating &= rowids[offsets[1:] - 1] >= since_row
-        found: list[Violation] = []
-        for class_index in np.flatnonzero(violating).tolist():
-            row_ids = rowids[offsets[class_index]:offsets[class_index + 1]].tolist()
-            for attribute in self.rhs:
-                if not per_attribute[attribute][class_index]:
-                    continue
-                codes, bucket_by_code = rhs_buckets[attribute]
-                buckets: dict[tuple[bool, str], list[int]] = defaultdict(list)
-                for row_id in row_ids:
-                    buckets[bucket_by_code[codes[row_id]]].append(row_id)
-                found.append(
-                    self._bucket_violation(relation, row, attribute, row_ids, buckets)
-                )
-        return found
+            buckets = RhsBuckets.of(
+                attribute, column, evaluator.match_column(row.pattern(attribute), column)
+            )
+            rhs.append((buckets, column.codes[rowids]))
+        return variable_class_violations(
+            self._row_repr(row), self.lhs, rowids, offsets, rhs, since_row
+        )
 
-    @staticmethod
-    def _rhs_bucket_by_code(
-        column: DictionaryColumn, match
-    ) -> list[tuple[bool, str]]:
-        """Per-code RHS bucket key: a matching value is bucketed by its
-        extracted constrained part, a non-matching value by itself."""
-        bucket_by_code: list[tuple[bool, str]] = []
-        for value, result in zip(column.values, match.results):
-            if result.matched:
-                bucket_by_code.append(
-                    (
-                        True,
-                        result.constrained_value
-                        if result.constrained_value is not None
-                        else "",
-                    )
-                )
-            else:
-                bucket_by_code.append((False, value))
-        return bucket_by_code
-
-    def _bucket_violation(
-        self,
-        relation: Relation,
-        row: PatternTuple,
-        attribute: str,
-        row_ids: Sequence[int],
-        buckets: Mapping[tuple[bool, str], list[int]],
-    ) -> Violation:
-        """One variable-row violation: the class disagrees on ``attribute``;
-        everything outside the majority bucket is suspect."""
-        majority_bucket, majority_ids = max(
-            buckets.items(), key=lambda item: (len(item[1]), item[0][0], item[0][1])
-        )
-        suspects = tuple(
-            CellRef(row_id, attribute)
-            for bucket, ids in buckets.items()
-            if bucket != majority_bucket
-            for row_id in ids
-        )
-        expected_value: Optional[str] = None
-        if majority_bucket[0] and majority_ids:
-            expected_value = relation.cell(majority_ids[0], attribute)
-        cells = tuple(
-            CellRef(row_id, attr)
-            for row_id in row_ids
-            for attr in (*self.lhs, attribute)
-        )
-        return Violation(
-            constraint_kind="PFD",
-            constraint_repr=f"{self} @ {row.render(self.lhs, self.rhs)}",
-            cells=cells,
-            suspect_cells=suspects,
-            expected_value=expected_value,
-        )
+    def _row_repr(self, row: PatternTuple) -> str:
+        """``constraint_repr`` of the violations of one tableau row."""
+        return f"{self} @ {row.render(self.lhs, self.rhs)}"
 
     def _variable_row_violations_sql(
         self,
@@ -645,62 +719,67 @@ class PFD:
     ) -> list[Violation]:
         """Pushed-down variable-row check.
 
-        Per RHS attribute the bucket keys (matched/constrained vs literal
-        value) are interned to integer ids per *distinct* value and shipped
-        as a ``(code, bucket)`` scratch table; one grouped query then returns
-        only the classes spanning >= 2 buckets on some attribute and touching
-        the delta.  Python re-derives those classes' buckets — a point fetch
-        of the class's RHS codes, never a column scan — and emits violations
-        identical, order included, to the in-memory path."""
+        Per RHS attribute the interned bucket ids (see :class:`RhsBuckets`)
+        are shipped as a ``(code, bucket)`` scratch table; one grouped query
+        then returns only the classes spanning >= 2 buckets on some
+        attribute and touching the delta.  One point fetch of those classes'
+        RHS codes — never a column scan — feeds the same emission as the
+        in-memory path, so the violations are identical, order included."""
         store = relation.store
         rhs_cols: list[int] = []
         bucket_tables: list[str] = []
-        buckets_by_attribute: dict[str, list[tuple[bool, str]]] = {}
+        rhs_buckets: list[RhsBuckets] = []
         try:
             for attribute in self.rhs:
                 column = relation.dictionary(attribute)
-                match = evaluator.match_column(row.pattern(attribute), column)
-                bucket_by_code = self._rhs_bucket_by_code(column, match)
-                buckets_by_attribute[attribute] = bucket_by_code
-                bucket_ids: dict[tuple[bool, str], int] = {}
-                rhs_cols.append(column._col_index)
-                bucket_tables.append(
-                    store.int_map_table(
-                        (code, bucket_ids.setdefault(bucket, len(bucket_ids)))
-                        for code, bucket in enumerate(bucket_by_code)
-                    )
+                buckets = RhsBuckets.of(
+                    attribute,
+                    column,
+                    evaluator.match_column(row.pattern(attribute), column),
                 )
+                rhs_buckets.append(buckets)
+                rhs_cols.append(column._col_index)
+                bucket_tables.append(store.int_map_table(enumerate(buckets.ids.tolist())))
             violating = partition.variable_violation_classes(
                 rhs_cols, bucket_tables, since_row, changed_rows
             )
         finally:
             for table in bucket_tables:
                 store.drop_table(table)
-        found: list[Violation] = []
+        if not violating:
+            return []
+        row_ids = [row_id for class_rows in violating for row_id in class_rows]
+        offsets = np.cumsum([0] + [len(class_rows) for class_rows in violating])
         columns = ", ".join(f"c{col}" for col in rhs_cols)
-        for row_ids in violating:
-            in_sql, scratch = store.code_set_sql("rid", row_ids)
-            try:
-                codes_of = {
-                    fetched[0]: fetched[1:]
-                    for fetched in store.execute(
-                        f"SELECT rid, {columns} FROM rows WHERE {in_sql}"
-                    )
-                }
-            finally:
-                for table in scratch:
-                    store.drop_table(table)
-            for index, attribute in enumerate(self.rhs):
-                bucket_by_code = buckets_by_attribute[attribute]
-                buckets: dict[tuple[bool, str], list[int]] = defaultdict(list)
-                for row_id in row_ids:
-                    buckets[bucket_by_code[codes_of[row_id][index]]].append(row_id)
-                if len(buckets) < 2:
-                    continue
-                found.append(
-                    self._bucket_violation(relation, row, attribute, row_ids, buckets)
+        in_sql, scratch = store.code_set_sql("rid", row_ids)
+        try:
+            codes_of = {
+                fetched[0]: fetched[1:]
+                for fetched in store.execute(
+                    f"SELECT rid, {columns} FROM rows WHERE {in_sql}"
                 )
-        return found
+            }
+        finally:
+            for table in scratch:
+                store.drop_table(table)
+        rhs = [
+            (
+                buckets,
+                np.fromiter(
+                    (codes_of[row_id][index] for row_id in row_ids),
+                    dtype=np.int64,
+                    count=len(row_ids),
+                ),
+            )
+            for index, buckets in enumerate(rhs_buckets)
+        ]
+        return variable_class_violations(
+            self._row_repr(row),
+            self.lhs,
+            np.asarray(row_ids, dtype=np.int64),
+            offsets,
+            rhs,
+        )
 
     # -- statistics -------------------------------------------------------------
 

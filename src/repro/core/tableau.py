@@ -160,7 +160,21 @@ class PatternTuple:
     def is_constant_row(self, lhs: Sequence[str], rhs: Sequence[str]) -> bool:
         """True if this row can be applied to single tuples: every LHS cell
         has a constant constrained part and every RHS cell is a constant
-        pattern (so the expected value is determined)."""
+        pattern (so the expected value is determined).
+
+        The row is immutable, so the answer is cached per ``(lhs, rhs)``.
+        """
+        memo = self.__dict__.get("_constant_rows")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_constant_rows", memo)
+        key = (tuple(lhs), tuple(rhs))
+        cached = memo.get(key)
+        if cached is None:
+            memo[key] = cached = self._classify_constant_row(lhs, rhs)
+        return cached
+
+    def _classify_constant_row(self, lhs: Sequence[str], rhs: Sequence[str]) -> bool:
         if not all(self.constrains_constant(attr) for attr in lhs):
             return False
         for attr in rhs:

@@ -200,8 +200,9 @@ class Pattern:
     attention to constrained patterns with a single constrained part.
 
     Patterns are cache keys all over the engine (memoized NFAs, shared-DFA
-    pattern sets, per-column match sets), so the recursive hash and the
-    textual serialization are computed once and cached on the instance.
+    pattern sets, per-column match sets), so the recursive hash, the
+    textual serialization and the constant classification are computed once
+    and cached on the instance.
     """
 
     elements: tuple[Element, ...]
@@ -284,17 +285,28 @@ class Pattern:
     # -- properties of the generated language ------------------------------
 
     def is_constant(self) -> bool:
-        """True if the pattern generates exactly one string."""
-        return all(e.is_constant() for e in self.elements)
+        """True if the pattern generates exactly one string (cached)."""
+        cached = self.__dict__.get("_is_constant")
+        if cached is None:
+            cached = all(e.is_constant() for e in self.elements)
+            object.__setattr__(self, "_is_constant", cached)
+        return cached
 
     def constant_value(self) -> str:
-        """The unique string generated by a constant pattern.
+        """The unique string generated by a constant pattern (cached).
 
         Raises
         ------
         PatternError
             If the pattern is not constant.
         """
+        cached = self.__dict__.get("_constant_value")
+        if cached is None:
+            cached = self._build_constant_value()
+            object.__setattr__(self, "_constant_value", cached)
+        return cached
+
+    def _build_constant_value(self) -> str:
         if not self.is_constant():
             raise PatternError(f"pattern {self} is not constant")
         parts: list[str] = []
