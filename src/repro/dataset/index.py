@@ -4,25 +4,33 @@ Figure 4 (lines 5-12) builds, per attribute, a hash map from
 ``(substring, position)`` to the list of tuple ids whose value contains that
 substring at that position.  Section 5.4 additionally mentions a second index
 from ``(tuple id, attribute)`` to the parts appearing in that cell, which
-speeds up the per-group frequent-pattern lookups; both are implemented here.
+speeds up the per-group frequent-pattern lookups.
+
+Both are stored here at *dictionary-code* granularity: ``entries`` maps a key
+to the codes whose value carries it, ``code_parts`` maps a code to its keys,
+and ``weights`` holds each key's row count.  Parts are a function of the cell
+value alone, and every row set the discovery walk forms is a union of whole
+codes (or, for a multi-attribute LHS, of whole LHS code tuples), so a code
+list weighted by per-code row counts answers every question a tuple-id list
+would — supports, frequency order, group histograms — in O(distinct × parts)
+memory, independent of the row count.
 
 Section 4.4's *substring pruning* is also implemented: an entry whose tuple-id
 list is identical to that of a longer entry that contains it (same position)
-carries no extra information, and only the most specific entry is kept.
+carries no extra information, and only the most specific entry is kept.  Two
+keys cover the same rows exactly when they cover the same codes, so the
+pruning compares code lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Mapping, Optional
 
 from .profiler import TableProfile, profile_relation
 from .relation import Relation
-from .tokenizer import Part, extract_parts
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine ← dataset)
-    from ..engine.evaluator import ColumnMatchSet, PatternEvaluator
+from .tokenizer import extract_parts
 
 
 #: Key of an index entry: the partial value and the position it occupies.
@@ -31,42 +39,44 @@ PartKey = tuple[str, int]
 
 @dataclasses.dataclass
 class AttributeIndex:
-    """Inverted list for a single attribute.
+    """Inverted lists of a single attribute at dictionary-code granularity.
 
-    ``entries`` maps ``(text, position)`` to the sorted list of row ids in
-    which that partial value occurs; ``row_parts`` maps a row id to the keys
-    extracted from that row's cell.
+    ``entries`` maps ``(text, position)`` to the ascending codes whose value
+    carries that part; ``code_parts`` maps a code to its keys; ``weights``
+    holds each key's total row count (the length of Figure 4's tuple-id
+    list).  Codes with no rows left (values updated or deleted away) are not
+    indexed.
     """
 
     attribute: str
     strategy: str
     entries: dict[PartKey, list[int]]
-    row_parts: dict[int, list[PartKey]]
+    code_parts: dict[int, list[PartKey]]
+    weights: dict[PartKey, int]
 
-    def ids(self, key: PartKey) -> list[int]:
+    def codes(self, key: PartKey) -> list[int]:
         return self.entries.get(key, [])
 
-    def support(self, key: PartKey) -> int:
-        return len(self.entries.get(key, ()))
+    def weight(self, key: PartKey) -> int:
+        return self.weights.get(key, 0)
 
     def frequent_keys(self, minimum_support: int) -> list[PartKey]:
         """Keys appearing in at least ``minimum_support`` rows, ordered by
         descending support and then by descending specificity (longer text
         first) so that the most informative patterns are examined first."""
-        keys = [
-            key
-            for key, ids in self.entries.items()
-            if len(ids) >= minimum_support
-        ]
-        keys.sort(key=lambda key: (-len(self.entries[key]), -len(key[0]), key[0], key[1]))
+        keys = [key for key, weight in self.weights.items() if weight >= minimum_support]
+        keys.sort(key=lambda key: (-self.weights[key], -len(key[0]), key[0], key[1]))
         return keys
 
-    def keys_for_rows(self, row_ids: Iterable[int]) -> dict[PartKey, int]:
-        """Histogram of part keys over the given rows (uses the row index)."""
+    def keys_for_rows(self, code_counts: Mapping[int, int]) -> dict[PartKey, int]:
+        """Histogram of part keys over a group of rows given as code → row
+        count."""
         histogram: dict[PartKey, int] = defaultdict(int)
-        for row_id in row_ids:
-            for key in self.row_parts.get(row_id, ()):
-                histogram[key] += 1
+        for code, count in code_counts.items():
+            if not count:
+                continue
+            for key in self.code_parts.get(code, ()):
+                histogram[key] += count
         return dict(histogram)
 
     @property
@@ -75,15 +85,7 @@ class AttributeIndex:
 
 
 class PatternIndex:
-    """The full inverted index over every usable attribute of a relation.
-
-    Beyond the ``(substring, position)`` inverted lists, the index fronts the
-    engine's set-at-a-time matcher for its relation: candidate *patterns*
-    (as opposed to raw parts) for one attribute are evaluated as a batch via
-    :meth:`match_patterns` — one shared-DFA scan per distinct column value
-    for the whole candidate set.  Pass the discovery-wide ``evaluator`` so
-    these matches are shared with generalization, selection, and detection.
-    """
+    """The full inverted index over every usable attribute of a relation."""
 
     def __init__(
         self,
@@ -91,19 +93,12 @@ class PatternIndex:
         profile: Optional[TableProfile] = None,
         prune_substrings: bool = True,
         prefixes_only: bool = True,
-        evaluator: Optional["PatternEvaluator"] = None,
     ):
         self.relation = relation
         self.profile = profile or profile_relation(relation)
         self.prune_substrings = prune_substrings
         self.prefixes_only = prefixes_only
-        self._evaluator = evaluator
         self._attributes: dict[str, AttributeIndex] = {}
-        self._build()
-
-    # -- construction -------------------------------------------------------
-
-    def _build(self) -> None:
         for column in self.profile.usable_columns:
             self._attributes[column] = self._build_attribute(column)
 
@@ -111,12 +106,11 @@ class PatternIndex:
         strategy = self.profile.strategy(attribute)
         dictionary = self.relation.dictionary(attribute)
         max_gram = self.profile.column(attribute).max_length
-        # Parts are a function of the cell value alone, so extract them once
-        # per *distinct* value and broadcast to rows through the codes.
-        keys_by_code: list[list[PartKey]] = []
-        for value in dictionary.values:
-            if not value:
-                keys_by_code.append([])
+        counts = dictionary.counts()
+        entries: dict[PartKey, list[int]] = defaultdict(list)
+        code_parts: dict[int, list[PartKey]] = {}
+        for code, value in enumerate(dictionary.values):
+            if not value or not counts[code]:
                 continue
             parts = extract_parts(
                 value,
@@ -124,36 +118,24 @@ class PatternIndex:
                 max_gram_length=max_gram,
                 prefixes_only=self.prefixes_only,
             )
-            seen_keys: set[PartKey] = set()
-            keys: list[PartKey] = []
-            for part in parts:
-                key = self._part_key(part)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                keys.append(key)
-            keys_by_code.append(keys)
-        entries: dict[PartKey, list[int]] = defaultdict(list)
-        row_parts: dict[int, list[PartKey]] = {}
-        for row_id, code in enumerate(dictionary.codes):
-            keys = keys_by_code[code]
+            keys = list(dict.fromkeys((part.text, part.position) for part in parts))
             if not keys:
                 continue
-            row_parts[row_id] = keys
+            code_parts[code] = keys
             for key in keys:
-                entries[key].append(row_id)
+                entries[key].append(code)
         if self.prune_substrings:
-            entries, row_parts = _prune_dominated_entries(entries, row_parts)
+            entries, code_parts = _prune_dominated_entries(entries, code_parts)
+        weights = {
+            key: sum(counts[code] for code in codes) for key, codes in entries.items()
+        }
         return AttributeIndex(
             attribute=attribute,
             strategy=strategy,
             entries=dict(entries),
-            row_parts=dict(row_parts),
+            code_parts=code_parts,
+            weights=weights,
         )
-
-    @staticmethod
-    def _part_key(part: Part) -> PartKey:
-        return (part.text, part.position)
 
     # -- lookup --------------------------------------------------------------
 
@@ -170,34 +152,6 @@ class PatternIndex:
     def frequent_keys(self, attribute: str, minimum_support: int) -> list[PartKey]:
         return self._attributes[attribute].frequent_keys(minimum_support)
 
-    # -- set-at-a-time pattern evaluation ------------------------------------
-
-    @property
-    def evaluator(self) -> "PatternEvaluator":
-        """The engine evaluator backing :meth:`match_patterns` (created
-        lazily and scoped to this index when none was supplied)."""
-        if self._evaluator is None:
-            from ..engine.evaluator import PatternEvaluator
-
-            self._evaluator = PatternEvaluator()
-        return self._evaluator
-
-    def match_patterns(self, attribute: str, patterns: Sequence) -> "ColumnMatchSet":
-        """Match a set of candidate patterns against ``attribute``'s column.
-
-        The whole set is evaluated in one pass over the distinct values
-        (shared DFA, with automatic per-pattern fallback), returning the
-        column's :class:`~repro.engine.evaluator.ColumnMatchSet` — per-
-        pattern supports and row ids come from its ``match_count`` /
-        ``matching_rows`` accessors.
-        """
-        return self.evaluator.match_column_many(
-            patterns, self.relation.dictionary(attribute)
-        )
-
-    def ids(self, attribute: str, key: PartKey) -> list[int]:
-        return self._attributes[attribute].ids(key)
-
     def total_entries(self) -> int:
         return sum(index.entry_count for index in self._attributes.values())
 
@@ -210,21 +164,21 @@ class PatternIndex:
 
 def _prune_dominated_entries(
     entries: dict[PartKey, list[int]],
-    row_parts: dict[int, list[PartKey]],
+    code_parts: dict[int, list[PartKey]],
 ) -> tuple[dict[PartKey, list[int]], dict[int, list[PartKey]]]:
     """Substring pruning (Section 4.4).
 
-    If two entries at the same position have identical tuple-id lists and one
+    If two entries at the same position have identical code lists and one
     text is a prefix of the other, the shorter one is dominated and dropped:
     the longer (more specific) entry carries strictly more information about
     the same set of rows.
     """
-    # Group by (position, tuple-id list identity).
+    # Group by (position, code list).
     by_signature: dict[tuple[int, tuple[int, ...]], list[str]] = defaultdict(list)
-    for (text, position), ids in entries.items():
-        by_signature[(position, tuple(ids))].append(text)
+    for (text, position), codes in entries.items():
+        by_signature[(position, tuple(codes))].append(text)
     dominated: set[PartKey] = set()
-    for (position, _ids), texts in by_signature.items():
+    for (position, _codes), texts in by_signature.items():
         if len(texts) < 2:
             continue
         longest = max(texts, key=len)
@@ -232,12 +186,12 @@ def _prune_dominated_entries(
             if text != longest and longest.startswith(text):
                 dominated.add((text, position))
     if not dominated:
-        return entries, row_parts
+        return entries, code_parts
     kept_entries = {
-        key: ids for key, ids in entries.items() if key not in dominated
+        key: codes for key, codes in entries.items() if key not in dominated
     }
-    kept_row_parts = {
-        row_id: [key for key in keys if key not in dominated]
-        for row_id, keys in row_parts.items()
+    kept_code_parts = {
+        code: [key for key in keys if key not in dominated]
+        for code, keys in code_parts.items()
     }
-    return kept_entries, kept_row_parts
+    return kept_entries, kept_code_parts

@@ -4,7 +4,7 @@ A relation is column-oriented: each attribute maps to a list of string cell
 values.  Every cell is a string (the pattern machinery is purely textual);
 ``None`` / missing values are stored as the empty string.  Row identity is
 positional (row ``i`` of every column belongs to tuple ``i``), matching the
-tuple-id lists used by the discovery algorithm's inverted index.
+tuple ids of the paper's algorithms.
 
 Relations are cheap to project, filter, and copy, and support the handful of
 relational operations the discovery / cleaning pipelines need.  They are not
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from ..engine.backend import NUMPY, SQL, resolve_backend
 from ..engine.dictionary import DictionaryColumn, DictionaryUpdate
@@ -475,6 +477,26 @@ class Relation:
     def active_domain(self, name: str) -> set[str]:
         """The active domain of ``name``: the set of non-empty values present."""
         return {value for value in self.column(name) if value}
+
+    def code_cooccurrence(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct dictionary-code tuples of ``names`` with their row
+        counts: an ``(n, len(names))`` int64 array sorted lexicographically,
+        and the matching int64 counts."""
+        columns = [self.dictionary(name) for name in names]
+        group = np.zeros(self.row_count, dtype=np.int64)
+        for column in columns:
+            # Re-densify after each column so the mixed-radix key stays
+            # below rows x distinct values and never overflows.
+            _, first, group, counts = np.unique(
+                group * len(column.values) + column.codes,
+                return_index=True,
+                return_inverse=True,
+                return_counts=True,
+            )
+        table = np.stack(
+            [column.codes[first] for column in columns], axis=1
+        ).astype(np.int64)
+        return table, counts.astype(np.int64)
 
     # -- convenience ---------------------------------------------------------
 

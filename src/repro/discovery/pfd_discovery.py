@@ -5,7 +5,8 @@ Pipeline, mirroring the pseudo-code:
 1. **Profile** the table; drop quantitative columns, decide tokenize vs
    n-grams per attribute (lines 1–3).
 2. **Index**: build the hash-based inverted list from ``(part, position)``
-   to tuple ids for every usable attribute (lines 5–12).
+   to dictionary codes weighted by row counts for every usable attribute
+   (lines 5–12).
 3. **Candidates**: enumerate candidate dependencies ``X -> B`` level by level
    over the attribute-set lattice (restriction (iv)).  Before any tableau
    work, each LHS set is screened against the relation's cached stripped
@@ -47,7 +48,7 @@ from ..engine.parallel import (
     merge_partition_stats,
     resolve_workers,
 )
-from ..engine.partitions import PartitionStats
+from ..engine.partitions import PartitionStats, _spans
 from ..patterns.ast import (
     ClassAtom,
     ConstrainedGroup,
@@ -57,7 +58,6 @@ from ..patterns.ast import (
 )
 from ..patterns.alphabet import CharClass
 from ..patterns.induction import induce_pattern
-from ..storage.discovery import CodeAttributeIndex, CodePatternIndex
 from .config import DiscoveryConfig
 from .generalization import generalize_tableau
 from .lattice import CandidateLattice
@@ -187,21 +187,11 @@ class PFDDiscoverer:
             # Out-of-core relations stay serial: their state is a live SQLite
             # connection that cannot be shipped to pool workers.
             return self._discover_parallel(relation, profile, workers, start)
-        # The index fronts the shared evaluator, so any candidate-pattern
-        # batches it evaluates are memoized alongside generalization's
-        # validation matches and any downstream detection on this relation.
-        # On a sql relation with single-attribute LHSes the index is kept at
-        # dictionary-code granularity (O(distinct), not O(rows)); the
-        # row-level index is the general fallback.
-        index_class = PatternIndex
-        if getattr(relation, "is_sql_backed", False) and config.max_lhs_size == 1:
-            index_class = CodePatternIndex
-        index = index_class(
+        index = PatternIndex(
             relation,
             profile=profile,
             prune_substrings=config.prune_substrings,
             prefixes_only=config.prefixes_only,
-            evaluator=self.evaluator,
         )
         attributes = self._eligible_attributes(profile)
         lattice = CandidateLattice(attributes, max_level=config.max_lhs_size)
@@ -337,7 +327,6 @@ class PFDDiscoverer:
                 profile=profile,
                 prune_substrings=config.prune_substrings,
                 prefixes_only=config.prefixes_only,
-                evaluator=self.evaluator,
             )
             index_entries = index.total_entries()
         runtime = time.perf_counter() - start
@@ -374,11 +363,7 @@ class PFDDiscoverer:
     ) -> Optional[DiscoveredDependency]:
         """Lines 13–28 of Figure 4 for one candidate dependency ``X -> B``."""
         config = self.config
-        if isinstance(index, CodePatternIndex):
-            rows, support = self._collect_constant_rows_codes(relation, index, lhs, rhs)
-        else:
-            rows, covered = self._collect_constant_rows(relation, index, lhs, rhs)
-            support = len(covered)
+        rows, support = self._collect_constant_rows(relation, index, lhs, rhs)
         if not rows:
             return None
         coverage = support / relation.row_count if relation.row_count else 0.0
@@ -422,181 +407,51 @@ class PFDDiscoverer:
         index: PatternIndex,
         lhs: tuple[str, ...],
         rhs: str,
-    ) -> tuple[list[PatternTuple], set[int]]:
-        """Walk the frequent LHS patterns and build constant tableau rows."""
+    ) -> tuple[list[PatternTuple], int]:
+        """Walk the frequent LHS patterns and build constant tableau rows.
+
+        Every row set the walk forms — a driver key's unclaimed rows, the
+        sub-groups of the other LHS attributes' keys — is a union of LHS code
+        tuples, so the walk runs on the candidate's :class:`_CodeTable` and
+        weighs tuples by their row counts.  Returns the tableau rows and the
+        number of rows they cover.
+        """
         config = self.config
         driver = self._driver_attribute(index, lhs)
+        attributes = (driver,) + tuple(attribute for attribute in lhs if attribute != driver)
+        table = _CodeTable(relation, attributes, rhs)
         driver_index = index.attribute_index(driver)
-        other_lhs = [attribute for attribute in lhs if attribute != driver]
-        collected: list[tuple[PatternTuple, list[int], int]] = []
+        collected: list[tuple[PatternTuple, np.ndarray, int, int]] = []
         frequent = driver_index.frequent_keys(config.min_support)
         frequent = frequent[: config.max_patterns_per_attribute]
-        claimed: set[int] = set()
+        claimed = np.zeros(table.size, dtype=bool)
         for key in frequent:
             if len(collected) >= config.max_tableau_rows:
                 break
-            ids = driver_index.ids(key)
-            fresh_ids = [row_id for row_id in ids if row_id not in claimed]
-            if len(fresh_ids) < config.min_support:
+            fresh = table.with_driver_codes(driver_index.codes(key))
+            fresh = fresh[~claimed[fresh]]
+            if table.weight(fresh) < config.min_support:
                 continue
-            for lhs_assignment, group_ids in self._expand_lhs(
-                relation, index, driver, key, other_lhs, fresh_ids
-            ):
-                if len(group_ids) < config.min_support:
-                    continue
-                rhs_cell = self._dominant_rhs_cell(relation, index, rhs, group_ids)
+            for lhs_assignment, group in self._expand_lhs(index, table, key, 1, fresh):
+                weight = table.weight(group)
+                rhs_cell = self._dominant_rhs_cell(
+                    relation, index, rhs, table.rhs_counts(group), weight
+                )
                 if rhs_cell is None:
                     continue
                 cells = dict(lhs_assignment)
                 cells[rhs] = rhs_cell
-                collected.append((PatternTuple.from_mapping(cells), list(group_ids), key[1]))
-                claimed.update(group_ids)
+                collected.append((PatternTuple.from_mapping(cells), group, weight, key[1]))
+                claimed[group] = True
                 if len(collected) >= config.max_tableau_rows:
                     break
         if config.positional_grouping and collected:
-            collected = self._select_dominant_position(collected, driver)
-        rows = [row for row, _ids, _pos in collected]
-        covered: set[int] = set()
-        for _row, group_ids, _pos in collected:
-            covered.update(group_ids)
-        return rows, covered
-
-    def _collect_constant_rows_codes(
-        self,
-        relation: Relation,
-        index: CodePatternIndex,
-        lhs: tuple[str, ...],
-        rhs: str,
-    ) -> tuple[list[PatternTuple], int]:
-        """:meth:`_collect_constant_rows` at dictionary-code granularity.
-
-        Single-attribute LHS only (the code index is only selected then).
-        Because every row-level step — claiming, support thresholds, pattern
-        induction, dominance counting, positional grouping — acts uniformly
-        on all rows of a code, the walk can claim whole codes and weigh them
-        by their occurrence counts; the only per-row quantity, the RHS code
-        histogram of a group, is one ``GROUP BY`` in SQLite.  Returns the
-        tableau rows plus the covered *row count* (the groups are disjoint
-        by construction, so it is the sum of the kept groups' weights).
-        """
-        config = self.config
-        driver = self._driver_attribute(index, lhs)
-        driver_index = index.attribute_index(driver)
-        driver_values = relation.dictionary(driver).values
-        counts = relation.dictionary(driver).counts()
-        collected: list[tuple[PatternTuple, int, int]] = []
-        frequent = driver_index.frequent_keys(config.min_support)
-        frequent = frequent[: config.max_patterns_per_attribute]
-        claimed: set[int] = set()
-        for key in frequent:
-            if len(collected) >= config.max_tableau_rows:
-                break
-            codes = driver_index.codes(key)
-            fresh = [code for code in codes if code not in claimed]
-            weight = sum(counts[code] for code in fresh)
-            if weight < config.min_support:
-                continue
-            driver_cell = self._lhs_cell(
-                index, driver, key, (driver_values[code] for code in fresh)
-            )
-            if driver_cell is None:
-                continue
-            rhs_cell = self._dominant_rhs_cell_codes(
-                relation, index, rhs, driver, fresh, weight
-            )
-            if rhs_cell is None:
-                continue
-            cells = {driver: driver_cell, rhs: rhs_cell}
-            collected.append((PatternTuple.from_mapping(cells), weight, key[1]))
-            claimed.update(fresh)
-        if config.positional_grouping and collected:
-            coverage_by_position: dict[int, int] = defaultdict(int)
-            for _row, weight, position in collected:
-                coverage_by_position[position] += weight
-            best_position = max(
-                coverage_by_position.items(), key=lambda item: (item[1], -item[0])
-            )[0]
-            collected = [entry for entry in collected if entry[2] == best_position]
-        rows = [row for row, _weight, _pos in collected]
-        return rows, sum(weight for _row, weight, _pos in collected)
-
-    def _dominant_rhs_cell_codes(
-        self,
-        relation: Relation,
-        index: CodePatternIndex,
-        rhs: str,
-        driver: str,
-        driver_codes: Sequence[int],
-        support: int,
-    ) -> Optional[Pattern]:
-        """:meth:`_dominant_rhs_cell` for a group given as driver codes.
-
-        The group's RHS code histogram — the only per-row information the
-        decision function consumes — is computed by SQLite as a grouped
-        co-occurrence count; dominance and the part fallback then run the
-        row-level logic on it unchanged.
-        """
-        config = self.config
-        required = config.required_rhs_agreement(support)
-        store = relation.store
-        code_counts = store.cooccurrence_counts(
-            store.column_index(driver), driver_codes, store.column_index(rhs)
-        )
-        column = relation.dictionary(rhs)
-        counts = {
-            column.values[code]: count
-            for code, count in code_counts.items()
-            if count and column.values[code]
-        }
-        if counts:
-            top_value, top_count = max(counts.items(), key=lambda item: (item[1], item[0]))
-            if top_count >= required:
-                return Pattern(tuple(Literal(char) for char in top_value))
-
-        if rhs not in index.attributes:
-            return None
-        rhs_index = index.attribute_index(rhs)
-        histogram = rhs_index.keys_for_code_counts(code_counts)
-        if not histogram:
-            return None
-        row_count = relation.row_count or 1
-        informative = {
-            key: count
-            for key, count in histogram.items()
-            if rhs_index.weight(key) / row_count < 0.8
-        }
-        if not informative:
-            return None
-        (text, position), count = max(
-            informative.items(), key=lambda item: (item[1], len(item[0][0]), item[0])
-        )
-        if count < required or not text:
-            return None
-        group = ConstrainedGroup(tuple(Literal(char) for char in text))
-        any_star = Repeat(ClassAtom(CharClass.ANY), 0, None)
-        if position > 0:
-            return Pattern((any_star, ClassAtom(CharClass.SYMBOL), group, any_star))
-        return Pattern((group, any_star))
-
-    @staticmethod
-    def _select_dominant_position(
-        collected: list[tuple[PatternTuple, list[int], int]],
-        driver: str,
-    ) -> list[tuple[PatternTuple, list[int], int]]:
-        """Single-semantics positional grouping (Section 4.4).
-
-        When the driver attribute contributed patterns from several token
-        positions (first-name tokens at position 1 *and* a few lucky
-        last-name tokens at position 0), only one semantic explanation can be
-        right; the rows whose position covers the most records are kept.
-        """
-        coverage_by_position: dict[int, int] = defaultdict(int)
-        for _row, group_ids, position in collected:
-            coverage_by_position[position] += len(group_ids)
-        best_position = max(
-            coverage_by_position.items(), key=lambda item: (item[1], -item[0])
-        )[0]
-        return [entry for entry in collected if entry[2] == best_position]
+            collected = _keep_dominant_position(collected)
+        covered = np.zeros(table.size, dtype=bool)
+        for _row, group, _weight, _position in collected:
+            covered[group] = True
+        rows = [row for row, _group, _weight, _position in collected]
+        return rows, table.weight(covered)
 
     def _driver_attribute(self, index: PatternIndex, lhs: tuple[str, ...]) -> str:
         """The LHS attribute with the most frequent patterns (Figure 4, line 15)."""
@@ -609,53 +464,47 @@ class PFDDiscoverer:
 
     def _expand_lhs(
         self,
-        relation: Relation,
         index: PatternIndex,
-        driver: str,
+        table: "_CodeTable",
         driver_key: tuple[str, int],
-        other_lhs: Sequence[str],
-        ids: Sequence[int],
-    ) -> Iterable[tuple[dict[str, Pattern], list[int]]]:
+        level: int,
+        group: np.ndarray,
+    ) -> Iterable[tuple[dict[str, Pattern], np.ndarray]]:
         """Combine the driver pattern with frequent patterns of the remaining
-        LHS attributes (the sub-table walk of Example 8)."""
+        LHS attributes (the sub-table walk of Example 8).
+
+        ``group`` holds table tuple ids; sub-groups of one driver key may
+        overlap, since one cell can carry several frequent parts.
+        """
         config = self.config
-        driver_cell = self._lhs_cell(
-            index, driver, driver_key, (relation.cell(row_id, driver) for row_id in ids)
-        )
-        if driver_cell is None:
+        if level == len(table.attributes):
+            driver = table.attributes[0]
+            driver_cell = self._lhs_cell(
+                index, driver, driver_key, table.values(0, group)
+            )
+            if driver_cell is not None:
+                yield {driver: driver_cell}, group
             return
-        if not other_lhs:
-            yield {driver: driver_cell}, list(ids)
-            return
-        attribute = other_lhs[0]
-        remaining = other_lhs[1:]
+        attribute = table.attributes[level]
         attr_index = index.attribute_index(attribute)
-        histogram = attr_index.keys_for_rows(ids)
+        histogram = attr_index.keys_for_rows(table.code_counts(level, group))
         candidates = [
             (key, count)
             for key, count in histogram.items()
             if count >= config.min_support
         ]
         candidates.sort(key=lambda item: (-item[1], -len(item[0][0]), item[0]))
-        id_set = set(ids)
         for key, _count in candidates[:50]:
-            subgroup = [row_id for row_id in attr_index.ids(key) if row_id in id_set]
-            if len(subgroup) < config.min_support:
-                continue
-            cell = self._lhs_cell(
-                index,
-                attribute,
-                key,
-                (relation.cell(row_id, attribute) for row_id in subgroup),
-            )
+            subgroup = table.with_codes(level, group, attr_index.codes(key))
+            cell = self._lhs_cell(index, attribute, key, table.values(level, subgroup))
             if cell is None:
                 continue
-            for assignment, group_ids in self._expand_lhs(
-                relation, index, driver, driver_key, remaining, subgroup
+            for assignment, leaf in self._expand_lhs(
+                index, table, driver_key, level + 1, subgroup
             ):
                 combined = dict(assignment)
                 combined[attribute] = cell
-                yield combined, group_ids
+                yield combined, leaf
 
     # -- pattern construction ------------------------------------------------------
 
@@ -668,10 +517,8 @@ class PFDDiscoverer:
     ) -> Optional[Pattern]:
         """Build the constrained LHS pattern for a frequent part key.
 
-        ``values`` are the covered cell values — per row on the row-level
-        index, per distinct code on the code-level one.  The outcome is the
-        same either way: the suffix induction below is order- and
-        multiplicity-insensitive.
+        ``values`` are the distinct cell values of the covered rows; the
+        suffix induction below is order- and multiplicity-insensitive.
         """
         text, position = key
         strategy = index.strategy(attribute)
@@ -718,28 +565,22 @@ class PFDDiscoverer:
         relation: Relation,
         index: PatternIndex,
         rhs: str,
-        ids: Sequence[int],
+        code_counts: dict[int, int],
+        support: int,
     ) -> Optional[Pattern]:
         """The decision function ``f``: find the dominant RHS pattern.
 
-        First the full values are tried (the common case: the RHS of a
-        constant PFD is a whole value such as a city or a gender); when no
-        full value is dominant enough, the most frequent RHS *part* is tried,
-        yielding a prefix/infix pattern on the RHS.
+        ``code_counts`` is the group's RHS code histogram and ``support`` its
+        row count.  First the full values are tried (the common case: the
+        RHS of a constant PFD is a whole value such as a city or a gender);
+        when no full value is dominant enough, the most frequent RHS *part*
+        is tried, yielding a prefix/infix pattern on the RHS.
         """
         config = self.config
-        support = len(ids)
         required = config.required_rhs_agreement(support)
-
-        # Dominance counting over dictionary codes: integer bincount instead
-        # of hashing one string per row of the group.
-        column = relation.dictionary(rhs)
-        group_codes = column.codes[np.asarray(ids, dtype=np.int64)]
-        code_counts = dict(enumerate(np.bincount(group_codes).tolist()))
+        values = relation.dictionary(rhs).values
         counts = {
-            column.values[code]: count
-            for code, count in code_counts.items()
-            if count and column.values[code]
+            values[code]: count for code, count in code_counts.items() if values[code]
         }
         if counts:
             top_value, top_count = max(counts.items(), key=lambda item: (item[1], item[0]))
@@ -749,7 +590,7 @@ class PFDDiscoverer:
         if rhs not in index.attributes:
             return None
         rhs_index = index.attribute_index(rhs)
-        histogram = rhs_index.keys_for_rows(ids)
+        histogram = rhs_index.keys_for_rows(code_counts)
         if not histogram:
             return None
         # Drop "ubiquitous" parts: a part carried by (almost) every row of the
@@ -760,7 +601,7 @@ class PFDDiscoverer:
         informative = {
             key: count
             for key, count in histogram.items()
-            if len(rhs_index.ids(key)) / row_count < 0.8
+            if rhs_index.weight(key) / row_count < 0.8
         }
         if not informative:
             return None
@@ -774,6 +615,93 @@ class PFDDiscoverer:
         if position > 0:
             return Pattern((any_star, ClassAtom(CharClass.SYMBOL), group, any_star))
         return Pattern((group, any_star))
+
+
+def _keep_dominant_position(
+    collected: list[tuple[PatternTuple, np.ndarray, int, int]],
+) -> list[tuple[PatternTuple, np.ndarray, int, int]]:
+    """Single-semantics positional grouping (Section 4.4).
+
+    When the driver attribute contributed patterns from several token
+    positions (first-name tokens at position 1 *and* a few lucky last-name
+    tokens at position 0), only one semantic explanation can be right; the
+    rows whose position covers the most records are kept.  Each entry is
+    ``(row, group, weight, position)``; overlapping sub-groups count once
+    per group.
+    """
+    coverage_by_position: dict[int, int] = defaultdict(int)
+    for _row, _group, weight, position in collected:
+        coverage_by_position[position] += weight
+    best_position = max(
+        coverage_by_position.items(), key=lambda item: (item[1], -item[0])
+    )[0]
+    return [entry for entry in collected if entry[3] == best_position]
+
+
+class _CodeTable:
+    """One candidate's ``(LHS…, RHS)`` code co-occurrence table.
+
+    The distinct LHS code tuples (driver first) are the walk's unit: a row
+    set is an ascending array of tuple ids, its size the sum of the tuples'
+    row counts.  Each tuple's RHS codes and counts are a contiguous slice of
+    the table, so a group's RHS histogram never touches a row.
+    """
+
+    def __init__(self, relation: Relation, attributes: tuple[str, ...], rhs: str):
+        self.attributes = attributes
+        self._values = [relation.dictionary(name).values for name in attributes]
+        codes, counts = relation.code_cooccurrence(attributes + (rhs,))
+        width = len(attributes)
+        # The table is sorted, so each LHS tuple's rows are contiguous.
+        change = np.ones(len(codes), dtype=bool)
+        change[1:] = np.any(codes[1:, :width] != codes[:-1, :width], axis=1)
+        starts = np.flatnonzero(change)
+        self.lhs = codes[starts, :width]
+        self.weights = np.add.reduceat(counts, starts)
+        self._offsets = np.append(starts, len(codes))
+        self._rhs = codes[:, width]
+        self._counts = counts
+
+    @property
+    def size(self) -> int:
+        return len(self.lhs)
+
+    def weight(self, group: np.ndarray) -> int:
+        return int(self.weights[group].sum())
+
+    def with_driver_codes(self, codes: Sequence[int]) -> np.ndarray:
+        """Tuple ids whose driver code is in ``codes`` (ascending codes)."""
+        codes = np.asarray(codes, dtype=np.int64)
+        driver = self.lhs[:, 0]
+        return _spans(
+            np.searchsorted(driver, codes), np.searchsorted(driver, codes, side="right")
+        )
+
+    def with_codes(self, level: int, group: np.ndarray, codes: Sequence[int]) -> np.ndarray:
+        """The tuples of ``group`` whose code at ``level`` is in ``codes``."""
+        member = np.zeros(len(self._values[level]), dtype=bool)
+        member[codes] = True
+        return group[member[self.lhs[group, level]]]
+
+    def code_counts(self, level: int, group: np.ndarray) -> dict[int, int]:
+        """Row count per code at ``level`` over ``group``."""
+        return _sum_by_code(self.lhs[group, level], self.weights[group])
+
+    def values(self, level: int, group: np.ndarray) -> list[str]:
+        """The distinct values at ``level`` over ``group``."""
+        values = self._values[level]
+        return [values[code] for code in np.unique(self.lhs[group, level]).tolist()]
+
+    def rhs_counts(self, group: np.ndarray) -> dict[int, int]:
+        """The group's RHS code histogram."""
+        rows = _spans(self._offsets[group], self._offsets[group + 1])
+        return _sum_by_code(self._rhs[rows], self._counts[rows])
+
+
+def _sum_by_code(codes: np.ndarray, counts: np.ndarray) -> dict[int, int]:
+    unique, inverse = np.unique(codes, return_inverse=True)
+    sums = np.bincount(inverse, weights=counts, minlength=len(unique))
+    return dict(zip(unique.tolist(), sums.astype(np.int64).tolist()))
 
 
 def discover_pfds(

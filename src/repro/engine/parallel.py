@@ -219,7 +219,6 @@ class _WorkerState:
             profile=profile,
             prune_substrings=config.prune_substrings,
             prefixes_only=config.prefixes_only,
-            evaluator=self.evaluator,
         )
         context = (discoverer, index)
         self._discovery_contexts.append((config, profile, context))

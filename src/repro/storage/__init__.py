@@ -11,19 +11,13 @@ Layout:
 ``partitions``
     :class:`SqlPartitionManager` / :class:`SqlStrippedPartition` — partition
     manager whose group-heavy primitives run as SQL ``GROUP BY`` aggregates.
-``discovery``
-    :class:`CodePatternIndex` — the inverted pattern index at dictionary-code
-    granularity used by single-LHS discovery on sql relations.
 """
 
-from .discovery import CodeAttributeIndex, CodePatternIndex
 from .partitions import SqlPartitionManager, SqlPatternState, SqlStrippedPartition
 from .relation import SqlDictionaryColumn, SqlRelation
 from .store import SqlStore
 
 __all__ = [
-    "CodeAttributeIndex",
-    "CodePatternIndex",
     "SqlDictionaryColumn",
     "SqlPartitionManager",
     "SqlPatternState",

@@ -125,8 +125,8 @@ class SqlRelation(Relation):
     """
 
     #: Feature probe for scale-sensitive callers (``getattr(...,
-    #: "is_sql_backed", False)``): discovery/detection stay serial and use
-    #: code-level indexes on sql relations.
+    #: "is_sql_backed", False)``): discovery/detection stay serial on sql
+    #: relations.
     is_sql_backed = True
     backend = SQL
 
@@ -326,6 +326,12 @@ class SqlRelation(Relation):
             for value, count in zip(self._store.values[name], self._store.counts[name])
             if value and count
         }
+
+    def code_cooccurrence(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        store = self._store
+        rows = store.code_tuple_counts([store.column_index(name) for name in names])
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(names) + 1)
+        return table[:, :-1], table[:, -1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

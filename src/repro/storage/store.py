@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sqlite3
 from array import array
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..engine.dictionary import DictionaryDelta, DictionaryUpdate
 
@@ -204,20 +204,13 @@ class SqlStore:
                 break
             yield from chunk
 
-    def cooccurrence_counts(
-        self, lhs_col: int, lhs_codes: Sequence[int], rhs_col: int, max_rid: Optional[int] = None
-    ) -> dict[int, int]:
-        """``rhs`` code histogram over the rows whose ``lhs`` code is in the set."""
-        in_sql, scratch = self.code_set_sql(f"c{lhs_col}", lhs_codes)
-        bound = f" AND rid < {int(max_rid)}" if max_rid is not None else ""
-        try:
-            cursor = self.execute(
-                f"SELECT c{rhs_col}, COUNT(*) FROM rows WHERE {in_sql}{bound} GROUP BY c{rhs_col}"
-            )
-            return dict(cursor.fetchall())
-        finally:
-            for table in scratch:
-                self.drop_table(table)
+    def code_tuple_counts(self, col_indexes: Sequence[int]) -> list[tuple[int, ...]]:
+        """Distinct code tuples of the given columns with their row counts
+        (the count last), sorted: one ``GROUP BY`` over the rows table."""
+        cols = ", ".join(f"c{int(i)}" for i in col_indexes)
+        return self.execute(
+            f"SELECT {cols}, COUNT(*) FROM rows GROUP BY {cols} ORDER BY {cols}"
+        ).fetchall()
 
     # -- mutation -------------------------------------------------------------
 

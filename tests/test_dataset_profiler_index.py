@@ -1,5 +1,7 @@
 """Tests for the column profiler and the inverted pattern index."""
 
+from collections import Counter
+
 import pytest
 
 from repro.dataset.index import PatternIndex
@@ -66,8 +68,9 @@ class TestPatternIndex:
     def test_entries_and_ids(self, mixed_relation):
         index = PatternIndex(mixed_relation)
         zip_index = index.attribute_index("zip")
-        ids = zip_index.ids(("900", 0))
-        assert len(ids) == mixed_relation.row_count
+        assert zip_index.weight(("900", 0)) == mixed_relation.row_count
+        dictionary = mixed_relation.dictionary("zip")
+        assert zip_index.codes(("900", 0)) == list(range(len(dictionary.values)))
         assert index.strategy("zip") == "ngrams"
 
     def test_quantitative_column_not_indexed(self, mixed_relation):
@@ -78,7 +81,7 @@ class TestPatternIndex:
         index = PatternIndex(mixed_relation)
         keys = index.frequent_keys("name", minimum_support=10)
         assert keys, "expected frequent name tokens"
-        supports = [len(index.ids("name", key)) for key in keys]
+        supports = [index.attribute_index("name").weight(key) for key in keys]
         assert supports == sorted(supports, reverse=True)
 
     def test_substring_pruning_keeps_most_specific(self, mixed_relation):
@@ -92,7 +95,8 @@ class TestPatternIndex:
 
     def test_keys_for_rows_histogram(self, mixed_relation):
         index = PatternIndex(mixed_relation)
-        histogram = index.attribute_index("gender").keys_for_rows([0, 1, 2, 3])
+        codes = mixed_relation.dictionary("gender").codes[:4].tolist()  # rows 0-3
+        histogram = index.attribute_index("gender").keys_for_rows(Counter(codes))
         assert histogram[("M", 0)] == 2  # rows 0 and 3
         assert histogram[("F", 0)] == 2
 
@@ -100,48 +104,8 @@ class TestPatternIndex:
         relation = Relation.from_rows(["a", "b"], [("", "x"), ("ab", "y")])
         index = PatternIndex(relation)
         if "a" in index.attributes:
-            for ids in index.attribute_index("a").entries.values():
-                assert 0 not in ids
-
-
-class TestIndexPatternMatching:
-    """The index fronts the engine's set-at-a-time matcher for candidates."""
-
-    PATTERNS = [r"{{900}}\D{2}", r"{{901}}\D{2}", r"\D{5}", r"\LU\LL*"]
-
-    def test_match_patterns_batches_the_whole_candidate_set(self, mixed_relation):
-        from repro.engine.evaluator import PatternEvaluator
-
-        evaluator = PatternEvaluator()
-        index = PatternIndex(mixed_relation, evaluator=evaluator)
-        matches = index.match_patterns("zip", self.PATTERNS)
-        distinct = mixed_relation.dictionary("zip").distinct_count
-        assert evaluator.multi_scans == distinct  # one scan per distinct value
-        from repro.patterns.matcher import compile_pattern
-
-        for pattern in self.PATTERNS:
-            assert matches.matched_mask(pattern) == [
-                compile_pattern(pattern).matches(value)
-                for value in mixed_relation.dictionary("zip").values
-            ]
-
-    def test_supports_and_rows_agree_with_direct_matching(self, mixed_relation):
-        from repro.patterns.matcher import compile_pattern
-
-        index = PatternIndex(mixed_relation)
-        matches = index.match_patterns("zip", self.PATTERNS)
-        for pattern in self.PATTERNS:
-            compiled = compile_pattern(pattern)
-            expected = [
-                row_id
-                for row_id in range(mixed_relation.row_count)
-                if compiled.matches(mixed_relation.cell(row_id, "zip"))
-            ]
-            assert matches.matching_rows(pattern) == expected
-            assert matches.match_count(pattern) == len(expected)
-
-    def test_lazily_created_evaluator_is_scoped_to_the_index(self, mixed_relation):
-        index = PatternIndex(mixed_relation)
-        assert index.evaluator is index.evaluator  # stable instance
-        index.match_patterns("zip", self.PATTERNS[:2])
-        assert index.evaluator.multi_scans > 0
+            empty = relation.dictionary("a").code_of("")
+            attr_index = index.attribute_index("a")
+            for codes in attr_index.entries.values():
+                assert empty not in codes
+            assert empty not in attr_index.code_parts

@@ -213,20 +213,24 @@ def test_index_build_extracts_once_per_distinct_value(monkeypatch):
 
 
 def test_index_contents_identical_to_per_row_build():
-    """The dictionary-encoded build must produce exactly the seed's entries."""
+    """The dictionary-encoded build must index exactly the rows a per-row
+    build would: each key's codes expand to the rows whose cell carries it."""
     relation = _duplicated_relation(copies=3)
     index = PatternIndex(relation)
     for attribute in index.attributes:
         attr_index = index.attribute_index(attribute)
         dictionary = relation.dictionary(attribute)
-        for key, ids in attr_index.entries.items():
-            assert ids == sorted(ids)
-            for row_id in ids:
-                text, _position = key
+        counts = dictionary.counts()
+        for key, codes in attr_index.entries.items():
+            assert codes == sorted(codes)
+            text, _position = key
+            rows = [r for r in range(relation.row_count) if dictionary.codes[r] in codes]
+            for row_id in rows:
                 assert text in dictionary.value_of_row(row_id)
-        for row_id, keys in attr_index.row_parts.items():
+            assert attr_index.weight(key) == len(rows) == sum(counts[c] for c in codes)
+        for code, keys in attr_index.code_parts.items():
             for key in keys:
-                assert row_id in attr_index.entries[key]
+                assert code in attr_index.entries[key]
 
 
 # --------------------------------------------------------------------------

@@ -108,14 +108,15 @@ class TestMatchColumnMany:
     def test_set_queries_broadcast_through_codes(self):
         column = _column()
         match_set = PatternEvaluator().match_column_many(PATTERNS, column)
-        compiled = compile_pattern(PATTERNS[0])
-        expected_rows = [
-            row_id
-            for row_id, code in enumerate(column.codes)
-            if compiled.matches(column.values[code])
-        ]
-        assert match_set.matching_rows(PATTERNS[0]) == expected_rows
-        assert match_set.match_count(PATTERNS[0]) == len(expected_rows)
+        for pattern in PATTERNS:
+            compiled = compile_pattern(pattern)
+            expected_rows = [
+                row_id
+                for row_id, code in enumerate(column.codes)
+                if compiled.matches(column.values[code])
+            ]
+            assert match_set.matching_rows(pattern) == expected_rows
+            assert match_set.match_count(pattern) == len(expected_rows)
         assert set(match_set.matching_patterns(column.code_of("90001"))) == {
             compile_pattern(r"{{900}}\D{2}")
         }
