@@ -9,17 +9,23 @@ what every mutation used to pay before delta maintenance — dropping the
 touched caches wholesale and re-detecting over the entire table with cold
 dictionaries, masks, and partitions.
 
-Asserted (the PR's acceptance criterion):
+Asserted:
 
 * one full update cycle (apply the dirty batch, scope-detect, apply the
   restoring batch, scope-detect) is at least **3×** faster than the
   equivalent two wholesale re-detects, and
 * the scoped reports are exact: the dirty half flags precisely the injected
   violations and the restoring half comes back clean.
+
+A second benchmark records the latency of a one-row update +
+``detect_changed`` at 12k / 48k / 192k rows (× ``--repro-scale``): with
+delta maintenance it should stay near flat as the table grows.  Only the
+reports' exactness is asserted; the per-size p50 goes to ``extra_info``.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.cleaning.detector import ErrorDetector
@@ -161,3 +167,36 @@ def _timed(callable_):
     start = time.perf_counter()
     result = callable_()
     return time.perf_counter() - start, result
+
+
+def test_bench_single_row_update_latency_sweep(benchmark, repro_scale):
+    """p50 of one-row update + ``detect_changed`` per table size.
+
+    Each timed op writes one row: a wrong city for its zip (the report must
+    flag exactly that row), then the original city back (the report must be
+    clean).  Flatness across sizes is recorded, not asserted.
+    """
+    sizes = [max(600, int(size * repro_scale)) for size in (12000, 48000, 192000)]
+    for row_count in sizes:
+        rows = _build_rows(row_count)
+        session = CleaningSession(Relation.from_rows(_COLUMNS, rows, name="wide"), workers=1)
+        assert len(session.detect(_PFDS)) == 0, "the base table must start clean"
+
+        def one_row_cycle(row_id):
+            city = rows[row_id][1]
+            wrong_city = "San Francisco" if city != "San Francisco" else "Denver"
+            timings = []
+            for value, flagged in ((wrong_city, {row_id}), (city, set())):
+                start = time.perf_counter()
+                session.apply(MutationBatch.update_cells([(row_id, "city", value)]))
+                report = session.detect_changed(_PFDS)
+                timings.append(time.perf_counter() - start)
+                assert {error.cell.row_id for error in report.errors} == flagged
+            return timings
+
+        timings = [
+            seconds for i in range(60) for seconds in one_row_cycle((i * 7919) % row_count)
+        ]
+        p50_ms = statistics.median(timings) * 1e3
+        benchmark.extra_info[f"p50_ms_{row_count}_rows"] = round(p50_ms, 4)
+    benchmark.pedantic(one_row_cycle, args=(0,), rounds=3, iterations=1)

@@ -196,10 +196,10 @@ class Relation:
 
         Built lazily on first use; :meth:`append_rows` and :meth:`apply`
         (so also ``set_cell`` / ``delete_rows``) hand the dictionary deltas
-        to it, and it patches the cached leaf classes of the touched
-        attributes positionally — moved and appended rows are deleted from
-        and inserted into the class arrays, never regrouped from the code
-        vector — mirroring the dictionary cache.  The manager object itself
+        to it, and each cached leaf of a touched attribute queues them
+        until its next read patches its classes positionally — moved and
+        appended rows are deleted from and inserted into the class arrays,
+        never regrouped from the code vector.  The manager object itself
         is stable across mutations, so its hit/miss statistics describe the
         relation's whole lifetime.
         """
@@ -249,12 +249,13 @@ class Relation:
         :class:`~repro.engine.dictionary.DictionaryColumn` is extended in
         place (fresh codes for unseen values, row lists patched) and the
         resulting per-column deltas are routed to the stripped-partition
-        cache, which inserts the appended rows into its cached leaf classes
+        cache, which queues the appended rows on its cached leaves until
+        their next read
         (:meth:`~repro.engine.partitions.PartitionManager.extend`) and marks
-        memoized intersections for a lazy refresh.  Downstream consumers keyed on the dictionary
-        objects' identity (the pattern evaluator's memoized masks) observe
-        the growth and extend themselves lazily.  An empty batch is a no-op
-        (no version bump).
+        memoized intersections for a lazy refresh.  Downstream consumers
+        keyed on the dictionary objects' identity (the pattern evaluator's
+        memoized masks) observe the growth and extend themselves lazily.  An
+        empty batch is a no-op (no version bump).
         """
         normalized = [self._normalize_row(row) for row in rows]
         start = self.row_count
@@ -288,8 +289,8 @@ class Relation:
         (which dropped the attribute's dictionary and partitions wholesale),
         the engine caches are now *patched* in place: the dictionary object
         survives — so the evaluator's memoized per-distinct-value masks stay
-        valid — and the partition cache moves the row between the touched
-        attribute's cached classes.
+        valid — and the partition cache queues the row's move between the
+        touched attribute's cached classes until their next read.
         Writing the value the cell already holds is a no-op (no version
         bump).
         """
@@ -315,9 +316,9 @@ class Relation:
         cell changes.  Cached engine state is delta-maintained, not
         dropped — dictionaries patch their code vectors in place
         (:meth:`~repro.engine.dictionary.DictionaryColumn.update_rows`, so
-        memoized evaluator masks survive), the cached partition classes of
-        the touched attributes are patched for the moved rows
-        (:meth:`~repro.engine.partitions.PartitionManager.apply_update`),
+        memoized evaluator masks survive), the cached partition leaves of
+        the touched attributes queue the moved rows for a patch on their
+        next read (:meth:`~repro.engine.partitions.PartitionManager.apply_update`),
         and appended rows ride the existing :meth:`append_rows` extend path.
         """
         if not isinstance(batch, MutationBatch):

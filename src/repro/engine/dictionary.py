@@ -72,13 +72,16 @@ class DictionaryDelta:
         """The appended row ids."""
         return range(self.start_row, self.start_row + len(self.appended_codes))
 
-    def code_changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, old_codes, new_codes)`` int64 arrays, rows ascending; an
-        appended row had no code before, so its old code is ``-1``."""
+    def code_changes(self) -> np.ndarray:
+        """A ``(3, n)`` int64 block stacking ``(rows, old_codes,
+        new_codes)``, rows ascending; an appended row had no code before, so
+        its old code is ``-1``."""
         count = len(self.appended_codes)
-        rows = np.arange(self.start_row, self.start_row + count, dtype=np.int64)
-        new_codes = np.asarray(self.appended_codes, dtype=np.int64).reshape(count)
-        return rows, np.full(count, -1, dtype=np.int64), new_codes
+        block = np.empty((3, count), dtype=np.int64)
+        block[0] = np.arange(self.start_row, self.start_row + count)
+        block[1] = -1
+        block[2] = self.appended_codes
+        return block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,10 +110,10 @@ class DictionaryUpdate:
         """The updated row ids, ascending."""
         return tuple(assignment[0] for assignment in self.assignments)
 
-    def code_changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, old_codes, new_codes)`` int64 arrays, rows ascending."""
-        table = np.asarray(self.assignments, dtype=np.int64).reshape(-1, 3)
-        return table[:, 0], table[:, 1], table[:, 2]
+    def code_changes(self) -> np.ndarray:
+        """A ``(3, n)`` int64 block stacking ``(rows, old_codes,
+        new_codes)``, rows ascending."""
+        return np.asarray(self.assignments, dtype=np.int64).reshape(-1, 3).T
 
     def __bool__(self) -> bool:
         return bool(self.assignments)

@@ -61,43 +61,53 @@ hand it out.
 Delta maintenance
 -----------------
 
-Mutations do not invalidate this cache — they *patch* it.  Batch ingestion
-(:meth:`repro.dataset.relation.Relation.append_rows`) routes the per-column
-:class:`~repro.engine.dictionary.DictionaryDelta` records through
+Mutations do not invalidate this cache — they *queue* patches on it.  Batch
+ingestion (:meth:`repro.dataset.relation.Relation.append_rows`) routes the
+per-column :class:`~repro.engine.dictionary.DictionaryDelta` records through
 :meth:`PartitionManager.extend`, and cell overwrites / deletes
 (:meth:`repro.dataset.relation.Relation.apply`) route their
 :class:`~repro.engine.dictionary.DictionaryUpdate` records through
 :meth:`PartitionManager.apply_update`.  Both then
 
-* patch every cached leaf of a touched attribute
-  (:meth:`~PartitionManager.refresh_attribute`,
-  :meth:`~PartitionManager.refresh_pattern`).  Each leaf keeps, next to
-  its ``(rowids, offsets)`` snapshot, a per-key row count and smallest
-  member (the key is the code for an attribute leaf, a stable
-  constrained-component id for a pattern leaf, whose state first matches
-  only the distinct values seen since the last refresh).  The delta's
-  ``(row, old code, new code)`` triples become key moves: a moved row is
-  deleted from its old class — a class left with one row dissolves — and
-  inserted at its sorted position in its new class; a former singleton and
-  an incoming row form a new class placed by its smallest member, and a
-  class whose smallest member changed is re-seated.  The edits land in one
-  batched ``np.delete``/``np.insert`` per array (class rows, class sizes,
-  covered rows); a probe array built on the old snapshot is carried over by
-  shifting its class indices in one pass and rewriting the moved rows.  A
-  refresh therefore costs ``O(delta log rows)`` index work plus one copy of
-  the arrays — the full regroup runs only as the cold build;
-* mark every memoized **intersection** over a refreshed leaf as *stale*:
-  the next request refreshes it by re-running the product over the
-  refreshed leaf classes (cost ``O(||π||)``, never a regroup of raw rows),
-  so mutations themselves stay O(touched leaves) and entries a workload
+* queue the delta's ``(row, old code, new code)`` triples on every cached
+  leaf of a touched attribute, and nothing more.  Once the queued triples
+  outnumber twice the largest queued delta, the queue composes into one
+  block — per row the first old code and the last new code — so it holds
+  ``O(distinct queued rows)`` triples and queueing costs amortized
+  ``O(delta log pending)``.  A leaf whose distinct queued rows reach the
+  relation's row count is dropped instead: its cold rebuild costs no more
+  than the patch;
+* patch a leaf on its first read afterwards (inside
+  :meth:`~PartitionManager.attribute_partition` /
+  :meth:`~PartitionManager.pattern_partition`): the queue composes into one
+  net change per row and the cached classes take it in one positional
+  patch, so a leaf nobody reads between mutations costs no patch at all.
+  Each leaf keeps, next to its ``(rowids, offsets)`` snapshot, a per-key row
+  count and smallest member (the key is the code for an attribute leaf, a
+  stable constrained-component id for a pattern leaf, whose state first
+  matches only the distinct values seen since its last patch).  The net
+  changes become key moves: a moved row is deleted from its old class — a
+  class left with one row dissolves — and inserted at its sorted position
+  in its new class; a former singleton and an incoming row form a new class
+  placed by its smallest member, and a class whose smallest member changed
+  is re-seated.  The edits land in one batched ``np.delete``/``np.insert``
+  per array (class rows, class sizes, covered rows); a probe array built on
+  the old snapshot is carried over by shifting its class indices in one
+  pass and rewriting the moved rows.  A patch therefore costs
+  ``O(delta log rows)`` index work plus one copy of the arrays — the full
+  regroup runs only as the cold build;
+* mark every memoized **intersection** over a touched leaf as *stale*: the
+  next request refreshes it by re-running the product over the patched
+  leaf classes (cost ``O(||π||)``, never a regroup of raw rows), so
+  mutations themselves stay O(touched leaves) and entries a workload
   stopped reading cost nothing; entries it cannot refresh (no delta
   available for the column) are dropped and rebuilt cold on demand.
 
 Every patch yields fresh arrays, so partitions handed out earlier stay
 valid snapshots.  The patched partitions are bit-identical — classes, class
 order, covered rows, row counts and probe arrays — to what a from-scratch
-rebuild would produce, which the incremental-append and CRUD property tests
-pin.
+rebuild would produce, which the incremental-append, CRUD and deferral
+property tests pin.
 """
 
 from __future__ import annotations
@@ -260,6 +270,75 @@ def _splice(
     if len(values):
         array = np.insert(array, insert_at, values)
     return array
+
+
+class _ChangeQueue:
+    """Code changes queued on one cached leaf until its next read.
+
+    Changes arrive as ``(3, n)`` int64 blocks stacking ``(rows, old_codes,
+    new_codes)``, rows ascending and unique within a block.  The queue keeps
+    a composed *base* block — one net change per row, rows ascending — plus
+    a *tail* buffer that blocks are copied into in mutation order (grown
+    geometrically, so queueing allocates no object per block).  Once the
+    tail holds more rows than the base and more than one block, both are
+    composed into a new base (:meth:`compose`).  The queue therefore never
+    holds more than twice its distinct rows, and a queued row is re-sorted
+    an amortized ``O(log pending)`` times.
+    """
+
+    __slots__ = ("base", "tail", "tail_rows", "tail_blocks")
+
+    def __init__(self) -> None:
+        self.base = np.empty((3, 0), dtype=np.int64)
+        self.tail = np.empty((3, 0), dtype=np.int64)
+        self.tail_rows = 0
+        self.tail_blocks = 0
+
+    @property
+    def size(self) -> int:
+        """Rows held (a row queued twice counts twice)."""
+        return self.base.shape[1] + self.tail_rows
+
+    def push(self, block: np.ndarray, row_count: int) -> bool:
+        """Queue ``block``; False when the distinct queued rows reach
+        ``row_count`` (patching then costs no less than a cold build)."""
+        start, stop = self.tail_rows, self.tail_rows + block.shape[1]
+        if stop > self.tail.shape[1]:
+            grown = np.empty((3, max(stop, 2 * self.tail.shape[1])), dtype=np.int64)
+            grown[:, :start] = self.tail[:, :start]
+            self.tail = grown
+        self.tail[:, start:stop] = block
+        self.tail_rows = stop
+        self.tail_blocks += 1
+        if (self.tail_blocks > 1 and stop > self.base.shape[1]) or self.size >= row_count:
+            self.base = self.compose()
+            self.tail_rows = self.tail_blocks = 0
+        return self.size < row_count
+
+    def compose(self) -> np.ndarray:
+        """The net change of every queued block: per row the old code of its
+        first change and the new code of its last, rows ascending."""
+        tail = self.tail[:, : self.tail_rows]
+        if not self.tail_blocks:
+            return self.base
+        if not self.base.shape[1] and self.tail_blocks == 1:
+            return tail.copy()
+        stacked = np.concatenate((self.base, tail), axis=1)
+        # Stable: equal rows stay in mutation order (the base is oldest).
+        stacked = stacked[:, np.argsort(stacked[0], kind="stable")]
+        rows = stacked[0]
+        first = np.empty(len(rows), dtype=bool)
+        first[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        last = np.empty(len(rows), dtype=bool)
+        last[:-1] = first[1:]
+        last[-1] = True
+        composed = stacked[:, first]
+        composed[2] = stacked[2, last]
+        return composed
+
+    def __bool__(self) -> bool:
+        return self.size > 0
 
 
 class StrippedPartition:
@@ -549,7 +628,13 @@ class PartitionKey:
 
 @dataclasses.dataclass
 class PartitionStats:
-    """Cache-effectiveness counters of one :class:`PartitionManager`."""
+    """Cache-effectiveness counters of one :class:`PartitionManager`.
+
+    The ``*_extends`` / ``*_updates`` counters count deltas *absorbed* — one
+    per cached leaf per mutation that queued it — not patches executed: a
+    leaf read once after many mutations is patched once but counted once per
+    mutation.
+    """
 
     attribute_hits: int = 0
     attribute_misses: int = 0
@@ -557,13 +642,14 @@ class PartitionStats:
     pattern_misses: int = 0
     intersection_hits: int = 0
     intersection_misses: int = 0
-    #: Cached partitions refreshed by :meth:`PartitionManager.extend`
-    #: (delta maintenance instead of a cache drop).
+    #: Cached leaves that queued an append delta in
+    #: :meth:`PartitionManager.extend` (delta maintenance instead of a cache
+    #: drop); ``intersection_refreshes`` counts stale products recomputed.
     attribute_extends: int = 0
     pattern_extends: int = 0
     intersection_refreshes: int = 0
-    #: Cached partitions refreshed by :meth:`PartitionManager.apply_update`
-    #: (cell overwrites / deletes maintained as deltas instead of the old
+    #: Cached leaves that queued a cell-overwrite / delete delta in
+    #: :meth:`PartitionManager.apply_update` (instead of the old
     #: per-attribute cache drop).
     attribute_updates: int = 0
     pattern_updates: int = 0
@@ -605,15 +691,23 @@ class _LeafGroups:
     (``-1`` when none), so a key with ``counts[k] >= 2`` owns the stripped
     class whose smallest member is ``first[k]`` and a key with
     ``counts[k] == 1`` is the singleton ``first[k]``.  The cold build
-    (:meth:`build`) regroups the whole code vector; every later mutation is
-    a positional patch of the class arrays (:meth:`refresh`).
+    (:meth:`build`) regroups the whole code vector; later mutations are
+    queued in :attr:`pending` and applied as one positional patch of the
+    class arrays on the next read (:meth:`flush`).
     """
 
-    __slots__ = ("counts", "first")
+    __slots__ = ("counts", "first", "pending")
 
     def __init__(self) -> None:
         self.counts = np.zeros(0, dtype=np.int64)
         self.first = np.zeros(0, dtype=np.int64)
+        self.pending = _ChangeQueue()
+
+    def flush(self, partition: StrippedPartition, column: DictionaryColumn) -> StrippedPartition:
+        """``partition`` patched for every queued change, as one net patch."""
+        rows, old_codes, new_codes = self.pending.compose()
+        self.pending = _ChangeQueue()
+        return self.refresh(partition, column, rows, old_codes, new_codes)
 
     def row_keys(self, column: DictionaryColumn, codes: np.ndarray) -> np.ndarray:
         """The group key of each code in ``codes`` (``-1`` stays ``-1``)."""
@@ -648,10 +742,12 @@ class _LeafGroups:
         self,
         partition: StrippedPartition,
         column: DictionaryColumn,
-        change: Union[DictionaryDelta, DictionaryUpdate],
+        rows: np.ndarray,
+        old_codes: np.ndarray,
+        new_codes: np.ndarray,
     ) -> StrippedPartition:
-        """``partition`` patched for one dictionary delta or update."""
-        rows, old_codes, new_codes = change.code_changes()
+        """``partition`` patched for the net code changes of ``rows``
+        (ascending)."""
         return self._patch(
             partition,
             rows,
@@ -855,7 +951,7 @@ class _PatternGroups(_LeafGroups):
     The key of a code is the id of its distinct value's extracted
     constrained part (``-1`` = uncovered), in ``component_ids``; ids are
     handed out in first-seen order and never renumber.  Dictionary codes
-    never renumber either, so a refresh only matches the values first seen
+    never renumber either, so a flush only matches the values first seen
     since the last :meth:`sync` before patching the classes.
     """
 
@@ -906,12 +1002,13 @@ class PartitionManager:
     """Build, cache, and intersect stripped partitions for one relation.
 
     Obtained via :meth:`repro.dataset.relation.Relation.partitions`; the
-    relation refreshes the affected entries on mutation — batch ingestion
-    routes the per-column dictionary deltas through :meth:`extend`, cell
-    overwrites and deletes route their dictionary updates through
-    :meth:`apply_update` — so a served partition always reflects the
-    current rows.  Counters in :attr:`stats` survive invalidation — they
-    describe the manager's whole lifetime.
+    relation hands every mutation to it — batch ingestion routes the
+    per-column dictionary deltas through :meth:`extend`, cell overwrites and
+    deletes route their dictionary updates through :meth:`apply_update` —
+    and each cached leaf queues them until its next read patches it, so a
+    served partition always reflects the current rows.  Counters in
+    :attr:`stats` survive invalidation — they describe the manager's whole
+    lifetime.
     """
 
     def __init__(self, relation: "Relation"):
@@ -947,6 +1044,10 @@ class PartitionManager:
         cached = self._attribute.get(attribute)
         if cached is not None:
             self.stats.attribute_hits += 1
+            groups = self._attribute_groups[attribute]
+            if groups.pending:
+                cached = groups.flush(cached, self._relation.dictionary(attribute))
+                self._attribute[attribute] = cached
             return cached
         self.stats.attribute_misses += 1
         column = self._relation.dictionary(attribute)
@@ -988,6 +1089,13 @@ class PartitionManager:
         cached = self._pattern.get(key)
         if cached is not None:
             self.stats.pattern_hits += 1
+            state = self._pattern_groups[key]
+            if state.pending:
+                # Match the distinct values gained while queued, then patch.
+                column = self._relation.dictionary(key.attribute)
+                state.sync(column, key.pattern)
+                cached = state.flush(cached, column)
+                self._pattern[key] = cached
             return cached
         self.stats.pattern_misses += 1
         evaluator = evaluator or default_evaluator()
@@ -1055,45 +1163,29 @@ class PartitionManager:
     # -- delta maintenance ---------------------------------------------------
 
     def extend(self, deltas: Mapping[str, DictionaryDelta]) -> None:
-        """Refresh every cached partition for a batch of appended rows.
+        """Queue a batch of appended rows on every cached partition.
 
         ``deltas`` maps attribute names to the
         :class:`~repro.engine.dictionary.DictionaryDelta` their dictionary
         returned from the in-place extend (missing attributes had no cached
         dictionary — their partitions, if any, are dropped and rebuilt on
-        demand).  Leaf partitions are refreshed in place; memoized
-        intersections are marked stale and refreshed on next request by the
-        partition product over the refreshed leaf classes, reusing the
-        level-wise prefix descent.  Partition *objects* are never mutated —
-        each cache slot receives a fresh snapshot, so partitions handed out
-        before the append keep describing the old rows.
+        demand).  An append touches every attribute: each cached leaf queues
+        its delta and is patched on its next read; memoized intersections
+        are marked stale and refreshed on next request by the partition
+        product over the patched leaf classes, reusing the level-wise prefix
+        descent.  Partition *objects* are never mutated — each cache slot
+        receives a fresh snapshot, so partitions handed out before the
+        append keep describing the old rows.
         """
-        for attribute in list(self._attribute):
-            if attribute in deltas:
-                self.refresh_attribute(attribute, deltas[attribute])
-                self.stats.attribute_extends += 1
-            else:
-                self._drop_attribute(attribute)
-        for key in list(self._pattern):
-            if key.attribute in deltas:
-                self.refresh_pattern(key, deltas[key.attribute])
-                self.stats.pattern_extends += 1
-            else:
-                self._drop_pattern(key)
-        # Intersections go stale, not cold: entries whose leaves were all
-        # refreshed are recomputed lazily — the next request re-runs the
-        # partition product over the refreshed leaf classes (the memoized
-        # prefix descent refreshes stale prefixes on the way).  Appending is
-        # therefore O(refreshed leaves), never O(cached intersections), and
-        # entries a workload stopped reading cost nothing.
-        candidates = set(self._intersections) | self._stale_intersections
-        self._stale_intersections = {
-            key_set for key_set in candidates if all(self._has_leaf(key) for key in key_set)
-        }
-        self._intersections.clear()
+        attributes, patterns = self._absorb(
+            {name: delta.code_changes() for name, delta in deltas.items()},
+            set(self._relation.attribute_names),
+        )
+        self.stats.attribute_extends += attributes
+        self.stats.pattern_extends += patterns
 
     def apply_update(self, updates: Mapping[str, DictionaryUpdate]) -> None:
-        """Refresh every cached partition for a batch of cell overwrites.
+        """Queue a batch of cell overwrites on every cached partition.
 
         ``updates`` maps attribute names to the
         :class:`~repro.engine.dictionary.DictionaryUpdate` their dictionary
@@ -1103,66 +1195,67 @@ class PartitionManager:
         (which touches every attribute), an update touches only the listed
         attributes, so partitions of untouched attributes — and every
         memoized intersection whose leaves all avoid the updated attributes
-        — stay cached as-is.  Touched leaves are refreshed; intersections
+        — stay cached as-is.  Touched leaves queue the update; intersections
         touching an updated attribute go stale and refresh lazily from the
-        refreshed leaves, exactly like an append.
+        patched leaves, exactly like an append.
         """
-        touched = {name for name, update in updates.items() if update}
-        if not touched:
+        changes = {name: update.code_changes() for name, update in updates.items() if update}
+        if not changes:
             return
-        for attribute in touched:
-            if attribute in self._attribute:
-                self.refresh_attribute(attribute, updates[attribute])
-                self.stats.attribute_updates += 1
-        for key in list(self._pattern):
-            if key.attribute in touched:
-                self.refresh_pattern(key, updates[key.attribute])
-                self.stats.pattern_updates += 1
+        attributes, patterns = self._absorb(changes, set(changes))
+        self.stats.attribute_updates += attributes
+        self.stats.pattern_updates += patterns
+
+    def _absorb(
+        self,
+        changes: Mapping[str, np.ndarray],
+        touched: set[str],
+    ) -> tuple[int, int]:
+        """Queue ``changes`` (per attribute, the ``(3, n)`` code-change block
+        of :meth:`~repro.engine.dictionary.DictionaryUpdate.code_changes`) on
+        the cached leaves of the ``touched`` attributes and mark the
+        intersections over them stale.
+
+        A touched leaf without a change, or whose distinct queued rows reach
+        the row count, is dropped.  Returns how many attribute and pattern
+        leaves queued a change.
+        """
+        row_count = self._relation.row_count
+
+        def queued(state: _LeafGroups, attribute: str) -> bool:
+            block = changes.get(attribute)
+            return block is not None and state.pending.push(block, row_count)
+
+        attributes = patterns = 0
+        for attribute in [name for name in self._attribute if name in touched]:
+            if queued(self._attribute_groups[attribute], attribute):
+                attributes += 1
+            else:
+                self._drop_attribute(attribute)
+        for key in [key for key in self._pattern if key.attribute in touched]:
+            if queued(self._pattern_groups[key], key.attribute):
+                patterns += 1
+            else:
+                self._drop_pattern(key)
+        # Intersections go stale, not cold: entries whose leaves all survived
+        # are recomputed lazily — the next request re-runs the partition
+        # product over the patched leaf classes (the memoized prefix descent
+        # refreshes stale prefixes on the way).  Mutating is therefore
+        # O(touched leaves), never O(cached intersections), and entries a
+        # workload stopped reading cost nothing.
         survivors: dict[frozenset[PartitionKey], StrippedPartition] = {}
         for key_set, partition in self._intersections.items():
-            if all(key.attribute not in touched for key in key_set):
-                survivors[key_set] = partition
-            else:
+            if any(key.attribute in touched for key in key_set):
                 self._stale_intersections.add(key_set)
+            else:
+                survivors[key_set] = partition
         self._intersections = survivors
         self._stale_intersections = {
             key_set
             for key_set in self._stale_intersections
-            if key_set not in self._intersections
-            and all(self._has_leaf(key) or key.attribute not in touched for key in key_set)
+            if all(self._has_leaf(key) or key.attribute not in touched for key in key_set)
         }
-
-    def refresh_attribute(
-        self, attribute: str, change: Union[DictionaryDelta, DictionaryUpdate]
-    ) -> StrippedPartition:
-        """Replace the cached attribute partition with a snapshot of the
-        current rows: the cached classes patched for ``change`` (the
-        attribute's dictionary delta or update) — bit-identical to a cold
-        build."""
-        column = self._relation.dictionary(attribute)
-        partition = self._attribute_groups[attribute].refresh(
-            self._attribute[attribute], column, change
-        )
-        self._attribute[attribute] = partition
-        return partition
-
-    def refresh_pattern(
-        self, key: PartitionKey, change: Union[DictionaryDelta, DictionaryUpdate]
-    ) -> StrippedPartition:
-        """Replace one cached pattern-projected partition with a snapshot of
-        the current rows.
-
-        Only the distinct values the column gained since the build are
-        matched against the pattern (``O(new distinct)`` match calls —
-        revived tombstone codes already have their component); the cached
-        classes are then patched for ``change`` like an attribute leaf's.
-        """
-        state = self._pattern_groups[key]
-        column = self._relation.dictionary(key.attribute)
-        state.sync(column, key.pattern)
-        partition = state.refresh(self._pattern[key], column, change)
-        self._pattern[key] = partition
-        return partition
+        return attributes, patterns
 
     def _has_leaf(self, key: PartitionKey) -> bool:
         if key.pattern is None:

@@ -254,7 +254,8 @@ class SqlStrippedPartition(StrippedPartition):
 class SqlAttributeState(_LeafGroups):
     """Attribute-partition state of the sql backend: every build and
     refresh is a fresh spec snapshot (new rid bound, re-checked empty code)
-    over rows the store already holds, so SQLite regroups on demand."""
+    over rows the store already holds, so SQLite regroups on demand and the
+    queued code changes are not needed."""
 
     __slots__ = ("store",)
 
@@ -272,7 +273,7 @@ class SqlAttributeState(_LeafGroups):
             where += f" AND r.c{col} != {empty_code}"
         return SqlStrippedPartition.build(store, "rows r", where, f"r.c{col}", max_rid)
 
-    def refresh(self, partition, column, change) -> SqlStrippedPartition:
+    def refresh(self, partition, column, rows, old_codes, new_codes) -> SqlStrippedPartition:
         return self.build(column)
 
 
@@ -312,7 +313,7 @@ class SqlPatternState(_PatternGroups):
             max_rid,
         )
 
-    def refresh(self, partition, column, change) -> "SqlStrippedPartition":
+    def refresh(self, partition, column, rows, old_codes, new_codes) -> "SqlStrippedPartition":
         return self.build(column)
 
 
@@ -321,8 +322,9 @@ class SqlPartitionManager(PartitionManager):
 
     Cache keys, hit/miss/refresh counters, intersection memoization, and
     the snapshot contract are all inherited; only the leaf states change.
-    A refreshed leaf is a fresh spec snapshot over rows the store already
-    holds (no class arrays to patch), so SQLite regroups on demand.
+    A leaf flushed on its first read after mutations is a fresh spec
+    snapshot over rows the store already holds (no class arrays to patch),
+    so SQLite regroups on demand and leaves nobody reads build no spec.
     """
 
     def __init__(self, relation: SqlRelation):

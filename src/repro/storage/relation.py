@@ -258,8 +258,8 @@ class SqlRelation(Relation):
         down to SQLite, and returns the effective
         :class:`~repro.engine.dictionary.DictionaryUpdate` per attribute.
         Cached wrappers are patched in place so evaluator masks survive;
-        the inherited :meth:`Relation.apply` then re-snapshots the touched
-        partition specs.
+        the inherited :meth:`Relation.apply` then marks the touched
+        partition specs for a fresh snapshot on their next read.
         """
         results = self._store.update_rows(assignments)
         updates = {name: update for name, update in results.items() if update}
