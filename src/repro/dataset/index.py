@@ -25,9 +25,14 @@ pruning compares code lists.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 from collections import defaultdict
 from typing import Mapping, Optional
 
+import numpy as np
+
+from ..engine.partitions import _offsets_of, _spans
 from .profiler import TableProfile, profile_relation
 from .relation import Relation
 from .tokenizer import extract_parts
@@ -35,6 +40,36 @@ from .tokenizer import extract_parts
 
 #: Key of an index entry: the partial value and the position it occupies.
 PartKey = tuple[str, int]
+
+#: A part carried by at least this share of a column's rows is *ubiquitous*
+#: (the "St" of a street column, a shared unit suffix): it says nothing about
+#: a dependency and would otherwise make every LHS pattern appear to
+#: determine the column.  The other parts are *informative*.
+UBIQUITOUS_SHARE = 0.8
+
+
+@dataclasses.dataclass(frozen=True)
+class PartIncidence:
+    """Code → informative part ids, as CSR.
+
+    ``keys`` lists the informative parts in ascending ``(len(text), key)``
+    order, so among parts of equal count the highest part id is the most
+    specific one — the tie-break of the decision function's part fallback.
+    ``parts[offsets[code]:offsets[code + 1]]`` are the part ids a code's
+    value carries; codes past the end of ``offsets`` carry none.
+    """
+
+    keys: list[PartKey]
+    offsets: np.ndarray
+    parts: np.ndarray
+
+    def expand(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One ``(position in codes, part id)`` pair per part of each code."""
+        limit = len(self.offsets) - 1
+        starts = self.offsets[np.minimum(codes, limit)]
+        stops = self.offsets[np.minimum(codes + 1, limit)]
+        positions = np.repeat(np.arange(len(codes), dtype=np.int64), stops - starts)
+        return positions, self.parts[_spans(starts, stops)]
 
 
 @dataclasses.dataclass
@@ -44,8 +79,8 @@ class AttributeIndex:
     ``entries`` maps ``(text, position)`` to the ascending codes whose value
     carries that part; ``code_parts`` maps a code to its keys; ``weights``
     holds each key's total row count (the length of Figure 4's tuple-id
-    list).  Codes with no rows left (values updated or deleted away) are not
-    indexed.
+    list); ``row_count`` is the relation's row count at build time.  Codes
+    with no rows left (values updated or deleted away) are not indexed.
     """
 
     attribute: str
@@ -53,6 +88,10 @@ class AttributeIndex:
     entries: dict[PartKey, list[int]]
     code_parts: dict[int, list[PartKey]]
     weights: dict[PartKey, int]
+    row_count: int
+    _frequent: dict[int, list[PartKey]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def codes(self, key: PartKey) -> list[int]:
         return self.entries.get(key, [])
@@ -63,10 +102,34 @@ class AttributeIndex:
     def frequent_keys(self, minimum_support: int) -> list[PartKey]:
         """Keys appearing in at least ``minimum_support`` rows, ordered by
         descending support and then by descending specificity (longer text
-        first) so that the most informative patterns are examined first."""
-        keys = [key for key, weight in self.weights.items() if weight >= minimum_support]
-        keys.sort(key=lambda key: (-self.weights[key], -len(key[0]), key[0], key[1]))
+        first) so that the most informative patterns are examined first.
+
+        Memoized per ``minimum_support``; callers must not mutate the list.
+        """
+        keys = self._frequent.get(minimum_support)
+        if keys is None:
+            keys = [key for key, weight in self.weights.items() if weight >= minimum_support]
+            keys.sort(key=lambda key: (-self.weights[key], -len(key[0]), key[0], key[1]))
+            self._frequent[minimum_support] = keys
         return keys
+
+    @functools.cached_property
+    def informative_parts(self) -> PartIncidence:
+        """The code → informative-part incidence (see :data:`UBIQUITOUS_SHARE`)."""
+        row_count = self.row_count or 1
+        keys = sorted(
+            (key for key, weight in self.weights.items() if weight / row_count < UBIQUITOUS_SHARE),
+            key=lambda key: (len(key[0]), key),
+        )
+        code_lists = [self.entries[key] for key in keys]
+        codes = np.fromiter(itertools.chain.from_iterable(code_lists), dtype=np.int64)
+        parts = np.repeat(np.arange(len(keys), dtype=np.int64), [len(c) for c in code_lists])
+        width = int(codes.max()) + 1 if len(codes) else 0
+        return PartIncidence(
+            keys=keys,
+            offsets=_offsets_of(np.bincount(codes, minlength=width)),
+            parts=parts[np.argsort(codes, kind="stable")],
+        )
 
     def keys_for_rows(self, code_counts: Mapping[int, int]) -> dict[PartKey, int]:
         """Histogram of part keys over a group of rows given as code → row
@@ -135,6 +198,7 @@ class PatternIndex:
             entries=dict(entries),
             code_parts=code_parts,
             weights=weights,
+            row_count=self.relation.row_count,
         )
 
     # -- lookup --------------------------------------------------------------

@@ -484,19 +484,27 @@ class Relation:
         counts: an ``(n, len(names))`` int64 array sorted lexicographically,
         and the matching int64 counts."""
         columns = [self.dictionary(name) for name in names]
-        group = np.zeros(self.row_count, dtype=np.int64)
-        for column in columns:
-            # Re-densify after each column so the mixed-radix key stays
-            # below rows x distinct values and never overflows.
-            _, first, group, counts = np.unique(
-                group * len(column.values) + column.codes,
-                return_index=True,
-                return_inverse=True,
-                return_counts=True,
-            )
-        table = np.stack(
-            [column.codes[first] for column in columns], axis=1
-        ).astype(np.int64)
+        # One sort per column after the first: each pass keys the previous
+        # pass's dense tuple ids by the next column's codes.  The keys grow
+        # in lexicographic tuple order, and re-densifying before every
+        # intermediate pass keeps them below rows x distinct values, so they
+        # never overflow.  The last pass returns only counts; the tuples are
+        # decoded back through each pass's keys by divmod.
+        radices = [len(column.values) for column in columns[1:]]
+        key = columns[0].codes.astype(np.int64)
+        seen = []
+        for radix, column in zip(radices[:-1], columns[1:-1]):
+            distinct, key = np.unique(key * radix + column.codes, return_inverse=True)
+            seen.append(distinct)
+        if radices:
+            key = key * radices[-1] + columns[-1].codes
+        key, counts = np.unique(key, return_counts=True)
+        table = np.empty((len(key), len(columns)), dtype=np.int64)
+        for position in range(len(columns) - 1, 0, -1):
+            key, table[:, position] = np.divmod(key, radices[position - 1])
+            if position > 1:
+                key = seen[position - 2][key]
+        table[:, 0] = key
         return table, counts.astype(np.int64)
 
     # -- convenience ---------------------------------------------------------

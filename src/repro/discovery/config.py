@@ -17,8 +17,9 @@ values used in Section 5 of the paper:
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from ..exceptions import DiscoveryError
 
@@ -73,7 +74,7 @@ class DiscoveryConfig:
             return self.noise_ratio
         return self.generalization_noise_ratio
 
-    def required_rhs_agreement(self, support: int) -> int:
+    def required_rhs_agreement(self, support: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
         """Minimum number of supporting records whose RHS must agree with the
         dominant pattern for the decision function ``f`` of the paper to
         accept the pattern pair.
@@ -84,9 +85,13 @@ class DiscoveryConfig:
         dominant pattern must additionally be a strict majority, so tiny
         groups cannot be decided by a tie (Example 8: K=2 finds no
         single-attribute PFD because every 2-record group splits 1–1).
+
+        ``support`` may be an int or an integer ndarray of group sizes; the
+        result has the same shape.
         """
-        allowed = math.ceil(self.noise_ratio * support) if self.noise_ratio > 0 else 0
-        return max(support // 2 + 1, support - allowed)
+        allowed = np.ceil(self.noise_ratio * np.asarray(support)).astype(np.int64)
+        required = np.maximum(support // 2 + 1, support - allowed)
+        return required if isinstance(support, np.ndarray) else int(required)
 
     def with_overrides(self, **kwargs) -> "DiscoveryConfig":
         """A copy with selected fields replaced (dataclasses.replace wrapper)."""

@@ -28,6 +28,7 @@ Pipeline, mirroring the pseudo-code:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from collections import defaultdict
@@ -37,7 +38,7 @@ import numpy as np
 
 from ..core.pfd import PFD
 from ..core.tableau import PatternTableau, PatternTuple
-from ..dataset.index import PatternIndex
+from ..dataset.index import PartIncidence, PatternIndex
 from ..dataset.profiler import TableProfile, profile_relation
 from ..dataset.relation import Relation
 from ..engine.evaluator import PatternEvaluator
@@ -413,29 +414,34 @@ class PFDDiscoverer:
         Every row set the walk forms — a driver key's unclaimed rows, the
         sub-groups of the other LHS attributes' keys — is a union of LHS code
         tuples, so the walk runs on the candidate's :class:`_CodeTable` and
-        weighs tuples by their row counts.  Returns the tableau rows and the
-        number of rows they cover.
+        weighs tuples by their row counts.  Each level's key groups are formed
+        as one :class:`_KeyBatch`; the innermost level's groups are the walk's
+        leaves, screened in one vectorized pass (:meth:`_CodeTable.admissible`)
+        so only leaves that can pass the decision function take the exact
+        path.  Returns the tableau rows and the number of rows they cover.
         """
         config = self.config
         driver = self._driver_attribute(index, lhs)
         attributes = (driver,) + tuple(attribute for attribute in lhs if attribute != driver)
         table = _CodeTable(relation, attributes, rhs)
-        driver_index = index.attribute_index(driver)
-        collected: list[tuple[PatternTuple, np.ndarray, int, int]] = []
-        frequent = driver_index.frequent_keys(config.min_support)
+        frequent = index.attribute_index(driver).frequent_keys(config.min_support)
         frequent = frequent[: config.max_patterns_per_attribute]
+        batch = self._key_batch(index, table, 0, np.arange(table.size), frequent)
+        collected: list[tuple[PatternTuple, np.ndarray, int, int]] = []
         claimed = np.zeros(table.size, dtype=bool)
-        for key in frequent:
+        for position, key in enumerate(frequent):
             if len(collected) >= config.max_tableau_rows:
                 break
-            fresh = table.with_driver_codes(driver_index.codes(key))
+            if not batch.admitted[position]:
+                continue
+            fresh = batch.group(position)
             fresh = fresh[~claimed[fresh]]
             if table.weight(fresh) < config.min_support:
                 continue
             for lhs_assignment, group in self._expand_lhs(index, table, key, 1, fresh):
                 weight = table.weight(group)
                 rhs_cell = self._dominant_rhs_cell(
-                    relation, index, rhs, table.rhs_counts(group), weight
+                    relation, index, rhs, *table.rhs_counts(group), weight
                 )
                 if rhs_cell is None:
                     continue
@@ -443,6 +449,10 @@ class PFDDiscoverer:
                 cells[rhs] = rhs_cell
                 collected.append((PatternTuple.from_mapping(cells), group, weight, key[1]))
                 claimed[group] = True
+                # A claim shrinks the unclaimed rows of every driver key that
+                # shares a tuple with it, so a verdict the screen formed on
+                # the key's full group no longer holds for them.
+                batch.readmit(group)
                 if len(collected) >= config.max_tableau_rows:
                     break
         if config.positional_grouping and collected:
@@ -474,7 +484,9 @@ class PFDDiscoverer:
         LHS attributes (the sub-table walk of Example 8).
 
         ``group`` holds table tuple ids; sub-groups of one driver key may
-        overlap, since one cell can carry several frequent parts.
+        overlap, since one cell can carry several frequent parts.  Claims do
+        not shrink the sub-groups of one driver key, so the screen's verdicts
+        on a parent group's innermost sub-keys hold for the whole expansion.
         """
         config = self.config
         if level == len(table.attributes):
@@ -486,16 +498,21 @@ class PFDDiscoverer:
                 yield {driver: driver_cell}, group
             return
         attribute = table.attributes[level]
-        attr_index = index.attribute_index(attribute)
-        histogram = attr_index.keys_for_rows(table.code_counts(level, group))
+        histogram = index.attribute_index(attribute).keys_for_rows(
+            table.code_counts(level, group)
+        )
         candidates = [
             (key, count)
             for key, count in histogram.items()
             if count >= config.min_support
         ]
         candidates.sort(key=lambda item: (-item[1], -len(item[0][0]), item[0]))
-        for key, _count in candidates[:50]:
-            subgroup = table.with_codes(level, group, attr_index.codes(key))
+        keys = [key for key, _count in candidates[:50]]
+        batch = self._key_batch(index, table, level, group, keys)
+        for position, key in enumerate(keys):
+            if not batch.admitted[position]:
+                continue
+            subgroup = batch.group(position)
             cell = self._lhs_cell(index, attribute, key, table.values(level, subgroup))
             if cell is None:
                 continue
@@ -505,6 +522,39 @@ class PFDDiscoverer:
                 combined = dict(assignment)
                 combined[attribute] = cell
                 yield combined, leaf
+
+    def _key_batch(
+        self,
+        index: PatternIndex,
+        table: "_CodeTable",
+        level: int,
+        group: np.ndarray,
+        keys: Sequence[tuple[str, int]],
+    ) -> "_KeyBatch":
+        """The groups of ``keys`` (parts of the LHS attribute at ``level``)
+        within ``group``; screened when ``level`` is the innermost, whose
+        groups are the walk's leaves."""
+        attr_index = index.attribute_index(table.attributes[level])
+        key_ids, tuple_ids = table.split(level, group, [attr_index.codes(key) for key in keys])
+        verdicts = None
+        if level == len(table.attributes) - 1:
+            verdicts = self._screen(index, table, key_ids, tuple_ids, len(keys))
+        return _KeyBatch(key_ids, tuple_ids, len(keys), verdicts)
+
+    def _screen(
+        self,
+        index: PatternIndex,
+        table: "_CodeTable",
+        key_ids: np.ndarray,
+        tuple_ids: np.ndarray,
+        count: int,
+    ) -> np.ndarray:
+        """Per leaf group, whether it can pass the decision function ``f``."""
+        rhs = table.rhs
+        incidence = (
+            index.attribute_index(rhs).informative_parts if rhs in index.attributes else None
+        )
+        return table.admissible(key_ids, tuple_ids, count, self.config, incidence)
 
     # -- pattern construction ------------------------------------------------------
 
@@ -565,50 +615,43 @@ class PFDDiscoverer:
         relation: Relation,
         index: PatternIndex,
         rhs: str,
-        code_counts: dict[int, int],
+        codes: np.ndarray,
+        counts: np.ndarray,
         support: int,
     ) -> Optional[Pattern]:
         """The decision function ``f``: find the dominant RHS pattern.
 
-        ``code_counts`` is the group's RHS code histogram and ``support`` its
-        row count.  First the full values are tried (the common case: the
-        RHS of a constant PFD is a whole value such as a city or a gender);
-        when no full value is dominant enough, the most frequent RHS *part*
-        is tried, yielding a prefix/infix pattern on the RHS.
+        ``codes`` and ``counts`` are the group's RHS code histogram and
+        ``support`` its row count.  First the full non-empty values are tried
+        (the common case: the RHS of a constant PFD is a whole value such as
+        a city or a gender); when no full value is dominant enough, the most
+        frequent informative RHS *part* is tried (ties go to the longer
+        text), yielding a prefix/infix pattern on the RHS.
         """
         config = self.config
         required = config.required_rhs_agreement(support)
         values = relation.dictionary(rhs).values
-        counts = {
-            values[code]: count for code, count in code_counts.items() if values[code]
-        }
-        if counts:
-            top_value, top_count = max(counts.items(), key=lambda item: (item[1], item[0]))
+        full = [
+            (count, values[code])
+            for code, count in zip(codes.tolist(), counts.tolist())
+            if values[code]
+        ]
+        if full:
+            top_count, top_value = max(full)
             if top_count >= required:
                 return Pattern(tuple(Literal(char) for char in top_value))
 
         if rhs not in index.attributes:
             return None
-        rhs_index = index.attribute_index(rhs)
-        histogram = rhs_index.keys_for_rows(code_counts)
-        if not histogram:
+        incidence = index.attribute_index(rhs).informative_parts
+        positions, parts = incidence.expand(codes)
+        histogram = np.bincount(parts, weights=counts[positions], minlength=len(incidence.keys))
+        top = histogram.max() if len(histogram) else 0
+        if top < required:
             return None
-        # Drop "ubiquitous" parts: a part carried by (almost) every row of the
-        # whole column (the "St" of a street column, a shared unit suffix)
-        # says nothing about the dependency and would otherwise make every
-        # LHS pattern appear to determine the RHS.
-        row_count = relation.row_count or 1
-        informative = {
-            key: count
-            for key, count in histogram.items()
-            if rhs_index.weight(key) / row_count < 0.8
-        }
-        if not informative:
-            return None
-        (text, position), count = max(
-            informative.items(), key=lambda item: (item[1], len(item[0][0]), item[0])
-        )
-        if count < required or not text:
+        # Part ids ascend by (length, key), so the last top-count part wins.
+        text, position = incidence.keys[np.flatnonzero(histogram == top)[-1]]
+        if not text:
             return None
         group = ConstrainedGroup(tuple(Literal(char) for char in text))
         any_star = Repeat(ClassAtom(CharClass.ANY), 0, None)
@@ -649,7 +692,12 @@ class _CodeTable:
 
     def __init__(self, relation: Relation, attributes: tuple[str, ...], rhs: str):
         self.attributes = attributes
+        self.rhs = rhs
         self._values = [relation.dictionary(name).values for name in attributes]
+        rhs_dictionary = relation.dictionary(rhs)
+        self._rhs_radix = len(rhs_dictionary.values)
+        empty = rhs_dictionary.code_of("")
+        self._rhs_empty = -1 if empty is None else empty
         codes, counts = relation.code_cooccurrence(attributes + (rhs,))
         width = len(attributes)
         # The table is sorted, so each LHS tuple's rows are contiguous.
@@ -669,19 +717,24 @@ class _CodeTable:
     def weight(self, group: np.ndarray) -> int:
         return int(self.weights[group].sum())
 
-    def with_driver_codes(self, codes: Sequence[int]) -> np.ndarray:
-        """Tuple ids whose driver code is in ``codes`` (ascending codes)."""
-        codes = np.asarray(codes, dtype=np.int64)
-        driver = self.lhs[:, 0]
-        return _spans(
-            np.searchsorted(driver, codes), np.searchsorted(driver, codes, side="right")
-        )
-
-    def with_codes(self, level: int, group: np.ndarray, codes: Sequence[int]) -> np.ndarray:
-        """The tuples of ``group`` whose code at ``level`` is in ``codes``."""
-        member = np.zeros(len(self._values[level]), dtype=bool)
-        member[codes] = True
-        return group[member[self.lhs[group, level]]]
+    def split(
+        self, level: int, group: np.ndarray, code_lists: Sequence[Sequence[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(key id, tuple id)`` pairs: for each ``code_lists[k]``, the tuples
+        of ``group`` whose code at ``level`` is in it, ordered by key id and
+        then tuple id (``group`` is ascending; each list holds distinct codes)."""
+        sizes = [len(codes) for codes in code_lists]
+        codes = np.fromiter(itertools.chain.from_iterable(code_lists), dtype=np.int64)
+        key_ids = np.repeat(np.arange(len(code_lists), dtype=np.int64), sizes)
+        order = np.argsort(codes, kind="stable")
+        codes, key_ids = codes[order], key_ids[order]
+        tuple_codes = self.lhs[group, level]
+        starts = np.searchsorted(codes, tuple_codes)
+        stops = np.searchsorted(codes, tuple_codes, side="right")
+        tuple_ids = np.repeat(group, stops - starts)
+        key_ids = key_ids[_spans(starts, stops)]
+        order = np.argsort(key_ids, kind="stable")
+        return key_ids[order], tuple_ids[order]
 
     def code_counts(self, level: int, group: np.ndarray) -> dict[int, int]:
         """Row count per code at ``level`` over ``group``."""
@@ -692,10 +745,110 @@ class _CodeTable:
         values = self._values[level]
         return [values[code] for code in np.unique(self.lhs[group, level]).tolist()]
 
-    def rhs_counts(self, group: np.ndarray) -> dict[int, int]:
-        """The group's RHS code histogram."""
+    def rhs_counts(self, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The group's RHS code histogram: ascending codes and row counts."""
         rows = _spans(self._offsets[group], self._offsets[group + 1])
-        return _sum_by_code(self._rhs[rows], self._counts[rows])
+        codes, inverse = np.unique(self._rhs[rows], return_inverse=True)
+        return codes, np.bincount(inverse, weights=self._counts[rows]).astype(np.int64)
+
+    def admissible(
+        self,
+        key_ids: np.ndarray,
+        tuple_ids: np.ndarray,
+        count: int,
+        config: DiscoveryConfig,
+        incidence: Optional[PartIncidence],
+    ) -> np.ndarray:
+        """The admissible screen: per group ``0..count-1`` (given as
+        ``(group id, tuple id)`` pairs), whether it can pass the decision
+        function ``f`` at all.
+
+        A group of weight ``w`` is kept when ``w >= min_support`` and its best
+        count ``b >= required_rhs_agreement(w)``, where ``b`` is the larger of
+        its top count over non-empty full RHS values and its top count over
+        informative RHS parts (``incidence``; ``None`` when the RHS has no
+        index).  This is a necessary condition for acceptance, never a
+        heuristic: :meth:`PFDDiscoverer._dominant_rhs_cell` accepts a group
+        only when its top non-empty full value reaches the required agreement
+        or, failing that, its top informative part does — and each of those
+        counts is at most ``b``.  The weight condition mirrors the walk's own
+        ``min_support`` check.  So a rejected group would have been rejected
+        by the exact path, and skipping it changes no output.
+
+        The verdict is about the group as given.  Inside one driver key's
+        expansion the groups never change.  A driver key's group does shrink
+        when another key claims some of its tuples, and a subset can pass
+        where the whole group failed, so the walk re-admits
+        (:meth:`_KeyBatch.readmit`) exactly the keys whose tuples a claim
+        touched and sends them down the exact path.  An untouched key's
+        unclaimed rows are still its whole group, so its verdict stands.
+        """
+        weights = np.bincount(
+            key_ids, weights=self.weights[tuple_ids], minlength=count
+        ).astype(np.int64)
+        # Each group's RHS histogram as (group, RHS code) cells.
+        starts, stops = self._offsets[tuple_ids], self._offsets[tuple_ids + 1]
+        rows = _spans(starts, stops)
+        cells, inverse = np.unique(
+            np.repeat(key_ids, stops - starts) * self._rhs_radix + self._rhs[rows],
+            return_inverse=True,
+        )
+        cell_counts = np.bincount(inverse, weights=self._counts[rows])
+        groups, codes = np.divmod(cells, self._rhs_radix)
+        best = np.zeros(count)
+        full = codes != self._rhs_empty
+        np.maximum.at(best, groups[full], cell_counts[full])
+        if incidence is not None:
+            positions, parts = incidence.expand(codes)
+            width = len(incidence.keys)
+            part_cells, inverse = np.unique(
+                groups[positions] * width + parts, return_inverse=True
+            )
+            np.maximum.at(
+                best, part_cells // width, np.bincount(inverse, weights=cell_counts[positions])
+            )
+        return (weights >= config.min_support) & (
+            best >= config.required_rhs_agreement(weights)
+        )
+
+
+class _KeyBatch:
+    """The groups of one walk level's keys within one parent group.
+
+    ``group(k)`` is key ``k``'s ascending tuple ids.  ``admitted[k]`` says
+    whether the walk evaluates key ``k``: every key of an unscreened batch;
+    in a screened one (``verdicts`` given), the keys the admissible screen
+    kept plus those a later claim re-admitted.
+    """
+
+    def __init__(
+        self,
+        key_ids: np.ndarray,
+        tuple_ids: np.ndarray,
+        count: int,
+        verdicts: Optional[np.ndarray] = None,
+    ):
+        self._bounds = np.searchsorted(key_ids, np.arange(count + 1))
+        self._key_ids = key_ids
+        self._tuple_ids = tuple_ids
+        self._screened = verdicts is not None
+        self.admitted = verdicts if self._screened else np.ones(count, dtype=bool)
+        self._by_tuple: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def group(self, position: int) -> np.ndarray:
+        return self._tuple_ids[self._bounds[position] : self._bounds[position + 1]]
+
+    def readmit(self, tuples: np.ndarray) -> None:
+        """Re-admit every key whose group holds one of ``tuples``."""
+        if not self._screened:
+            return
+        if self._by_tuple is None:
+            order = np.argsort(self._tuple_ids, kind="stable")
+            self._by_tuple = (self._tuple_ids[order], self._key_ids[order])
+        sorted_tuples, keys = self._by_tuple
+        starts = np.searchsorted(sorted_tuples, tuples)
+        stops = np.searchsorted(sorted_tuples, tuples, side="right")
+        self.admitted[keys[_spans(starts, stops)]] = True
 
 
 def _sum_by_code(codes: np.ndarray, counts: np.ndarray) -> dict[int, int]:
