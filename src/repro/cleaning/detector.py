@@ -15,7 +15,7 @@ from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
 from ..constraints.base import CellRef, Violation
-from ..core.pfd import PFD, prime_for_pfds, prime_partitions_for_pfds
+from ..core.pfd import PFD, RowScope, prime_for_pfds, prime_partitions_for_pfds
 from ..dataset.relation import Relation
 from ..engine.evaluator import PatternEvaluator
 from ..engine.parallel import (
@@ -147,7 +147,7 @@ class ErrorDetector:
         precedence over ``since_row``; an empty set yields an empty report.
         """
         if changed_rows is not None:
-            changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
+            changed_rows = RowScope.of(changed_rows)
         workers = resolve_workers(self.workers)
         # Out-of-core relations stay serial: their state is a live SQLite
         # connection that cannot be shipped to pool workers.

@@ -133,9 +133,7 @@ def inject_errors(
         if not pool:
             pool = [f"ERR_{index:04d}" for index in range(max(error_count, 16))]
 
-    candidate_rows = [
-        row_id for row_id in range(row_count) if target.cell(row_id, attribute)
-    ]
+    candidate_rows = target.non_empty_rows(attribute)
     rng.shuffle(candidate_rows)
     chosen = sorted(candidate_rows[:error_count])
 

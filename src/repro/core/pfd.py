@@ -60,6 +60,21 @@ from ..storage.partitions import SqlStrippedPartition
 from .tableau import CellSpec, PatternTableau, PatternTuple, Wildcard
 
 
+class RowScope(tuple):
+    """A ``changed_rows`` scope in normal form: unique row ids, ascending.
+
+    :meth:`PFD.violations` normalizes whatever iterable it receives; a scope
+    already in this form — the detector builds one per report and hands it
+    to every PFD — passes through as is.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, rows: Iterable[int]) -> "RowScope":
+        return rows if isinstance(rows, cls) else cls(sorted(set(map(int, rows))))
+
+
 def gather_tableau_patterns(pfds: Iterable["PFD"]) -> dict[str, list[Pattern]]:
     """Per attribute, the patterns that evaluating ``pfds`` will match.
 
@@ -214,7 +229,7 @@ def variable_class_violations(
     :class:`~repro.constraints.base.ClassCells`; only the suspects — every
     row outside the majority bucket — become ``CellRef``s.
     """
-    sizes = np.diff(offsets)
+    sizes = offsets[1:] - offsets[:-1]
     class_count = len(sizes)
     if class_count == 0:
         return []
@@ -222,7 +237,7 @@ def variable_class_violations(
     class_ids = None
     found: list[tuple[int, int, Violation]] = []
     for position, (buckets, codes) in enumerate(rhs):
-        row_buckets = buckets.ids[codes]
+        row_buckets = buckets.ids.take(codes)
         disagree = row_buckets != np.repeat(row_buckets[offsets[:-1]], sizes)
         if not disagree.any():
             continue
@@ -509,7 +524,7 @@ class PFD:
         """
         relation.schema.validate_attributes(self.attributes())
         if changed_rows is not None:
-            changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
+            changed_rows = RowScope.of(changed_rows)
             if not changed_rows:
                 return []
         evaluator = prime_for_pfds(relation, (self,), evaluator)
@@ -666,33 +681,19 @@ class PFD:
             return self._variable_row_violations_sql(
                 relation, row, evaluator, partition, since_row, changed_rows
             )
-        # A ``changed_rows`` scope restricts the scan to the touched classes
-        # before any per-row work happens: the probe array maps the changed
-        # ids straight to their classes and the class row arrays are
-        # gathered for just those classes — O(changed-class rows) instead of
-        # O(stripped rows), which is what makes a small update batch cheap
-        # against a large table.
-        rowids, offsets = partition.class_arrays()
-        if len(offsets) <= 1:
-            return []
+        # A ``changed_rows`` scope restricts the scan to the classes that
+        # currently contain a changed row before any per-row RHS work
+        # happens: the RHS codes are gathered for just those classes'
+        # rows, and every tableau row over the same partition shares the
+        # one scope (see ``StrippedPartition.classes_containing``).
         if changed_rows is not None:
-            # A class is in scope iff it currently contains a changed row:
-            # probe the changed ids to class indices (-1 = singleton).
-            probe = partition.probe_array()
-            changed = np.asarray(changed_rows, dtype=np.int64)
-            changed = changed[changed < len(probe)]
-            touched = np.unique(probe[changed])
-            touched = touched[touched >= 0]
-            if touched.size == 0:
-                return []
-            rowids = np.concatenate(
-                [rowids[offsets[index]:offsets[index + 1]] for index in touched.tolist()]
-            )
-            offsets = np.concatenate(
-                ([0], np.cumsum((offsets[touched + 1] - offsets[touched])))
-            )
+            rowids, offsets = partition.classes_containing(changed_rows)
             # The scope already picked the classes; recency plays no part.
             since_row = 0
+        else:
+            rowids, offsets = partition.class_arrays()
+        if len(offsets) <= 1:
+            return []
         rhs = []
         for attribute in self.rhs:
             column = relation.dictionary(attribute)

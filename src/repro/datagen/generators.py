@@ -152,11 +152,7 @@ def _dirty(
     """Corrupt ``rate`` of the non-empty cells of one column, returning the
     map from corrupted cell to its original value."""
     errors: dict[CellRef, str] = {}
-    candidates = [
-        row_id
-        for row_id in range(relation.row_count)
-        if relation.cell(row_id, attribute)
-    ]
+    candidates = relation.non_empty_rows(attribute)
     count = int(round(rate * relation.row_count))
     if count == 0 or not candidates:
         return errors

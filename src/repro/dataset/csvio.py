@@ -81,13 +81,12 @@ def read_csv(
         width = max(len(row) for row in data_rows)
         header = [f"column_{i + 1}" for i in range(width)]
 
-    schema = Schema(header, name=inferred_name)
-    relation = Relation(schema)
-    relation.append_rows(
-        (list(row) + [""] * (len(header) - len(row)))[: len(header)]
-        for row in data_rows
+    # Transpose the padded / truncated rows, so each column is encoded once.
+    width = len(header)
+    columns = zip(
+        *(row if len(row) == width else (row + [""] * width)[:width] for row in data_rows)
     )
-    return relation
+    return Relation(Schema(header, name=inferred_name), dict(zip(header, columns)))
 
 
 def _read_csv_sql(

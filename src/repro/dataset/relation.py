@@ -1,7 +1,9 @@
 """The :class:`Relation` — the library's in-memory table.
 
-A relation is column-oriented: each attribute maps to a list of string cell
-values.  Every cell is a string (the pattern machinery is purely textual);
+A relation is column-oriented: each attribute is stored as one
+:class:`~repro.engine.dictionary.DictionaryColumn` — its distinct string
+values plus one integer code per row — and cells are decoded through it on
+read.  Every cell is a string (the pattern machinery is purely textual);
 ``None`` / missing values are stored as the empty string.  Row identity is
 positional (row ``i`` of every column belongs to tuple ``i``), matching the
 tuple ids of the paper's algorithms.
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 import numpy as np
 
 from ..engine.backend import NUMPY, SQL, resolve_backend
-from ..engine.dictionary import DictionaryColumn, DictionaryUpdate
+from ..engine.dictionary import DictionaryColumn, DictionaryDelta, DictionaryUpdate
 from ..engine.partitions import PartitionManager
 from ..exceptions import ReproError, SchemaError
 from .mutations import (
@@ -44,6 +46,10 @@ def _normalize_cell(value: object) -> str:
     if isinstance(value, str):
         return value
     return str(value)
+
+
+#: Rows per block when :meth:`Relation.iter_rows` decodes its columns.
+_DECODE_ROWS = 4096
 
 
 class Relation:
@@ -76,20 +82,38 @@ class Relation:
         columns: Optional[Mapping[str, Sequence[str]]] = None,
         backend: Optional[str] = None,
     ):
-        self.schema = schema
-        self._columns: dict[str, list[str]] = {
-            name: list(columns[name]) if columns and name in columns else []
-            for name in schema.attribute_names
-        }
-        lengths = {len(column) for column in self._columns.values()}
+        columns = columns or {}
+        self._install(
+            schema,
+            {
+                name: DictionaryColumn.from_values(columns.get(name, ()), attribute=name)
+                for name in schema.attribute_names
+            },
+        )
+
+    def _install(self, schema: Schema, dictionaries: Mapping[str, DictionaryColumn]) -> None:
+        lengths = {dictionary.row_count for dictionary in dictionaries.values()}
         if len(lengths) > 1:
             raise SchemaError(f"columns have differing lengths: {sorted(lengths)}")
-        self._dictionaries: dict[str, DictionaryColumn] = {}
+        self.schema = schema
+        self._dictionaries: dict[str, DictionaryColumn] = {
+            name: dictionaries[name] for name in schema.attribute_names
+        }
         self._partitions: Optional[PartitionManager] = None
         self._version = 0
         self._deleted: set[int] = set()
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_dictionaries(
+        cls, schema: Schema, dictionaries: Mapping[str, DictionaryColumn]
+    ) -> "Relation":
+        """An in-memory relation whose columns are ``dictionaries`` (one per
+        attribute, equal row counts), installed as they are."""
+        relation = Relation.__new__(Relation)
+        relation._install(schema, dictionaries)
+        return relation
 
     @classmethod
     def from_rows(
@@ -142,7 +166,7 @@ class Relation:
     @property
     def row_count(self) -> int:
         first = self.schema.attribute_names[0]
-        return len(self._columns[first])
+        return self._dictionaries[first].row_count
 
     @property
     def version(self) -> int:
@@ -169,27 +193,22 @@ class Relation:
         return self.row_count
 
     def column(self, name: str) -> list[str]:
-        """The full column ``name`` (a direct reference, do not mutate)."""
-        self.schema.position(name)
-        return self._columns[name]
+        """The full column ``name``, decoded into a fresh list."""
+        return self.dictionary(name).decode()
 
     def dictionary(self, name: str) -> DictionaryColumn:
-        """The dictionary encoding of column ``name``.
+        """The dictionary encoding of column ``name`` — the column's storage.
 
-        Built lazily on first use and cached; :meth:`append_rows` *extends*
-        the cached object in place and :meth:`apply` (so also ``set_cell`` /
-        ``delete_rows``) *patches* its code vector, so the returned object
-        always reflects the current column contents.  Everything downstream
-        (the pattern index, PFD validation, error detection) keys its
-        memoized per-distinct-value work on the returned object's identity —
-        which both appends and updates deliberately preserve.
+        :meth:`append_rows` *extends* it in place and :meth:`apply` (so also
+        ``set_cell`` / ``delete_rows``) *patches* its code vector, so the
+        returned object always reflects the current column contents.
+        Everything downstream (the pattern index, PFD validation, error
+        detection) keys its memoized per-distinct-value work on the returned
+        object's identity — which both appends and updates deliberately
+        preserve.
         """
         self.schema.position(name)
-        cached = self._dictionaries.get(name)
-        if cached is None:
-            cached = DictionaryColumn.from_values(self._columns[name], attribute=name)
-            self._dictionaries[name] = cached
-        return cached
+        return self._dictionaries[name]
 
     def partitions(self) -> PartitionManager:
         """The relation's stripped-partition (PLI) cache.
@@ -209,23 +228,26 @@ class Relation:
 
     def cell(self, row_id: int, name: str) -> str:
         """The value of attribute ``name`` in tuple ``row_id``."""
-        return self._columns[name][row_id]
+        return self.dictionary(name).value_of_row(row_id)
 
     def row(self, row_id: int) -> tuple[str, ...]:
         """Tuple ``row_id`` in schema order."""
-        return tuple(self._columns[name][row_id] for name in self.schema.attribute_names)
+        return tuple(column.value_of_row(row_id) for column in self._dictionaries.values())
 
     def row_dict(self, row_id: int) -> dict[str, str]:
         """Tuple ``row_id`` as an attribute → value dict."""
-        return {name: self._columns[name][row_id] for name in self.schema.attribute_names}
+        return dict(zip(self.schema.attribute_names, self.row(row_id)))
 
     def iter_rows(self) -> Iterator[tuple[str, ...]]:
-        for row_id in range(self.row_count):
-            yield self.row(row_id)
+        """Every tuple in row order, decoded column-wise in blocks."""
+        blocks = [column.decoded_blocks(_DECODE_ROWS) for column in self._dictionaries.values()]
+        for block in zip(*blocks):
+            yield from zip(*block)
 
     def iter_row_dicts(self) -> Iterator[dict[str, str]]:
-        for row_id in range(self.row_count):
-            yield self.row_dict(row_id)
+        names = self.schema.attribute_names
+        for row in self.iter_rows():
+            yield dict(zip(names, row))
 
     # -- mutation ------------------------------------------------------------
 
@@ -244,10 +266,9 @@ class Relation:
     ) -> range:
         """Append a batch of tuples; returns the appended row-id range.
 
-        This is the incremental ingestion path: instead of invalidating the
-        engine caches wholesale, every cached
+        This is the incremental ingestion path: every column's
         :class:`~repro.engine.dictionary.DictionaryColumn` is extended in
-        place (fresh codes for unseen values, row lists patched) and the
+        place (fresh codes for unseen values, counts patched) and the
         resulting per-column deltas are routed to the stripped-partition
         cache, which queues the appended rows on its cached leaves until
         their next read
@@ -261,26 +282,18 @@ class Relation:
         start = self.row_count
         if not normalized:
             return range(start, start)
-        names = self.schema.attribute_names
-        for position, name in enumerate(names):
-            column = self._columns[name]
-            for values in normalized:
-                column.append(values[position])
-        if self._dictionaries:
-            deltas = {
-                name: dictionary.extend(
-                    [values[self.schema.position(name)] for values in normalized]
-                )
-                for name, dictionary in self._dictionaries.items()
-            }
-            if self._partitions is not None:
-                self._partitions.extend(deltas)
-        elif self._partitions is not None:
-            # No cached dictionaries to derive deltas from: the partitions
-            # (if any survived) cannot be patched — full rebuild on demand.
-            self._partitions.extend({})
+        deltas = self._append_cells(normalized)
+        if self._partitions is not None:
+            self._partitions.extend(deltas)
         self._version += 1
         return range(start, start + len(normalized))
+
+    def _append_cells(self, rows: Sequence[Sequence[str]]) -> dict[str, DictionaryDelta]:
+        """Encode normalized rows onto the columns; one delta per attribute."""
+        return {
+            name: dictionary.extend(cells)
+            for (name, dictionary), cells in zip(self._dictionaries.items(), zip(*rows))
+        }
 
     def set_cell(self, row_id: int, name: str, value: object) -> None:
         """Overwrite one cell (used by error injection and repair).
@@ -313,8 +326,8 @@ class Relation:
         The unified mutation entry point: updates and deletes target
         *pre-batch* row ids, appends land last, and the whole batch is
         validated (row ranges, attribute names, append shapes) before any
-        cell changes.  Cached engine state is delta-maintained, not
-        dropped — dictionaries patch their code vectors in place
+        cell changes.  Engine state is delta-maintained, not dropped — the
+        columns' dictionaries patch their code vectors in place
         (:meth:`~repro.engine.dictionary.DictionaryColumn.update_rows`, so
         memoized evaluator masks survive), the cached partition leaves of
         the touched attributes queue the moved rows for a patch on their
@@ -326,14 +339,11 @@ class Relation:
                 f"Relation.apply expects a MutationBatch, got {type(batch).__name__}"
             )
         appends, assignments, deletes = self._collect_mutations(batch)
-        updates, touched, changed = self._apply_assignments(assignments)
-        if touched:
+        updates = self._update_cells(assignments)
+        changed = {row_id for update in updates.values() for row_id in update.rows}
+        if updates:
             if self._partitions is not None:
-                patchable = {name: update for name, update in updates.items() if update}
-                for name in sorted(touched - set(patchable)):
-                    self._partitions.invalidate_attribute(name)
-                if patchable:
-                    self._partitions.apply_update(patchable)
+                self._partitions.apply_update(updates)
             self._version += 1
         if deletes:
             self._deleted.update(deletes)
@@ -361,17 +371,20 @@ class Relation:
         assignments: dict[str, dict[int, str]] = {}
         deletes: set[int] = set()
         for op in batch.ops:
-            if isinstance(op, UpsertOp):
-                appends.extend(self._normalize_row(row) for row in op.rows)
-            elif isinstance(op, UpdateOp):
+            if isinstance(op, UpdateOp):
                 if not 0 <= op.row_id < row_count:
                     raise ReproError(
                         f"update targets row {op.row_id}, but rows 0..{row_count - 1} "
                         "existed before this batch"
                     )
                 for attribute, value in op.values:
-                    self.schema.position(attribute)
-                    assignments.setdefault(attribute, {})[op.row_id] = _normalize_cell(value)
+                    per_row = assignments.get(attribute)
+                    if per_row is None:
+                        self.schema.position(attribute)
+                        per_row = assignments[attribute] = {}
+                    per_row[op.row_id] = value if type(value) is str else _normalize_cell(value)
+            elif isinstance(op, UpsertOp):
+                appends.extend(self._normalize_row(row) for row in op.rows)
             elif isinstance(op, DeleteOp):
                 for row_id in op.row_ids:
                     if not 0 <= row_id < row_count:
@@ -387,64 +400,51 @@ class Relation:
                 assignments.setdefault(name, {})[row_id] = ""
         return appends, assignments, deletes
 
-    def _apply_assignments(
+    def _update_cells(
         self, assignments: Mapping[str, Mapping[int, str]]
-    ) -> tuple[dict[str, DictionaryUpdate], set[str], set[int]]:
-        """Write validated cell assignments into the columns and caches.
+    ) -> dict[str, DictionaryUpdate]:
+        """Write validated cell assignments into the columns.
 
-        Per attribute, assignments that match the stored value are dropped;
-        the rest patch the cached dictionary in place (when one exists) and
-        overwrite the raw column.  Returns the per-attribute
-        :class:`DictionaryUpdate` records (for the partition cache), the
-        set of attributes with at least one effective change, and the set
-        of changed row ids.
+        Returns the :class:`DictionaryUpdate` of every attribute with at
+        least one effective change (assignments matching the stored value
+        are dropped), in schema order.
         """
         updates: dict[str, DictionaryUpdate] = {}
-        touched: set[str] = set()
-        changed: set[int] = set()
-        for name in self.schema.attribute_names:
+        for name, dictionary in self._dictionaries.items():
             per_row = assignments.get(name)
-            if not per_row:
-                continue
-            column = self._columns[name]
-            effective = sorted(
-                (row_id, value)
-                for row_id, value in per_row.items()
-                if column[row_id] != value
-            )
-            if not effective:
-                continue
-            touched.add(name)
-            changed.update(row_id for row_id, _ in effective)
-            cached = self._dictionaries.get(name)
-            if cached is not None:
-                updates[name] = cached.update_rows(effective)
-            for row_id, value in effective:
-                column[row_id] = value
-        return updates, touched, changed
+            if per_row:
+                update = dictionary.update_rows(list(per_row.items()))
+                if update:
+                    updates[name] = update
+        return updates
 
     # -- derivation ----------------------------------------------------------
 
+    # Derived relations re-encode nothing: each column's codes are
+    # renumbered first-seen (DictionaryColumn.select), which gives exactly
+    # the dictionaries a cold encode of the derived cells would build.
+
     def copy(self, name: Optional[str] = None) -> "Relation":
-        """A deep copy (new column lists, same schema object)."""
+        """A deep copy (new columns, same schema object)."""
         schema = self.schema if name is None else Schema(self.schema.attributes, name=name)
-        clone = Relation(schema, {n: list(c) for n, c in self._columns.items()})
+        clone = Relation.from_dictionaries(
+            schema, {n: column.select() for n, column in self._dictionaries.items()}
+        )
         clone._deleted = set(self._deleted)
         return clone
 
     def project(self, names: Sequence[str], name: Optional[str] = None) -> "Relation":
         """A new relation with only the columns in ``names``."""
         schema = self.schema.project(names, name=name)
-        return Relation(schema, {n: list(self._columns[n]) for n in names})
+        return Relation.from_dictionaries(schema, {n: self.dictionary(n).select() for n in names})
 
     def select_rows(self, row_ids: Sequence[int], name: Optional[str] = None) -> "Relation":
         """A new relation with only the given rows, in the given order."""
         schema = self.schema if name is None else Schema(self.schema.attributes, name=name)
-        columns = {
-            attr: [self._columns[attr][row_id] for row_id in row_ids]
-            for attr in self.schema.attribute_names
-        }
-        return Relation(schema, columns)
+        rows = np.asarray(row_ids, dtype=np.intp)
+        return Relation.from_dictionaries(
+            schema, {n: column.select(rows) for n, column in self._dictionaries.items()}
+        )
 
     def filter_rows(
         self, predicate: Callable[[dict[str, str]], bool], name: Optional[str] = None
@@ -461,23 +461,33 @@ class Relation:
         return self.select_rows(sorted(row_ids), name=name)
 
     def distinct_values(self, name: str) -> list[str]:
-        """Distinct non-empty values of a column, in first-seen order."""
-        seen: dict[str, None] = {}
-        for value in self.column(name):
-            if value and value not in seen:
-                seen[value] = None
-        return list(seen)
+        """Distinct non-empty values of a column, in first-seen row order."""
+        dictionary = self.dictionary(name)
+        values = dictionary.values
+        return [values[code] for code in dictionary.seen_codes().tolist() if values[code]]
 
     def value_counts(self, name: str) -> dict[str, int]:
-        """Histogram of the values of a column (including empty strings)."""
-        counts: dict[str, int] = {}
-        for value in self.column(name):
-            counts[value] = counts.get(value, 0) + 1
-        return counts
+        """Histogram of the values of a column (including empty strings), in
+        first-seen row order."""
+        dictionary = self.dictionary(name)
+        values = dictionary.values
+        counts = dictionary.counts_array().tolist()
+        return {values[code]: counts[code] for code in dictionary.seen_codes().tolist()}
+
+    def non_empty_rows(self, name: str) -> list[int]:
+        """The rows whose ``name`` cell is non-empty, ascending (one pass
+        over the column's codes)."""
+        dictionary = self.dictionary(name)
+        return dictionary.broadcast_codes([bool(value) for value in dictionary.values])
 
     def active_domain(self, name: str) -> set[str]:
         """The active domain of ``name``: the set of non-empty values present."""
-        return {value for value in self.column(name) if value}
+        dictionary = self.dictionary(name)
+        return {
+            value
+            for value, count in zip(dictionary.values, dictionary.counts_array().tolist())
+            if value and count
+        }
 
     def code_cooccurrence(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """The distinct dictionary-code tuples of ``names`` with their row
@@ -556,7 +566,21 @@ def concat(relations: Sequence[Relation], name: Optional[str] = None) -> Relatio
                 "cannot concat relations with different attributes: "
                 f"{first.attribute_names} vs {other.attribute_names}"
             )
-    result = first.copy(name=name or first.name)
-    for other in relations[1:]:
-        result.append_rows(other.iter_rows())
+    if first.backend == SQL:
+        # An out-of-core result: the store encodes the appended rows.
+        result = first.copy(name=name or first.name)
+        for other in relations[1:]:
+            result.append_rows(other.iter_rows())
+        return result
+    schema = Schema(first.schema.attributes, name=name or first.name)
+    result = Relation.from_dictionaries(
+        schema,
+        {
+            attribute: DictionaryColumn.concat(
+                [relation.dictionary(attribute) for relation in relations], attribute=attribute
+            )
+            for attribute in first.attribute_names
+        },
+    )
+    result._deleted = set(first._deleted)
     return result

@@ -13,12 +13,12 @@ fancy-indexing operation.
 
 The class is deliberately standalone (it knows nothing about relations,
 schemas, or patterns) so that the dataset and core layers can depend on it
-without cycles.  Relations build and cache one instance per column via
-:meth:`repro.dataset.relation.Relation.dictionary`, and mutations patch it
-in place rather than invalidating it.  Batch ingestion calls
+without cycles.  A relation stores each of its columns as one instance
+(:meth:`repro.dataset.relation.Relation.dictionary`) — the codes *are* the
+column — and mutations patch it in place.  Batch ingestion calls
 :meth:`DictionaryColumn.extend`, which appends new rows — unseen values get
-fresh codes at the end of the dictionary, ``rows_by_code``/``counts`` are
-patched rather than rebuilt — and returns a :class:`DictionaryDelta`.  Cell
+fresh codes at the end of the dictionary, the per-code counts are patched
+rather than rebuilt — and returns a :class:`DictionaryDelta`.  Cell
 overwrites and deletes (``Relation.apply``, so also ``set_cell``) call
 :meth:`DictionaryColumn.update_rows`, which rewrites the touched codes and
 returns a :class:`DictionaryUpdate` of ``(row, old_code, new_code)``
@@ -32,13 +32,18 @@ to *grow*.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .backend import stable_order
+
+#: Up to this many rows, :meth:`DictionaryColumn.extend` and
+#: :meth:`DictionaryColumn.update_rows` patch codes and counts cell by cell;
+#: above it, in one vectorized pass (numpy's per-call overhead outweighs the
+#: per-cell loop only for larger batches).
+_SCALAR_PATCH_ROWS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,7 +113,7 @@ class DictionaryUpdate:
     @property
     def rows(self) -> tuple[int, ...]:
         """The updated row ids, ascending."""
-        return tuple(assignment[0] for assignment in self.assignments)
+        return tuple([row_id for row_id, _old, _new in self.assignments])
 
     def code_changes(self) -> np.ndarray:
         """A ``(3, n)`` int64 block stacking ``(rows, old_codes,
@@ -138,10 +143,9 @@ class DictionaryColumn:
         their smallest row id); afterwards consumers that relied on that
         ordering must sort groups explicitly.  Updates may also leave
         *tombstoned* codes behind — values whose count dropped to zero stay
-        in ``values``/``code_of`` with an empty row list so every handed-out
-        code (and everything memoized per code) keeps its meaning; a later
-        write of the same value revives the code instead of minting a new
-        one.
+        in ``values``/``code_of`` with no rows so every handed-out code (and
+        everything memoized per code) keeps its meaning; a later write of
+        the same value revives the code instead of minting a new one.
     """
 
     __slots__ = (
@@ -151,9 +155,7 @@ class DictionaryColumn:
         "_codes",
         "_length",
         "_code_of",
-        "_rows_by_code",
         "_counts",
-        "_counts_array",
         "__weakref__",
     )
 
@@ -169,9 +171,9 @@ class DictionaryColumn:
         self._length = len(self._codes)
         self.has_updates = False
         self._code_of: Optional[dict[str, int]] = None
-        self._rows_by_code: Optional[list[list[int]]] = None
-        self._counts: Optional[list[int]] = None
-        self._counts_array: Optional[np.ndarray] = None
+        self._counts: Optional[np.ndarray] = np.bincount(
+            self._codes, minlength=len(self.values)
+        ).astype(np.int64, copy=False)
 
     @classmethod
     def from_values(cls, cells: Iterable[str], attribute: str = "") -> "DictionaryColumn":
@@ -187,6 +189,47 @@ class DictionaryColumn:
         column = cls(tuple(code_of), codes, attribute=attribute)
         column._code_of = code_of
         return column
+
+    @classmethod
+    def concat(
+        cls, columns: Sequence["DictionaryColumn"], attribute: str = ""
+    ) -> "DictionaryColumn":
+        """The cold encoding of ``columns``' rows laid end to end.
+
+        Equal to :meth:`from_values` over the decoded cells, built from the
+        codes alone: each part is renumbered first-seen (:meth:`select`) and
+        its distinct values are mapped once into the merged dictionary.
+        """
+        code_of: dict[str, int] = {}
+        parts: list[np.ndarray] = []
+        for column in columns:
+            part = column.select()
+            remap = np.fromiter(
+                (code_of.setdefault(value, len(code_of)) for value in part.values),
+                dtype=np.int32,
+                count=part.distinct_count,
+            )
+            parts.append(remap[part.codes])
+        codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+        merged = cls(tuple(code_of), codes, attribute=attribute)
+        merged._code_of = code_of
+        return merged
+
+    def select(self, rows: Optional[np.ndarray] = None) -> "DictionaryColumn":
+        """The cold encoding of the cells at ``rows`` (every row when None).
+
+        The codes are renumbered in first-seen order without decoding, so
+        the result equals :meth:`from_values` over the same cells: no
+        zero-count tombstones and ``has_updates`` false.
+        """
+        codes = self.codes if rows is None else self.codes[rows]
+        seen = _first_seen(codes, self.distinct_count)
+        remap = np.empty(self.distinct_count, dtype=np.int32)
+        remap[seen] = np.arange(len(seen), dtype=np.int32)
+        values = self.values
+        return DictionaryColumn(
+            [values[code] for code in seen.tolist()], remap[codes], attribute=self.attribute
+        )
 
     # -- code storage ---------------------------------------------------------
 
@@ -205,6 +248,18 @@ class DictionaryColumn:
         self._codes[self._length : needed] = appended
         self._length = needed
 
+    def _code_map(self) -> dict[str, int]:
+        if self._code_of is None:
+            self._code_of = {v: code for code, v in enumerate(self.values)}
+        return self._code_of
+
+    def _add_values(self, new_values: Sequence[str]) -> None:
+        """Mint codes for ``new_values`` (already in the code map)."""
+        self.values = self.values + tuple(new_values)
+        self._counts = np.concatenate(
+            (self._counts, np.zeros(len(new_values), dtype=np.int64))
+        )
+
     # -- mutation -------------------------------------------------------------
 
     def extend(self, cells: Iterable[str]) -> DictionaryDelta:
@@ -212,15 +267,12 @@ class DictionaryColumn:
 
         Unseen values receive fresh codes *after* every existing one, so all
         previously handed-out codes (and anything memoized per code) remain
-        valid; the lazily built ``rows_by_code`` / ``counts`` structures are
-        patched rather than invalidated.  The code buffer grows
-        geometrically, so the amortized append cost stays O(delta).  This is
-        the primitive behind
+        valid; the per-code counts are patched in O(delta).  The code buffer
+        grows geometrically, so the amortized append cost stays O(delta).
+        This is the primitive behind
         :meth:`repro.dataset.relation.Relation.append_rows`.
         """
-        if self._code_of is None:
-            self._code_of = {v: code for code, v in enumerate(self.values)}
-        code_of = self._code_of
+        code_of = self._code_map()
         start_row = self._length
         old_distinct = len(self.values)
         appended: list[int] = []
@@ -233,17 +285,14 @@ class DictionaryColumn:
                 new_values.append(cell)
             appended.append(code)
         if new_values:
-            self.values = self.values + tuple(new_values)
+            self._add_values(new_values)
         self._append_codes(appended)
-        if self._rows_by_code is not None:
-            self._rows_by_code.extend([] for _ in range(len(self.values) - old_distinct))
-            for offset, code in enumerate(appended):
-                self._rows_by_code[code].append(start_row + offset)
-        if self._counts is not None:
-            self._counts.extend(0 for _ in range(len(self.values) - old_distinct))
+        counts = self._counts
+        if len(appended) > _SCALAR_PATCH_ROWS:
+            np.add.at(counts, np.asarray(appended, dtype=np.intp), 1)
+        else:
             for code in appended:
-                self._counts[code] += 1
-        self._counts_array = None
+                counts[code] += 1
         return DictionaryDelta(
             attribute=self.attribute,
             start_row=start_row,
@@ -260,47 +309,46 @@ class DictionaryColumn:
         away keeps its code as a zero-count tombstone (revived if the value
         returns), and existing codes never renumber — so per-code memoized
         state (match masks, component tables) stays valid and only has to
-        grow.  The lazily built ``rows_by_code`` / ``counts`` structures are
-        patched, not rebuilt.  Assignments whose cell already holds the new
-        value are dropped from the returned delta.
+        grow.  The per-code counts are patched in O(delta).  Assignments
+        whose cell already holds the new value are dropped from the returned
+        delta.
         """
-        if self._code_of is None:
-            self._code_of = {v: code for code, v in enumerate(self.values)}
-        code_of = self._code_of
+        code_of = self._code_map()
         old_distinct = len(self.values)
-        effective: list[tuple[int, int, int]] = []
+        assignments = sorted(assignments)
         new_values: list[str] = []
-        codes = self._codes
-        for row_id, value in sorted(assignments):
-            old_code = int(codes[row_id])
-            if self.values[old_code] == value and code_of.get(value) == old_code:
-                continue
-            new_code = code_of.get(value)
-            if new_code is None:
-                new_code = len(code_of)
-                code_of[value] = new_code
+        new_codes: list[int] = []
+        for _row_id, value in assignments:
+            code = code_of.get(value)
+            if code is None:
+                code = len(code_of)
+                code_of[value] = code
                 new_values.append(value)
-            if new_code == old_code:
-                continue
-            effective.append((row_id, old_code, new_code))
+            new_codes.append(code)
         if new_values:
-            self.values = self.values + tuple(new_values)
-            if self._rows_by_code is not None:
-                self._rows_by_code.extend([] for _ in new_values)
-            if self._counts is not None:
-                self._counts.extend(0 for _ in new_values)
-        for row_id, old_code, new_code in effective:
-            codes[row_id] = new_code
-            if self._rows_by_code is not None:
-                old_rows = self._rows_by_code[old_code]
-                del old_rows[bisect.bisect_left(old_rows, row_id)]
-                bisect.insort(self._rows_by_code[new_code], row_id)
-            if self._counts is not None:
-                self._counts[old_code] -= 1
-                self._counts[new_code] += 1
+            self._add_values(new_values)
+        codes, counts = self.codes, self._counts
+        effective: list[tuple[int, int, int]] = []
+        if len(assignments) > _SCALAR_PATCH_ROWS:
+            rows = np.array([row_id for row_id, _value in assignments], dtype=np.int64)
+            old = codes[rows].astype(np.int64)
+            new = np.array(new_codes, dtype=np.int64)
+            moved = old != new
+            rows, old, new = rows[moved], old[moved], new[moved]
+            codes[rows] = new
+            np.subtract.at(counts, old, 1)
+            np.add.at(counts, new, 1)
+            effective.extend(zip(rows.tolist(), old.tolist(), new.tolist()))
+        else:
+            for (row_id, _value), new_code in zip(assignments, new_codes):
+                old_code = int(codes[row_id])
+                if new_code != old_code:
+                    codes[row_id] = new_code
+                    counts[old_code] -= 1
+                    counts[new_code] += 1
+                    effective.append((row_id, old_code, new_code))
         if effective:
             self.has_updates = True
-            self._counts_array = None
         return DictionaryUpdate(
             attribute=self.attribute,
             assignments=tuple(effective),
@@ -326,46 +374,45 @@ class DictionaryColumn:
         """The cell value of row ``row_id`` (decoded through the dictionary)."""
         return self.values[self.codes[row_id]]
 
+    def decode(self) -> list[str]:
+        """Every row's cell value, decoded in one gather."""
+        return self._value_array()[self.codes].tolist()
+
+    def decoded_blocks(self, block_rows: int) -> Iterator[list[str]]:
+        """The column decoded in consecutive blocks of ``block_rows`` rows."""
+        values = self._value_array()
+        codes = self.codes
+        for start in range(0, len(codes), block_rows):
+            yield values[codes[start : start + block_rows]].tolist()
+
+    def _value_array(self) -> np.ndarray:
+        values = np.empty(len(self.values), dtype=object)
+        values[:] = self.values
+        return values
+
     def code_of(self, value: str) -> Optional[int]:
         """The code of ``value``, or ``None`` if the value does not occur."""
-        if self._code_of is None:
-            self._code_of = {v: code for code, v in enumerate(self.values)}
-        return self._code_of.get(value)
+        return self._code_map().get(value)
+
+    def seen_codes(self) -> np.ndarray:
+        """The codes that have rows, in first-seen row order."""
+        return _first_seen(self.codes, self.distinct_count)
 
     def rows_by_code(self) -> list[list[int]]:
-        """Row ids per code, each list in ascending order (built lazily)."""
-        if self._rows_by_code is None:
-            rows: list[list[int]] = [[] for _ in self.values]
-            # Stable argsort groups rows by code with ascending row ids.
-            codes = self.codes
-            order = stable_order(codes)
-            sorted_codes = codes[order]
-            boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-            row_lists = order.tolist()
-            start = 0
-            for end in (*boundaries.tolist(), len(row_lists)):
-                if end > start:
-                    rows[sorted_codes[start]] = row_lists[start:end]
-                    start = end
-            self._rows_by_code = rows
-        return self._rows_by_code
+        """Row ids per code, each list in ascending order (computed on
+        demand by one stable argsort)."""
+        order = stable_order(self.codes)
+        ends = np.cumsum(self.counts_array()).tolist()
+        rows = order.tolist()
+        return [rows[start:end] for start, end in zip([0, *ends], ends)]
 
     def counts(self) -> list[int]:
-        """Number of rows per code (built lazily)."""
-        if self._counts is None:
-            self._counts = self.counts_array().tolist()
-        return self._counts
+        """Number of rows per code."""
+        return self.counts_array().tolist()
 
     def counts_array(self) -> np.ndarray:
-        """Rows per code as an int64 ndarray."""
-        if self._counts_array is None:
-            if self._counts is not None:
-                self._counts_array = np.asarray(self._counts, dtype=np.int64)
-            else:
-                self._counts_array = np.bincount(
-                    self.codes, minlength=self.distinct_count
-                ).astype(np.int64)
-        return self._counts_array
+        """Rows per code as an int64 ndarray (do not mutate)."""
+        return self._counts
 
     def broadcast_codes(self, accepted: Sequence[bool]) -> list[int]:
         """Row ids whose code is accepted, in ascending order.
@@ -389,3 +436,12 @@ class DictionaryColumn:
             f"DictionaryColumn({self.attribute!r}, rows={self.row_count}, "
             f"distinct={self.distinct_count})"
         )
+
+
+def _first_seen(codes: np.ndarray, distinct_count: int) -> np.ndarray:
+    """The distinct members of ``codes`` (each below ``distinct_count``),
+    ordered by their first position."""
+    first = np.full(distinct_count, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes), dtype=np.int64))
+    present = np.flatnonzero(first < len(codes))
+    return present[np.argsort(first[present])]

@@ -176,20 +176,19 @@ def snapshot_relation(relation: "Relation") -> RelationSnapshot:
 
 
 def _restore_relation(snapshot: RelationSnapshot) -> "Relation":
-    """Rebuild the relation (and its dictionary caches) inside a worker."""
+    """Rebuild the relation inside a worker from the shipped dictionaries:
+    identical values/codes mean every downstream structure (masks,
+    partitions) is bit-identical to the parent."""
     from ..dataset.relation import Relation
     from .dictionary import DictionaryColumn
 
-    columns: dict[str, list[str]] = {}
-    dictionaries: dict[str, DictionaryColumn] = {}
-    for name, (values, codes) in snapshot.columns.items():
-        dictionaries[name] = DictionaryColumn(values, codes, attribute=name)
-        columns[name] = [values[code] for code in codes.tolist()]
-    relation = Relation(snapshot.schema, columns)
-    # Pre-install the shipped dictionaries: identical values/codes mean every
-    # downstream structure (masks, partitions) is bit-identical to the parent.
-    relation._dictionaries = dictionaries
-    return relation
+    return Relation.from_dictionaries(
+        snapshot.schema,
+        {
+            name: DictionaryColumn(values, codes, attribute=name)
+            for name, (values, codes) in snapshot.columns.items()
+        },
+    )
 
 
 # -- worker-side state --------------------------------------------------------

@@ -243,6 +243,8 @@ def _class_positions(
     classes.
     """
     positions = offsets[classes + 1]
+    if not len(rows):
+        return positions
     inside = np.flatnonzero(rows <= rowids[positions - 1])
     order = inside[stable_order(classes[inside])]
     grouped = classes[order]
@@ -373,6 +375,7 @@ class StrippedPartition:
         "_parents",
         "_probe",
         "_probe_array",
+        "_scope",
     )
 
     def __init__(
@@ -402,6 +405,7 @@ class StrippedPartition:
         self._parents = parents
         self._probe: Optional[dict[int, int]] = None
         self._probe_array: Optional[np.ndarray] = None
+        self._scope: Optional[tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = None
 
     @classmethod
     def from_arrays(
@@ -506,6 +510,35 @@ class StrippedPartition:
                 )
             self._probe_array = probe
         return self._probe_array
+
+    def classes_containing(self, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`class_arrays` restricted to the classes that contain one
+        of ``rows`` (ascending), in class order.
+
+        The last answer is memoized: every variable tableau row whose LHS
+        shares this partition asks for the same scope of one mutation.
+        """
+        if self._scope is not None and self._scope[0] == rows:
+            return self._scope[1]
+        rowids, offsets = self.class_arrays()
+        if len(offsets) <= 1:
+            return rowids, offsets
+        # Mark the changed rows, then keep the classes holding a mark.
+        changed = np.asarray(rows, dtype=np.int64)
+        marked = np.zeros(self.row_count, dtype=bool)
+        marked[changed[changed < self.row_count]] = True
+        touched = np.flatnonzero(np.logical_or.reduceat(marked[rowids], offsets[:-1]))
+        # Gather the touched classes' rows in one pass: each output position
+        # is its class's start shifted by its rank in the class.
+        starts = offsets[touched]
+        sizes = offsets[touched + 1] - starts
+        scoped_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        scoped = (
+            rowids[np.arange(scoped_offsets[-1]) + np.repeat(starts - scoped_offsets[:-1], sizes)],
+            scoped_offsets,
+        )
+        self._scope = (rows, scoped)
+        return scoped
 
     def intersect(self, other: "StrippedPartition") -> "StrippedPartition":
         """The product partition (rows equivalent under *both* keys).
@@ -842,7 +875,7 @@ class _LeafGroups:
             )
         else:
             seated, seated_offsets = _empty_arrays()
-        seated_sizes = np.diff(seated_offsets)
+        seated_sizes = seated_offsets[1:] - seated_offsets[:-1]
         seat = np.searchsorted(class_mins, seated[seated_offsets[:-1]])
 
         remove_at = edit_at[~edit_joins]
@@ -854,7 +887,7 @@ class _LeafGroups:
             np.concatenate((edit_at[edit_joins], np.repeat(offsets[seat], seated_sizes))),
             np.concatenate((joined, seated)),
         )
-        sizes = np.diff(offsets)
+        sizes = offsets[1:] - offsets[:-1]
         sizes[class_of[in_place]] += (new_count - old_count)[in_place]
         patched_offsets = _offsets_of(_splice(sizes, dropped, seat, seated_sizes))
         covered = partition.covered_array()
@@ -1167,9 +1200,8 @@ class PartitionManager:
 
         ``deltas`` maps attribute names to the
         :class:`~repro.engine.dictionary.DictionaryDelta` their dictionary
-        returned from the in-place extend (missing attributes had no cached
-        dictionary — their partitions, if any, are dropped and rebuilt on
-        demand).  An append touches every attribute: each cached leaf queues
+        returned from the in-place extend, one per attribute.  An append
+        touches every attribute: each cached leaf queues
         its delta and is patched on its next read; memoized intersections
         are marked stale and refreshed on next request by the partition
         product over the patched leaf classes, reusing the level-wise prefix
@@ -1177,10 +1209,7 @@ class PartitionManager:
         receives a fresh snapshot, so partitions handed out before the
         append keep describing the old rows.
         """
-        attributes, patterns = self._absorb(
-            {name: delta.code_changes() for name, delta in deltas.items()},
-            set(self._relation.attribute_names),
-        )
+        attributes, patterns = self._absorb(deltas, set(self._relation.attribute_names))
         self.stats.attribute_extends += attributes
         self.stats.pattern_extends += patterns
 
@@ -1199,28 +1228,33 @@ class PartitionManager:
         touching an updated attribute go stale and refresh lazily from the
         patched leaves, exactly like an append.
         """
-        changes = {name: update.code_changes() for name, update in updates.items() if update}
-        if not changes:
+        touched = {name for name, update in updates.items() if update}
+        if not touched:
             return
-        attributes, patterns = self._absorb(changes, set(changes))
+        attributes, patterns = self._absorb(updates, touched)
         self.stats.attribute_updates += attributes
         self.stats.pattern_updates += patterns
 
     def _absorb(
         self,
-        changes: Mapping[str, np.ndarray],
+        records: Mapping[str, Union[DictionaryDelta, DictionaryUpdate]],
         touched: set[str],
     ) -> tuple[int, int]:
-        """Queue ``changes`` (per attribute, the ``(3, n)`` code-change block
-        of :meth:`~repro.engine.dictionary.DictionaryUpdate.code_changes`) on
+        """Queue each record's ``(3, n)`` code-change block (see
+        :meth:`~repro.engine.dictionary.DictionaryUpdate.code_changes`) on
         the cached leaves of the ``touched`` attributes and mark the
         intersections over them stale.
 
-        A touched leaf without a change, or whose distinct queued rows reach
+        A block is built only for an attribute with a cached leaf.  A
+        touched leaf without a record, or whose distinct queued rows reach
         the row count, is dropped.  Returns how many attribute and pattern
         leaves queued a change.
         """
         row_count = self._relation.row_count
+        cached = set(self._attribute) | {key.attribute for key in self._pattern}
+        changes = {
+            name: record.code_changes() for name, record in records.items() if name in cached
+        }
 
         def queued(state: _LeafGroups, attribute: str) -> bool:
             block = changes.get(attribute)
@@ -1271,22 +1305,6 @@ class PartitionManager:
     def _drop_pattern(self, key: PartitionKey) -> None:
         self._pattern.pop(key, None)
         self._pattern_groups.pop(key, None)
-
-    def invalidate_attribute(self, attribute: str) -> None:
-        """Drop every cached partition that reads ``attribute``."""
-        self._drop_attribute(attribute)
-        for key in [key for key in self._pattern_groups if key.attribute == attribute]:
-            self._drop_pattern(key)
-        self._intersections = {
-            key_set: partition
-            for key_set, partition in self._intersections.items()
-            if all(key.attribute != attribute for key in key_set)
-        }
-        self._stale_intersections = {
-            key_set
-            for key_set in self._stale_intersections
-            if all(key.attribute != attribute for key in key_set)
-        }
 
     def invalidate(self) -> None:
         """Drop every cached partition (counters are kept)."""

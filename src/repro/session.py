@@ -476,7 +476,7 @@ class CleaningSession:
             else:
                 self._delta_start = pending_start
             changed = set(pending_changed or ())
-            changed.update(result.changed_rows)
+            changed.update(result.updated_rows, result.deleted_rows, result.appended)
             self._changed_pending = changed
             self._mark("apply")
             return result
@@ -543,7 +543,7 @@ class CleaningSession:
                 evaluator=self.evaluator,
                 workers=workers,
                 executor=self._executor_for(workers),
-            ).detect(self.relation, changed_rows=sorted(self._changed_pending))
+            ).detect(self.relation, changed_rows=self._changed_pending)
             self._changed_pending = None
             self._delta_start = None
             self._mark("detect_changed")

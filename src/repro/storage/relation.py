@@ -1,8 +1,8 @@
 """Out-of-core relation and dictionary wrappers over :class:`SqlStore`.
 
 :class:`SqlRelation` is a drop-in :class:`~repro.dataset.relation.Relation`
-whose per-row state lives in a temporary SQLite database instead of decoded
-Python column lists.  The public surface — accessors, ``append_rows`` with
+whose per-row state lives in a temporary SQLite database instead of
+in-memory code vectors.  The public surface — accessors, ``append_rows`` with
 delta maintenance, ``set_cell``, derivation — is identical; only the memory
 profile changes: peak usage is bounded by the ingestion chunk size plus the
 per-attribute distinct values, never by the row count.
@@ -17,8 +17,7 @@ in-memory dictionary holds.
 
 from __future__ import annotations
 
-import bisect
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,16 +37,16 @@ class SqlDictionaryColumn(DictionaryColumn):
     def __init__(self, store: SqlStore, attribute: str):
         # Deliberately bypasses the base constructor: the encode state is
         # *shared live* with the store (updated by store appends), and the
-        # code vector stays in SQLite until someone scans it.
+        # code vector stays in SQLite until someone scans it.  Wrappers are
+        # built when a relation attaches a fresh or freshly copied (cold)
+        # store, so no update has run yet.
         self.attribute = attribute
         self.values = tuple(store.values[attribute])
         self._codes = None
         self._length = store.row_count
         self._code_of = store.code_of[attribute]
-        self._rows_by_code = None
-        self._counts = store.counts[attribute]
-        self._counts_array = None
-        self.has_updates = store.has_updates
+        self._counts = None
+        self.has_updates = False
         self._store = store
         self._col_index = store.column_index(attribute)
 
@@ -61,7 +60,7 @@ class SqlDictionaryColumn(DictionaryColumn):
     def value_of_row(self, row_id: int) -> str:
         if self._codes is None:
             return self.values[self._store.code_at(row_id, self._col_index)]
-        return self.values[self._codes[row_id]]
+        return super().value_of_row(row_id)
 
     def extend(self, cells) -> DictionaryDelta:
         raise RuntimeError(
@@ -74,43 +73,33 @@ class SqlDictionaryColumn(DictionaryColumn):
             "SqlDictionaryColumn is updated through SqlRelation.apply, not directly"
         )
 
-    def _apply_delta(self, delta: DictionaryDelta) -> None:
-        """Mirror a store append into this wrapper (same patching contract
-        as :meth:`DictionaryColumn.extend`)."""
+    def counts_array(self) -> np.ndarray:
+        """Rows per code, read from the store's live counts list (cached
+        until the next append or update)."""
+        if self._counts is None:
+            self._counts = np.asarray(self._store.counts[self.attribute], dtype=np.int64)
+        return self._counts
+
+    def _sync_values(self) -> None:
         store_values = self._store.values[self.attribute]
         if len(store_values) > len(self.values):
             self.values = self.values + tuple(store_values[len(self.values) :])
+        self._counts = None
+
+    def _apply_delta(self, delta: DictionaryDelta) -> None:
+        """Mirror a store append into this wrapper."""
+        self._sync_values()
         if self._codes is not None:
             self._append_codes(delta.appended_codes)
         else:
             self._length += len(delta.appended_codes)
-        if self._rows_by_code is not None:
-            self._rows_by_code.extend(
-                [] for _ in range(len(self.values) - delta.old_distinct_count)
-            )
-            for offset, code in enumerate(delta.appended_codes):
-                self._rows_by_code[code].append(delta.start_row + offset)
-        self._counts_array = None
 
     def _apply_update(self, update: DictionaryUpdate) -> None:
-        """Mirror a store update into this wrapper (same patching contract
-        as :meth:`DictionaryColumn.update_rows`): the counts list is shared
-        live with the store, so only the values snapshot and any
-        materialized per-row structures need patching."""
-        store_values = self._store.values[self.attribute]
-        if len(store_values) > len(self.values):
-            self.values = self.values + tuple(store_values[len(self.values) :])
+        """Mirror a store update into this wrapper."""
+        self._sync_values()
         if self._codes is not None:
-            for row_id, _old_code, new_code in update.assignments:
-                self._codes[row_id] = new_code
-        if self._rows_by_code is not None:
-            while len(self._rows_by_code) < len(self.values):
-                self._rows_by_code.append([])
-            for row_id, old_code, new_code in update.assignments:
-                old_rows = self._rows_by_code[old_code]
-                del old_rows[bisect.bisect_left(old_rows, row_id)]
-                bisect.insort(self._rows_by_code[new_code], row_id)
-        self._counts_array = None
+            rows, _old_codes, new_codes = update.code_changes()
+            self.codes[rows] = new_codes
         if update:
             self.has_updates = True
 
@@ -140,12 +129,7 @@ class SqlRelation(Relation):
             raise ValueError(
                 f"SqlRelation is always backed by the {SQL!r} backend, got {backend!r}"
             )
-        self.schema = schema
-        self._store = SqlStore(schema.attribute_names)
-        self._dictionaries = {}
-        self._partitions = None
-        self._version = 0
-        self._deleted = set()
+        self._attach(schema, SqlStore(schema.attribute_names))
         if columns:
             names = schema.attribute_names
             cols = {name: columns.get(name, []) for name in names}
@@ -158,9 +142,15 @@ class SqlRelation(Relation):
             total = lengths.pop() if lengths else 0
             for start in range(0, total, BATCH_ROWS):
                 stop = min(start + BATCH_ROWS, total)
-                self._store.append(
+                self._append_cells(
                     [[cols[name][i] for name in names] for i in range(start, stop)]
                 )
+
+    def _attach(self, schema: Schema, store: SqlStore) -> None:
+        self._store = store
+        self._install(
+            schema, {name: SqlDictionaryColumn(store, name) for name in schema.attribute_names}
+        )
 
     # -- store plumbing -------------------------------------------------------
 
@@ -174,40 +164,12 @@ class SqlRelation(Relation):
 
     # -- size / access --------------------------------------------------------
 
-    @property
-    def row_count(self) -> int:
-        return self._store.row_count
-
-    def column(self, name: str) -> list[str]:
-        """The full column, decoded.
-
-        The result is a list of *pointers into the shared distinct values*
-        (O(rows) pointers, not O(rows) string copies) — cheap relative to the
-        decoded table, but still per-row; scale-sensitive callers should stay
-        on the dictionary/partition layer instead.
-        """
-        self.schema.position(name)
-        values = self._store.values[name]
-        return [values[code] for code in self._store.codes_for(self._store.column_index(name))]
-
-    def dictionary(self, name: str) -> SqlDictionaryColumn:
-        self.schema.position(name)
-        cached = self._dictionaries.get(name)
-        if cached is None:
-            cached = SqlDictionaryColumn(self._store, name)
-            self._dictionaries[name] = cached
-        return cached
-
     def partitions(self):
         if self._partitions is None:
             from .partitions import SqlPartitionManager
 
             self._partitions = SqlPartitionManager(self)
         return self._partitions
-
-    def cell(self, row_id: int, name: str) -> str:
-        self.schema.position(name)
-        return self._store.cell(row_id, name)
 
     def row(self, row_id: int) -> tuple[str, ...]:
         codes = self._store.row_codes(row_id)
@@ -216,71 +178,44 @@ class SqlRelation(Relation):
             values[name][code] for name, code in zip(self.schema.attribute_names, codes)
         )
 
-    def row_dict(self, row_id: int) -> dict[str, str]:
-        return dict(zip(self.schema.attribute_names, self.row(row_id)))
-
     def iter_rows(self) -> Iterator[tuple[str, ...]]:
         names = self.schema.attribute_names
         decoders = [self._store.values[name] for name in names]
         for codes in self._store.iter_code_rows():
             yield tuple(decoder[code] for decoder, code in zip(decoders, codes))
 
-    def iter_row_dicts(self) -> Iterator[dict[str, str]]:
-        names = self.schema.attribute_names
-        for row in self.iter_rows():
-            yield dict(zip(names, row))
-
     # -- mutation -------------------------------------------------------------
 
-    def append_rows(
-        self, rows: "Union[Sequence[object], Mapping[str, object]]"
-    ) -> range:
-        normalized = [self._normalize_row(row) for row in rows]
-        start = self.row_count
-        if not normalized:
-            return range(start, start)
-        deltas = self._store.append(normalized)
+    def _append_cells(self, rows: Sequence[Sequence[str]]) -> dict[str, DictionaryDelta]:
+        """Encode rows through the store and mirror the deltas into the
+        wrappers (the store derives a delta for every attribute)."""
+        deltas = self._store.append(rows)
         for name, wrapper in self._dictionaries.items():
             wrapper._apply_delta(deltas[name])
-        if self._partitions is not None:
-            # The store derives a delta for *every* attribute (unlike the
-            # in-memory path, which only has deltas for cached dictionaries),
-            # so all cached partitions can be patched instead of dropped.
-            self._partitions.extend(deltas)
-        self._version += 1
-        return range(start, start + len(normalized))
+        return deltas
 
-    def _apply_assignments(self, assignments):
+    def _update_cells(self, assignments) -> dict[str, DictionaryUpdate]:
         """Route validated cell assignments through the store.
 
         The store is the single encode authority for the sql backend: it
         drops no-op assignments, pushes ``UPDATE rows SET c<i> = ?`` batches
         down to SQLite, and returns the effective
         :class:`~repro.engine.dictionary.DictionaryUpdate` per attribute.
-        Cached wrappers are patched in place so evaluator masks survive;
-        the inherited :meth:`Relation.apply` then marks the touched
-        partition specs for a fresh snapshot on their next read.
+        The wrappers are patched in place so evaluator masks survive.
         """
-        results = self._store.update_rows(assignments)
-        updates = {name: update for name, update in results.items() if update}
-        touched = set(updates)
-        changed = {row for update in updates.values() for row in update.rows}
+        updates = {
+            name: update for name, update in self._store.update_rows(assignments).items() if update
+        }
         for name, update in updates.items():
-            wrapper = self._dictionaries.get(name)
-            if wrapper is not None:
-                wrapper._apply_update(update)
-        return updates, touched, changed
+            self._dictionaries[name]._apply_update(update)
+        return updates
 
     # -- derivation -----------------------------------------------------------
 
     def copy(self, name: Optional[str] = None) -> "SqlRelation":
         schema = self.schema if name is None else Schema(self.schema.attributes, name=name)
         clone = SqlRelation.__new__(SqlRelation)
-        clone.schema = schema
-        clone._store = self._store.copy()
-        clone._dictionaries = {}
-        clone._partitions = None
-        clone._version = 0
+        clone._attach(schema, self._store.copy())
         clone._deleted = set(self._deleted)
         return clone
 
@@ -295,37 +230,11 @@ class SqlRelation(Relation):
         for row_id in row_ids:
             batch.append(self.row(row_id))
             if len(batch) >= BATCH_ROWS:
-                result._store.append(batch)
+                result._append_cells(batch)
                 batch = []
         if batch:
-            result._store.append(batch)
+            result._append_cells(batch)
         return result
-
-    # -- value summaries (served from the encode state, no row scan) ----------
-
-    def distinct_values(self, name: str) -> list[str]:
-        self.schema.position(name)
-        return [
-            value
-            for value, count in zip(self._store.values[name], self._store.counts[name])
-            if value and count
-        ]
-
-    def value_counts(self, name: str) -> dict[str, int]:
-        self.schema.position(name)
-        return {
-            value: count
-            for value, count in zip(self._store.values[name], self._store.counts[name])
-            if count
-        }
-
-    def active_domain(self, name: str) -> set[str]:
-        self.schema.position(name)
-        return {
-            value
-            for value, count in zip(self._store.values[name], self._store.counts[name])
-            if value and count
-        }
 
     def code_cooccurrence(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         store = self._store

@@ -48,9 +48,6 @@ class SqlStore:
         self.counts: dict[str, list[int]] = {name: [] for name in self.attributes}
         self._positions = {name: i for i, name in enumerate(self.attributes)}
         self._temp_serial = 0
-        # True once any in-place update has run (mirrors
-        # DictionaryColumn.has_updates for wrappers built after the fact).
-        self.has_updates = False
         # sqlite3.connect("") creates a private temporary *on-disk* database
         # that SQLite deletes when the connection closes.
         self._conn = sqlite3.connect("")
@@ -173,9 +170,6 @@ class SqlStore:
             raise IndexError(f"row id {row_id} out of range")
         return row[0]
 
-    def cell(self, row_id: int, name: str) -> str:
-        return self.values[name][self.code_at(row_id, self.column_index(name))]
-
     def row_codes(self, row_id: int) -> tuple[int, ...]:
         cols = ", ".join(f"c{i}" for i in range(len(self.attributes)))
         row = self.fetch_one(f"SELECT {cols} FROM rows WHERE rid = ?", (row_id,))
@@ -213,24 +207,6 @@ class SqlStore:
         ).fetchall()
 
     # -- mutation -------------------------------------------------------------
-
-    def update_cell(self, row_id: int, name: str, value: str) -> None:
-        col = self.column_index(name)
-        old_code = self.code_at(row_id, col)
-        code_of = self.code_of[name]
-        code = code_of.get(value)
-        if code is None:
-            code = len(code_of)
-            code_of[value] = code
-            self.values[name].append(value)
-            self.counts[name].append(0)
-            self._conn.execute("INSERT INTO vals VALUES (?, ?, ?)", (name, code, value))
-        if code == old_code:
-            return
-        self.counts[name][old_code] -= 1
-        self.counts[name][code] += 1
-        self.has_updates = True
-        self._conn.execute(f"UPDATE rows SET c{col} = ? WHERE rid = ?", (code, row_id))
 
     def update_rows(
         self, assignments: "dict[str, dict[int, str]]"
@@ -277,7 +253,6 @@ class SqlStore:
                 self._conn.executemany("INSERT INTO vals VALUES (?, ?, ?)", new_vals)
             if writes:
                 self._conn.executemany(f"UPDATE rows SET c{col} = ? WHERE rid = ?", writes)
-                self.has_updates = True
             results[name] = DictionaryUpdate(
                 attribute=name,
                 assignments=tuple(effective),
@@ -288,13 +263,26 @@ class SqlStore:
     # -- copy -----------------------------------------------------------------
 
     def copy(self) -> "SqlStore":
-        """An independent store with identical rows, codes, and dictionaries."""
+        """An independent store with identical rows, encoded cold: each
+        attribute's codes are renumbered in first-seen row order, so the
+        zero-count tombstones updates leave behind are not carried over
+        (the same contract as an in-memory ``Relation.copy``)."""
         clone = SqlStore(self.attributes)
-        clone.has_updates = self.has_updates
-        for name in self.attributes:
-            clone.values[name] = list(self.values[name])
-            clone.code_of[name] = dict(self.code_of[name])
-            clone.counts[name] = list(self.counts[name])
+        remaps: list[list[int]] = []
+        for index, name in enumerate(self.attributes):
+            seen = [
+                code
+                for (code,) in self._conn.execute(
+                    f"SELECT c{index} FROM rows GROUP BY c{index} ORDER BY MIN(rid)"
+                )
+            ]
+            remap = [0] * len(self.values[name])
+            for new_code, old_code in enumerate(seen):
+                remap[old_code] = new_code
+            remaps.append(remap)
+            clone.values[name] = [self.values[name][code] for code in seen]
+            clone.code_of[name] = {value: code for code, value in enumerate(clone.values[name])}
+            clone.counts[name] = [self.counts[name][code] for code in seen]
         clone._conn.executemany(
             "INSERT INTO vals VALUES (?, ?, ?)",
             (
@@ -311,6 +299,12 @@ class SqlStore:
             chunk = cursor.fetchmany(BATCH_ROWS)
             if not chunk:
                 break
-            clone._conn.executemany(insert, chunk)
+            clone._conn.executemany(
+                insert,
+                (
+                    (row[0], *(remap[code] for remap, code in zip(remaps, row[1:])))
+                    for row in chunk
+                ),
+            )
         clone.row_count = self.row_count
         return clone
