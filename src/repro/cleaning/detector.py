@@ -15,7 +15,7 @@ from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
 from ..constraints.base import CellRef, Violation
-from ..core.pfd import PFD, RowScope, prime_for_pfds, prime_partitions_for_pfds
+from ..core.pfd import PFD, prime_for_pfds, prime_partitions_for_pfds
 from ..dataset.relation import Relation
 from ..engine.evaluator import PatternEvaluator
 from ..engine.parallel import (
@@ -147,7 +147,7 @@ class ErrorDetector:
         precedence over ``since_row``; an empty set yields an empty report.
         """
         if changed_rows is not None:
-            changed_rows = RowScope.of(changed_rows)
+            changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
         workers = resolve_workers(self.workers)
         # Out-of-core relations stay serial: their state is a live SQLite
         # connection that cannot be shipped to pool workers.
@@ -209,14 +209,7 @@ class ErrorDetector:
         prime_partitions_for_pfds(relation, self.pfds, self.evaluator)
         all_violations: list[Violation] = []
         for pfd in self.pfds:
-            all_violations.extend(
-                pfd.violations(
-                    relation,
-                    evaluator=self.evaluator,
-                    since_row=since_row,
-                    changed_rows=changed_rows,
-                )
-            )
+            all_violations.extend(pfd.primed_violations(relation, self.evaluator, since_row, changed_rows))
         return all_violations
 
     def _collect_violations_parallel(

@@ -60,21 +60,6 @@ from ..storage.partitions import SqlStrippedPartition
 from .tableau import CellSpec, PatternTableau, PatternTuple, Wildcard
 
 
-class RowScope(tuple):
-    """A ``changed_rows`` scope in normal form: unique row ids, ascending.
-
-    :meth:`PFD.violations` normalizes whatever iterable it receives; a scope
-    already in this form — the detector builds one per report and hands it
-    to every PFD — passes through as is.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, rows: Iterable[int]) -> "RowScope":
-        return rows if isinstance(rows, cls) else cls(sorted(set(map(int, rows))))
-
-
 def gather_tableau_patterns(pfds: Iterable["PFD"]) -> dict[str, list[Pattern]]:
     """Per attribute, the patterns that evaluating ``pfds`` will match.
 
@@ -229,7 +214,7 @@ def variable_class_violations(
     :class:`~repro.constraints.base.ClassCells`; only the suspects — every
     row outside the majority bucket — become ``CellRef``s.
     """
-    sizes = offsets[1:] - offsets[:-1]
+    sizes = np.diff(offsets)
     class_count = len(sizes)
     if class_count == 0:
         return []
@@ -237,7 +222,7 @@ def variable_class_violations(
     class_ids = None
     found: list[tuple[int, int, Violation]] = []
     for position, (buckets, codes) in enumerate(rhs):
-        row_buckets = buckets.ids.take(codes)
+        row_buckets = buckets.ids[codes]
         disagree = row_buckets != np.repeat(row_buckets[offsets[:-1]], sizes)
         if not disagree.any():
             continue
@@ -522,12 +507,25 @@ class PFD:
         their classes.  When given, ``changed_rows`` takes precedence over
         ``since_row``; an empty set reports nothing.
         """
-        relation.schema.validate_attributes(self.attributes())
         if changed_rows is not None:
-            changed_rows = RowScope.of(changed_rows)
-            if not changed_rows:
-                return []
+            changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
         evaluator = prime_for_pfds(relation, (self,), evaluator)
+        return self.primed_violations(relation, evaluator, since_row, changed_rows)
+
+    def primed_violations(
+        self,
+        relation: Relation,
+        evaluator: PatternEvaluator,
+        since_row: int = 0,
+        changed_rows: Optional[tuple[int, ...]] = None,
+    ) -> list[Violation]:
+        """:meth:`violations` for a caller that has already primed
+        ``evaluator`` for this PFD (:func:`prime_for_pfds`) and passes
+        ``changed_rows`` as unique row ids in ascending order — the error
+        detector, which primes once for all of its PFDs."""
+        relation.schema.validate_attributes(self.attributes())
+        if changed_rows is not None and not changed_rows:
+            return []
         found: list[Violation] = []
         for row in self.tableau:
             if row.is_constant_row(self.lhs, self.rhs):

@@ -371,20 +371,17 @@ class Relation:
         assignments: dict[str, dict[int, str]] = {}
         deletes: set[int] = set()
         for op in batch.ops:
-            if isinstance(op, UpdateOp):
+            if isinstance(op, UpsertOp):
+                appends.extend(self._normalize_row(row) for row in op.rows)
+            elif isinstance(op, UpdateOp):
                 if not 0 <= op.row_id < row_count:
                     raise ReproError(
                         f"update targets row {op.row_id}, but rows 0..{row_count - 1} "
                         "existed before this batch"
                     )
                 for attribute, value in op.values:
-                    per_row = assignments.get(attribute)
-                    if per_row is None:
-                        self.schema.position(attribute)
-                        per_row = assignments[attribute] = {}
-                    per_row[op.row_id] = value if type(value) is str else _normalize_cell(value)
-            elif isinstance(op, UpsertOp):
-                appends.extend(self._normalize_row(row) for row in op.rows)
+                    self.schema.position(attribute)
+                    assignments.setdefault(attribute, {})[op.row_id] = _normalize_cell(value)
             elif isinstance(op, DeleteOp):
                 for row_id in op.row_ids:
                     if not 0 <= row_id < row_count:

@@ -87,7 +87,7 @@ class Schema:
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
-        return tuple(self._index)
+        return tuple(attribute.name for attribute in self._attributes)
 
     def __len__(self) -> int:
         return len(self._attributes)

@@ -39,12 +39,6 @@ import numpy as np
 
 from .backend import stable_order
 
-#: Up to this many rows, :meth:`DictionaryColumn.extend` and
-#: :meth:`DictionaryColumn.update_rows` patch codes and counts cell by cell;
-#: above it, in one vectorized pass (numpy's per-call overhead outweighs the
-#: per-cell loop only for larger batches).
-_SCALAR_PATCH_ROWS = 16
-
 
 @dataclasses.dataclass(frozen=True)
 class DictionaryDelta:
@@ -113,7 +107,7 @@ class DictionaryUpdate:
     @property
     def rows(self) -> tuple[int, ...]:
         """The updated row ids, ascending."""
-        return tuple([row_id for row_id, _old, _new in self.assignments])
+        return tuple(assignment[0] for assignment in self.assignments)
 
     def code_changes(self) -> np.ndarray:
         """A ``(3, n)`` int64 block stacking ``(rows, old_codes,
@@ -287,12 +281,7 @@ class DictionaryColumn:
         if new_values:
             self._add_values(new_values)
         self._append_codes(appended)
-        counts = self._counts
-        if len(appended) > _SCALAR_PATCH_ROWS:
-            np.add.at(counts, np.asarray(appended, dtype=np.intp), 1)
-        else:
-            for code in appended:
-                counts[code] += 1
+        np.add.at(self._counts, np.asarray(appended, dtype=np.intp), 1)
         return DictionaryDelta(
             attribute=self.attribute,
             start_row=start_row,
@@ -303,19 +292,19 @@ class DictionaryColumn:
     def update_rows(self, assignments: Sequence[tuple[int, str]]) -> DictionaryUpdate:
         """Overwrite cells in place; returns the update description.
 
-        ``assignments`` is ``(row_id, new_value)`` pairs, at most one per
-        row.  The dictionary stays append-only: an unseen value receives a
-        fresh code after every existing one, a value whose rows all moved
-        away keeps its code as a zero-count tombstone (revived if the value
-        returns), and existing codes never renumber — so per-code memoized
-        state (match masks, component tables) stays valid and only has to
-        grow.  The per-code counts are patched in O(delta).  Assignments
-        whose cell already holds the new value are dropped from the returned
-        delta.
+        ``assignments`` is ``(row_id, new_value)`` pairs; a row listed more
+        than once takes its last value.  The dictionary stays append-only:
+        an unseen value receives a fresh code after every existing one, a
+        value whose rows all moved away keeps its code as a zero-count
+        tombstone (revived if the value returns), and existing codes never
+        renumber — so per-code memoized state (match masks, component
+        tables) stays valid and only has to grow.  The per-code counts are
+        patched in O(delta).  Assignments whose cell already holds the new
+        value are dropped from the returned delta.
         """
         code_of = self._code_map()
         old_distinct = len(self.values)
-        assignments = sorted(assignments)
+        assignments = sorted(dict(assignments).items())
         new_values: list[str] = []
         new_codes: list[int] = []
         for _row_id, value in assignments:
@@ -327,26 +316,16 @@ class DictionaryColumn:
             new_codes.append(code)
         if new_values:
             self._add_values(new_values)
-        codes, counts = self.codes, self._counts
-        effective: list[tuple[int, int, int]] = []
-        if len(assignments) > _SCALAR_PATCH_ROWS:
-            rows = np.array([row_id for row_id, _value in assignments], dtype=np.int64)
-            old = codes[rows].astype(np.int64)
-            new = np.array(new_codes, dtype=np.int64)
-            moved = old != new
-            rows, old, new = rows[moved], old[moved], new[moved]
-            codes[rows] = new
-            np.subtract.at(counts, old, 1)
-            np.add.at(counts, new, 1)
-            effective.extend(zip(rows.tolist(), old.tolist(), new.tolist()))
-        else:
-            for (row_id, _value), new_code in zip(assignments, new_codes):
-                old_code = int(codes[row_id])
-                if new_code != old_code:
-                    codes[row_id] = new_code
-                    counts[old_code] -= 1
-                    counts[new_code] += 1
-                    effective.append((row_id, old_code, new_code))
+        codes = self.codes
+        rows = np.array([row_id for row_id, _value in assignments], dtype=np.intp)
+        old = codes[rows].astype(np.int64)
+        new = np.array(new_codes, dtype=np.int64)
+        moved = old != new
+        rows, old, new = rows[moved], old[moved], new[moved]
+        codes[rows] = new
+        np.subtract.at(self._counts, old, 1)
+        np.add.at(self._counts, new, 1)
+        effective = list(zip(rows.tolist(), old.tolist(), new.tolist()))
         if effective:
             self.has_updates = True
         return DictionaryUpdate(

@@ -335,14 +335,7 @@ def _detection_task(task: _DetectionTask) -> list[tuple[int, list]]:
     prime_partitions_for_pfds(relation, task.pfds, state.evaluator)
     results: list[tuple[int, list]] = []
     for position, pfd in zip(task.positions, task.pfds):
-        violations = list(
-            pfd.violations(
-                relation,
-                evaluator=state.evaluator,
-                since_row=task.since_row,
-                changed_rows=task.changed_rows,
-            )
-        )
+        violations = pfd.primed_violations(relation, state.evaluator, task.since_row, task.changed_rows)
         results.append((position, violations))
     return results
 

@@ -243,8 +243,6 @@ def _class_positions(
     classes.
     """
     positions = offsets[classes + 1]
-    if not len(rows):
-        return positions
     inside = np.flatnonzero(rows <= rowids[positions - 1])
     order = inside[stable_order(classes[inside])]
     grouped = classes[order]
@@ -875,7 +873,7 @@ class _LeafGroups:
             )
         else:
             seated, seated_offsets = _empty_arrays()
-        seated_sizes = seated_offsets[1:] - seated_offsets[:-1]
+        seated_sizes = np.diff(seated_offsets)
         seat = np.searchsorted(class_mins, seated[seated_offsets[:-1]])
 
         remove_at = edit_at[~edit_joins]
@@ -887,7 +885,7 @@ class _LeafGroups:
             np.concatenate((edit_at[edit_joins], np.repeat(offsets[seat], seated_sizes))),
             np.concatenate((joined, seated)),
         )
-        sizes = offsets[1:] - offsets[:-1]
+        sizes = np.diff(offsets)
         sizes[class_of[in_place]] += (new_count - old_count)[in_place]
         patched_offsets = _offsets_of(_splice(sizes, dropped, seat, seated_sizes))
         covered = partition.covered_array()

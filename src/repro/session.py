@@ -476,7 +476,7 @@ class CleaningSession:
             else:
                 self._delta_start = pending_start
             changed = set(pending_changed or ())
-            changed.update(result.updated_rows, result.deleted_rows, result.appended)
+            changed.update(result.changed_rows)
             self._changed_pending = changed
             self._mark("apply")
             return result

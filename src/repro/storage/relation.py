@@ -62,6 +62,20 @@ class SqlDictionaryColumn(DictionaryColumn):
             return self.values[self._store.code_at(row_id, self._col_index)]
         return super().value_of_row(row_id)
 
+    # Whole-column reads answer from SQLite and leave the code vector
+    # uncached, so they keep the out-of-core memory bound.
+
+    def decode(self) -> list[str]:
+        values = self.values
+        return [values[code] for code in self._store.codes_for(self._col_index)]
+
+    def seen_codes(self) -> np.ndarray:
+        return np.asarray(self._store.seen_codes(self._col_index), dtype=np.intp)
+
+    def broadcast_codes(self, accepted: Sequence[bool]) -> list[int]:
+        codes = [code for code, keep in enumerate(accepted) if keep]
+        return self._store.rows_with_codes(self._col_index, codes)
+
     def extend(self, cells) -> DictionaryDelta:
         raise RuntimeError(
             "SqlDictionaryColumn is extended through SqlRelation.append_rows, "

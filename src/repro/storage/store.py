@@ -47,6 +47,9 @@ class SqlStore:
         self.code_of: dict[str, dict[str, int]] = {name: {} for name in self.attributes}
         self.counts: dict[str, list[int]] = {name: [] for name in self.attributes}
         self._positions = {name: i for i, name in enumerate(self.attributes)}
+        # Attributes with at least one effective in-place update: only their
+        # codes can have left first-seen order (see :meth:`copy`).
+        self.updated: set[str] = set()
         self._temp_serial = 0
         # sqlite3.connect("") creates a private temporary *on-disk* database
         # that SQLite deletes when the connection closes.
@@ -188,6 +191,24 @@ class SqlStore:
             codes.extend(row[0] for row in chunk)
         return codes
 
+    def seen_codes(self, col_index: int) -> list[int]:
+        """The codes one column's rows carry, in first-seen row order (one
+        ``GROUP BY`` over the rows table; zero-count codes never appear)."""
+        return [
+            code
+            for (code,) in self._conn.execute(
+                f"SELECT c{col_index} FROM rows GROUP BY c{col_index} ORDER BY MIN(rid)"
+            )
+        ]
+
+    def rows_with_codes(self, col_index: int, codes: Sequence[int]) -> list[int]:
+        """The row ids whose ``col_index`` code is one of ``codes``, ascending."""
+        condition, scratch = self.code_set_sql(f"c{col_index}", codes)
+        rows = [rid for (rid,) in self._conn.execute(f"SELECT rid FROM rows WHERE {condition} ORDER BY rid")]
+        for table in scratch:
+            self.drop_table(table)
+        return rows
+
     def iter_code_rows(self) -> Iterator[tuple[int, ...]]:
         """All rows' code tuples (without rid), in row order, batched."""
         cols = ", ".join(f"c{i}" for i in range(len(self.attributes)))
@@ -253,6 +274,7 @@ class SqlStore:
                 self._conn.executemany("INSERT INTO vals VALUES (?, ?, ?)", new_vals)
             if writes:
                 self._conn.executemany(f"UPDATE rows SET c{col} = ? WHERE rid = ?", writes)
+                self.updated.add(name)
             results[name] = DictionaryUpdate(
                 attribute=name,
                 assignments=tuple(effective),
@@ -268,18 +290,14 @@ class SqlStore:
         zero-count tombstones updates leave behind are not carried over
         (the same contract as an in-memory ``Relation.copy``)."""
         clone = SqlStore(self.attributes)
-        remaps: list[list[int]] = []
+        remaps: dict[int, str] = {}
         for index, name in enumerate(self.attributes):
-            seen = [
-                code
-                for (code,) in self._conn.execute(
-                    f"SELECT c{index} FROM rows GROUP BY c{index} ORDER BY MIN(rid)"
-                )
-            ]
-            remap = [0] * len(self.values[name])
-            for new_code, old_code in enumerate(seen):
-                remap[old_code] = new_code
-            remaps.append(remap)
+            # Appends mint codes in first-seen order; only updates can
+            # reorder first appearances or leave tombstones behind.
+            seen = list(range(len(self.values[name])))
+            if name in self.updated:
+                seen = self.seen_codes(index)
+                remaps[index] = self.int_map_table((old, new) for new, old in enumerate(seen))
             clone.values[name] = [self.values[name][code] for code in seen]
             clone.code_of[name] = {value: code for code, value in enumerate(clone.values[name])}
             clone.counts[name] = [self.counts[name][code] for code in seen]
@@ -291,20 +309,20 @@ class SqlStore:
                 for code, value in enumerate(clone.values[name])
             ),
         )
+        # SQLite renumbers the rows: an updated attribute's code is read
+        # through its remap table, so no cell passes through Python.
         width = len(self.attributes)
+        renumbered = ", ".join(f"m{i}.comp" if i in remaps else f"r.c{i}" for i in range(width))
+        joins = " ".join(f"JOIN {table} m{i} ON m{i}.code = r.c{i}" for i, table in remaps.items())
         placeholders = ", ".join("?" for _ in range(width + 1))
         insert = f"INSERT INTO rows VALUES ({placeholders})"
-        cursor = self._conn.execute("SELECT * FROM rows ORDER BY rid")
+        cursor = self._conn.execute(f"SELECT r.rid, {renumbered} FROM rows r {joins} ORDER BY r.rid")
         while True:
             chunk = cursor.fetchmany(BATCH_ROWS)
             if not chunk:
                 break
-            clone._conn.executemany(
-                insert,
-                (
-                    (row[0], *(remap[code] for remap, code in zip(remaps, row[1:])))
-                    for row in chunk
-                ),
-            )
+            clone._conn.executemany(insert, chunk)
+        for table in remaps.values():
+            self.drop_table(table)
         clone.row_count = self.row_count
         return clone

@@ -89,6 +89,7 @@ def _assert_reads(relation: Relation, model: list[list[str]]) -> None:
         assert list(relation.value_counts(name).items()) == list(counts.items())
         assert relation.distinct_values(name) == [value for value in counts if value]
         assert relation.active_domain(name) == {value for value in cells if value}
+        assert relation.non_empty_rows(name) == [row_id for row_id, cell in enumerate(cells) if cell]
 
 
 def _assert_cold(relation: Relation) -> None:
@@ -185,6 +186,38 @@ def test_value_order_after_updates_is_first_seen_on_every_backend(backend):
     assert relation.distinct_values("a") == ["w", "x"]
     assert list(relation.value_counts("a").items()) == [("", 1), ("w", 1), ("x", 1)]
     assert relation.active_domain("a") == {"w", "x"}
+
+
+@pytest.mark.skipif("sql" not in _BACKENDS, reason="sql backend unavailable")
+def test_sql_whole_column_reads_leave_the_code_vector_in_sqlite():
+    """Out-of-core reads answer from SQLite: none of them caches a column's
+    per-row code vector on its dictionary wrapper."""
+    relation = Relation.from_rows(["a", "b"], [["x", "1"], ["y", ""], ["z", "1"]], backend="sql")
+    for row_id, value in ((0, ""), (2, "x"), (1, "w")):
+        relation.apply(MutationBatch.update_cells([(row_id, "a", value)]))
+    list(relation.iter_rows())
+    list(relation.iter_row_dicts())
+    relation.copy()
+    for name in ("a", "b"):
+        relation.cell(1, name)
+        relation.row_dict(1)
+        relation.column(name)
+        relation.distinct_values(name)
+        relation.value_counts(name)
+        relation.active_domain(name)
+        relation.non_empty_rows(name)
+        relation.project([name])
+    assert relation.non_empty_rows("a") == [1, 2]
+    assert all(relation.dictionary(name)._codes is None for name in ("a", "b"))
+
+
+def test_a_row_assigned_twice_takes_its_last_value():
+    column = DictionaryColumn.from_values(["x", "y", "x"])
+    update = column.update_rows([(0, "y"), (2, "z"), (0, "w")])
+    assert update.assignments == ((0, 0, 2), (2, 0, 3))
+    assert column.values == ("x", "y", "w", "z")
+    assert column.codes.tolist() == [2, 1, 3]
+    assert column.counts() == [0, 1, 1, 1]
 
 
 def test_every_attribute_is_stored_once_as_its_dictionary():
