@@ -99,7 +99,7 @@ def test_bench_detect_new_beats_full_redetect(benchmark, repro_scale):
 
     def scoped_detect():
         return ErrorDetector(_PFDS, evaluator=session.evaluator, workers=1).detect(
-            session.relation, since_row=appended.start
+            session.relation, changed_rows=range(appended.start, session.relation.row_count)
         )
 
     def full_redetect():

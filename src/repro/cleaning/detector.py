@@ -115,7 +115,6 @@ class ErrorDetector:
     def detect(
         self,
         relation: Relation,
-        since_row: int = 0,
         changed_rows: Optional[Iterable[int]] = None,
     ) -> DetectionReport:
         """Evaluate every PFD and aggregate suspect cells into a report.
@@ -129,22 +128,16 @@ class ErrorDetector:
         (attribute, pattern) pair locate their groups in the same cached
         equivalence classes.
 
-        ``since_row`` scopes detection to the delta of an append (see
-        :meth:`repro.core.pfd.PFD.violations`): the violation search only
-        visits appended tuples (constant rows) and equivalence classes
-        containing appended rows (variable rows) — a PFD whose tableau-row
-        partitions gained nothing in the delta contributes no work beyond
-        those per-row early exits.  Suspect cells of a scoped report may
-        still reference pre-existing rows: an appended tuple can turn an
-        old cell into the minority of its class, and a class an appended
-        row joined is re-examined as a whole.
-
-        ``changed_rows`` generalizes the scope to arbitrary CRUD deltas: an
-        explicit row-id set (typically
-        :attr:`~repro.dataset.mutations.MutationResult.changed_rows`)
-        restricts the search to those tuples and the equivalence classes
-        currently containing them, regardless of recency.  It takes
-        precedence over ``since_row``; an empty set yields an empty report.
+        ``changed_rows`` scopes detection to the delta of a mutation batch
+        (see :meth:`repro.core.pfd.PFD.violations`): an explicit row-id set
+        (typically :attr:`~repro.dataset.mutations.MutationResult.changed_rows`;
+        for an append, ``range(start, relation.row_count)``) restricts the
+        search to those tuples (constant rows) and the equivalence classes
+        currently containing them (variable rows).  Suspect cells of a
+        scoped report may still reference untouched rows: a changed tuple
+        can turn an old cell into the minority of its class, and a class a
+        changed row joined is re-examined as a whole.  An empty set yields
+        an empty report.
         """
         if changed_rows is not None:
             changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
@@ -157,10 +150,10 @@ class ErrorDetector:
             and not getattr(relation, "is_sql_backed", False)
         ):
             all_violations = self._collect_violations_parallel(
-                relation, since_row, workers, changed_rows
+                relation, workers, changed_rows
             )
         else:
-            all_violations = self._collect_violations(relation, since_row, changed_rows)
+            all_violations = self._collect_violations(relation, changed_rows)
         # Evidence is keyed by plain ``(row_id, attribute)`` tuples — the
         # order ``CellRef`` sorts by, without its dataclass ``__lt__`` — and
         # keeps the first suspect ``CellRef`` seen as the error's cell.
@@ -201,7 +194,6 @@ class ErrorDetector:
     def _collect_violations(
         self,
         relation: Relation,
-        since_row: int,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
         """The serial violation search: prime once, then one pass per PFD."""
@@ -209,13 +201,12 @@ class ErrorDetector:
         prime_partitions_for_pfds(relation, self.pfds, self.evaluator)
         all_violations: list[Violation] = []
         for pfd in self.pfds:
-            all_violations.extend(pfd.primed_violations(relation, self.evaluator, since_row, changed_rows))
+            all_violations.extend(pfd.primed_violations(relation, self.evaluator, changed_rows))
         return all_violations
 
     def _collect_violations_parallel(
         self,
         relation: Relation,
-        since_row: int,
         workers: int,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
@@ -247,7 +238,6 @@ class ErrorDetector:
                 _DetectionTask(
                     positions=tuple(positions),
                     pfds=tuple(self.pfds[position] for position in positions),
-                    since_row=since_row,
                     changed_rows=changed_rows,
                 )
                 for chunk in chunk_round_robin(groups, workers * 2)

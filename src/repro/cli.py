@@ -250,69 +250,19 @@ def _command_clean(args: argparse.Namespace) -> int:
 
 def _command_ingest(args: argparse.Namespace) -> int:
     session = _session_from_args(args)
-    pfds = _session_pfds(session, args)
-    base_rows = session.relation.row_count
-
     batch = read_csv(args.batch)
     if batch.attribute_names != session.relation.attribute_names:
         raise ReproError(
             f"batch columns {list(batch.attribute_names)} do not match "
             f"base columns {list(session.relation.attribute_names)}"
         )
-    appended = session.append(batch.iter_rows())
-    print(f"appended {len(appended)} row(s) to {args.csv} ({base_rows} before)")
-
-    if len(appended):
-        report = session.detect_new(
-            pfds if args.load else None, min_evidence=args.min_evidence
-        )
-    else:
-        # A legitimately empty batch: nothing to validate, the delta is clean.
-        report = DetectionReport(
-            relation_name=session.relation.name, errors=[], violations=[]
-        )
-    print(report.summary())
-
-    if args.output:
-        path = Path(args.output)
-        write_csv(session.relation, path)
-        print(f"wrote merged CSV to {path}")
-
-    error_rows = sorted({error.cell.row_id for error in report.errors})
-    if args.report:
-        report_doc = {
-            "base": str(args.csv),
-            "batch": str(args.batch),
-            "rows_before": base_rows,
-            "rows_appended": len(appended),
-            "appended_start": appended.start,
-            "pfds": len(pfds),
-            "pfds_loaded": bool(args.load),
-            "new_errors": len(report.errors),
-            "error_rows": error_rows,
-            "errors": [
-                {
-                    "row": error.cell.row_id,
-                    "attribute": error.cell.attribute,
-                    "value": error.current_value,
-                    "suggested": error.suggested_value,
-                    "evidence": error.evidence_count,
-                }
-                for error in report.errors
-            ],
-            "clean": not report.errors,
-            "stats": session.stats().to_json_dict(),
-        }
-        report_path = Path(args.report)
-        report_path.write_text(
-            json.dumps(report_doc, ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote JSON delta report to {report_path}")
-    if args.stats:
-        _print_stats(session)
-    _maybe_save(args, pfds)
-    return 0 if not report.errors else 1
+    return _run_mutation(
+        args,
+        session,
+        MutationBatch.appends(batch.iter_rows()),
+        kind="ingest",
+        batch=str(args.batch),
+    )
 
 
 def _delta_report_doc(
@@ -326,7 +276,7 @@ def _delta_report_doc(
     **extra,
 ) -> dict:
     """The shared delta-report document: one schema for ``ingest`` /
-    ``update`` / ``delete`` (and mirrored by the service's mutation
+    ``update`` / ``delete`` (and mirrored by the service's write
     endpoints) — ``error_rows`` + ``clean`` drive the 0/1 exit codes."""
     doc = {
         "base": str(args.csv),
@@ -335,6 +285,7 @@ def _delta_report_doc(
         "rows_updated": len(result.updated_rows),
         "rows_deleted": len(result.deleted_rows),
         "rows_appended": len(result.appended),
+        "appended_start": result.appended.start,
         "changed_rows": list(result.changed_rows),
         "pfds": len(pfds),
         "pfds_loaded": bool(args.load),
@@ -357,13 +308,18 @@ def _delta_report_doc(
     return doc
 
 
-def _run_mutation(args: argparse.Namespace, batch: MutationBatch, kind: str, **extra) -> int:
-    """Shared core of ``update`` / ``delete``: apply the batch, re-detect only
-    the touched tuples, and emit the ingest-style delta report."""
-    session = _session_from_args(args)
+def _run_mutation(
+    args: argparse.Namespace,
+    session: CleaningSession,
+    mutations: MutationBatch,
+    kind: str,
+    **extra,
+) -> int:
+    """Shared core of ``ingest`` / ``update`` / ``delete``: apply the batch,
+    re-detect only the touched tuples, and emit the delta report."""
     pfds = _session_pfds(session, args)
     rows_before = session.relation.row_count
-    result = session.apply(batch)
+    result = session.apply(mutations)
     print(
         f"applied {len(result.updated_rows)} update(s), "
         f"{len(result.deleted_rows)} delete(s), "
@@ -423,14 +379,20 @@ def _command_update(args: argparse.Namespace) -> int:
         raise ReproError("update needs --ops FILE and/or --cell ROW ATTR VALUE")
     batch = batch_from_document(document)
     return _run_mutation(
-        args, batch, kind="update", ops=str(args.ops) if args.ops else None
+        args,
+        _session_from_args(args),
+        batch,
+        kind="update",
+        ops=str(args.ops) if args.ops else None,
     )
 
 
 def _command_delete(args: argparse.Namespace) -> int:
     row_ids = _parse_row_ids(args.rows)
     batch = MutationBatch.deletes(row_ids)
-    return _run_mutation(args, batch, kind="delete", requested_rows=row_ids)
+    return _run_mutation(
+        args, _session_from_args(args), batch, kind="delete", requested_rows=row_ids
+    )
 
 
 def _parse_row_ids(text: str) -> list[int]:

@@ -195,7 +195,6 @@ def variable_class_violations(
     rowids: np.ndarray,
     offsets: np.ndarray,
     rhs: Sequence[tuple[RhsBuckets, np.ndarray]],
-    since_row: int = 0,
 ) -> list[Violation]:
     """The violations of one variable tableau row over its LHS classes.
 
@@ -205,9 +204,8 @@ def variable_class_violations(
     bucket on an attribute has no matching partner to falsify the pairwise
     implication, so only classes spanning >= 2 buckets violate; they are
     found with one all-equal-within-class reduction per attribute (compare
-    each row's bucket with its class's first).  With ``since_row``, only
-    classes whose largest (= last) member is at or after it are reported —
-    the others were fully checked before an append.
+    each row's bucket with its class's first).  A scoped search passes
+    only the classes in scope.
 
     Violations come out class by class, RHS attribute by attribute.  Each
     covers its class's cells ``rows × (*lhs, attribute)`` as a lazy
@@ -218,7 +216,6 @@ def variable_class_violations(
     class_count = len(sizes)
     if class_count == 0:
         return []
-    touched = rowids[offsets[1:] - 1] >= since_row if since_row else None
     class_ids = None
     found: list[tuple[int, int, Violation]] = []
     for position, (buckets, codes) in enumerate(rhs):
@@ -230,8 +227,6 @@ def variable_class_violations(
             class_ids = np.repeat(np.arange(class_count, dtype=np.int64), sizes)
         violating = np.zeros(class_count, dtype=bool)
         violating[class_ids[disagree]] = True
-        if touched is not None:
-            violating &= touched
         classes = np.flatnonzero(violating)
         if classes.size:
             emitted = _bucket_violations(
@@ -470,7 +465,6 @@ class PFD:
         self,
         relation: Relation,
         evaluator: Optional[PatternEvaluator] = None,
-        since_row: int = 0,
         changed_rows: Optional[Sequence[int]] = None,
     ) -> list[Violation]:
         """All violations of the PFD on ``relation``.
@@ -484,39 +478,30 @@ class PFD:
         emission costs O(suspects + violating classes) in Python work, not
         O(class size) (see :func:`variable_class_violations`).
 
-        ``since_row`` scopes the search to the *delta* of an append: only
-        tuples with ``row_id >= since_row`` (constant rows) and equivalence
-        classes containing at least one such tuple (variable rows) are
-        examined.  Because classes keep their row ids ascending, the class
-        filter is one comparison against the last member, and — together
-        with the delta-maintained partition cache — the scoped search is
-        exactly the set of violations a full evaluation would report minus
-        those whose participating ``cells`` all predate ``since_row``.  A
-        touched class is re-examined as a whole, so on a base that was not
-        fully clean the scoped report can (re-)flag pre-existing suspect
-        cells whose class the delta joined.
-
-        ``changed_rows`` is the CRUD generalization: an explicit row-id set
-        (from :attr:`~repro.dataset.mutations.MutationResult.changed_rows`)
-        replaces the ``>= since_row`` recency test, scoping the search to
-        the listed tuples (constant rows) and the classes *currently
-        containing* one of them (variable rows).  A row that left a class —
-        its cell now carries a different value — takes that class out of
-        scope, matching the append contract: the scoped report equals the
-        full report on the final state restricted to the changed tuples and
-        their classes.  When given, ``changed_rows`` takes precedence over
-        ``since_row``; an empty set reports nothing.
+        ``changed_rows`` scopes the search to the delta of a mutation
+        batch (:attr:`~repro.dataset.mutations.MutationResult.changed_rows`,
+        whether the rows were appended, updated or deleted): only the
+        listed tuples (constant rows) and the classes *currently
+        containing* one of them (variable rows) are examined.  A row that
+        left a class — its cell now carries a different value — takes that
+        class out of scope.  Together with the delta-maintained partition
+        cache, the scoped report equals the full report on the final state
+        restricted to the changed tuples and their classes; for an append
+        (``changed_rows=range(start, relation.row_count)``) that is every
+        violation with a cell in the appended rows.  A touched class is
+        re-examined as a whole, so on a base that was not fully clean the
+        scoped report can (re-)flag pre-existing suspect cells whose class
+        the delta joined.  An empty set reports nothing.
         """
         if changed_rows is not None:
             changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
         evaluator = prime_for_pfds(relation, (self,), evaluator)
-        return self.primed_violations(relation, evaluator, since_row, changed_rows)
+        return self.primed_violations(relation, evaluator, changed_rows)
 
     def primed_violations(
         self,
         relation: Relation,
         evaluator: PatternEvaluator,
-        since_row: int = 0,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
         """:meth:`violations` for a caller that has already primed
@@ -531,13 +516,13 @@ class PFD:
             if row.is_constant_row(self.lhs, self.rhs):
                 found.extend(
                     self._constant_row_violations(
-                        relation, row, evaluator, since_row, changed_rows
+                        relation, row, evaluator, changed_rows
                     )
                 )
             else:
                 found.extend(
                     self._variable_row_violations(
-                        relation, row, evaluator, since_row, changed_rows
+                        relation, row, evaluator, changed_rows
                     )
                 )
         return found
@@ -547,7 +532,6 @@ class PFD:
         relation: Relation,
         row: PatternTuple,
         evaluator: PatternEvaluator,
-        since_row: int = 0,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
         partition = self._row_partition(relation, row, evaluator)
@@ -557,7 +541,7 @@ class PFD:
         rhs_columns = {attribute: relation.dictionary(attribute) for attribute in self.rhs}
         if isinstance(partition, SqlStrippedPartition):
             return self._constant_row_violations_sql(
-                row, partition, rhs_expected, rhs_columns, since_row, changed_rows
+                row, partition, rhs_expected, rhs_columns, changed_rows
             )
         # Vectorized check: per-code equality masks broadcast to the
         # supported rows via fancy indexing; Python touches only the
@@ -572,8 +556,6 @@ class PFD:
                 np.asarray(changed_rows, dtype=np.int64),
                 assume_unique=True,
             )
-        elif since_row:
-            supported = supported[np.searchsorted(supported, since_row):]
         if not len(supported):
             return []
         bad: dict[str, np.ndarray] = {}
@@ -624,7 +606,6 @@ class PFD:
         partition: SqlStrippedPartition,
         rhs_expected: Mapping[str, Optional[str]],
         rhs_columns: Mapping[str, "DictionaryColumn"],
-        since_row: int,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
         """Pushed-down constant-row check: the accepted code set of each RHS
@@ -647,7 +628,7 @@ class PFD:
         constraint_repr = self._row_repr(row)
         found: list[Violation] = []
         for fetched in partition.constant_violation_rows(
-            rhs_cols, good_codes, since_row, changed_rows
+            rhs_cols, good_codes, changed_rows
         ):
             row_id = fetched[0]
             for offset, attribute in enumerate(self.rhs):
@@ -665,7 +646,6 @@ class PFD:
         relation: Relation,
         row: PatternTuple,
         evaluator: PatternEvaluator,
-        since_row: int = 0,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
         # Variable rows need a pair of LHS-equivalent tuples to witness a
@@ -677,7 +657,7 @@ class PFD:
         partition = self._row_partition(relation, row, evaluator)
         if isinstance(partition, SqlStrippedPartition):
             return self._variable_row_violations_sql(
-                relation, row, evaluator, partition, since_row, changed_rows
+                relation, row, evaluator, partition, changed_rows
             )
         # A ``changed_rows`` scope restricts the scan to the classes that
         # currently contain a changed row before any per-row RHS work
@@ -686,8 +666,6 @@ class PFD:
         # one scope (see ``StrippedPartition.classes_containing``).
         if changed_rows is not None:
             rowids, offsets = partition.classes_containing(changed_rows)
-            # The scope already picked the classes; recency plays no part.
-            since_row = 0
         else:
             rowids, offsets = partition.class_arrays()
         if len(offsets) <= 1:
@@ -700,7 +678,7 @@ class PFD:
             )
             rhs.append((buckets, column.codes[rowids]))
         return variable_class_violations(
-            self._row_repr(row), self.lhs, rowids, offsets, rhs, since_row
+            self._row_repr(row), self.lhs, rowids, offsets, rhs
         )
 
     def _row_repr(self, row: PatternTuple) -> str:
@@ -713,7 +691,6 @@ class PFD:
         row: PatternTuple,
         evaluator: PatternEvaluator,
         partition: SqlStrippedPartition,
-        since_row: int,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
         """Pushed-down variable-row check.
@@ -740,7 +717,7 @@ class PFD:
                 rhs_cols.append(column._col_index)
                 bucket_tables.append(store.int_map_table(enumerate(buckets.ids.tolist())))
             violating = partition.variable_violation_classes(
-                rhs_cols, bucket_tables, since_row, changed_rows
+                rhs_cols, bucket_tables, changed_rows
             )
         finally:
             for table in bucket_tables:

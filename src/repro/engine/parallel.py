@@ -267,8 +267,7 @@ class _DetectionTask:
 
     positions: tuple[int, ...]
     pfds: tuple
-    since_row: int
-    #: Explicit CRUD-delta scope (normalized sorted row ids); None = since_row.
+    #: Delta scope (normalized sorted row ids); None = the whole relation.
     changed_rows: Optional[tuple[int, ...]] = None
 
 
@@ -335,7 +334,7 @@ def _detection_task(task: _DetectionTask) -> list[tuple[int, list]]:
     prime_partitions_for_pfds(relation, task.pfds, state.evaluator)
     results: list[tuple[int, list]] = []
     for position, pfd in zip(task.positions, task.pfds):
-        violations = pfd.primed_violations(relation, state.evaluator, task.since_row, task.changed_rows)
+        violations = pfd.primed_violations(relation, state.evaluator, task.changed_rows)
         results.append((position, violations))
     return results
 

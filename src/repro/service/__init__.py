@@ -5,8 +5,9 @@ hosts many tenants: each tenant's table and discovered PFD set live in a
 durable :class:`ConstraintRegistry` directory, an LRU-bounded
 :class:`SessionManager` keeps the hottest K tenants' engine caches live,
 and per-tenant readers-writer locks let concurrent ``detect``/``validate``
-reads overlap while ``ingest`` appends exclusively (delta-maintaining the
-caches through ``append_rows``).
+reads overlap while ``ingest``/``update``/``delete`` write exclusively
+(each a ``MutationBatch`` delta-maintaining the caches through
+``Relation.apply``).
 
 Layers, transport-independent first::
 

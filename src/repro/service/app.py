@@ -20,7 +20,7 @@ endpoint       lock side   why
 ``repair``     read        repairs a *copy*; the session is not mutated
 ``load``       write\\*     replaces the tenant's table and runtime
 ``discover``   write       replaces the tenant's active constraint set
-``ingest``     write       ``append_rows`` delta-maintains the engine caches
+``ingest``     write       a :class:`MutationBatch` of appends through ``_mutate``
 ``update``     write       a :class:`MutationBatch` patches the engine caches
 ``delete``     write       tombstone deletes, same delta-maintenance path
 =============  ==========  =====================================================
@@ -50,13 +50,13 @@ import io
 import statistics
 import threading
 import time
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .. import __version__
 from ..cleaning.detector import DetectionReport
 from ..cleaning.repair import RepairResult
 from ..dataset.csvio import read_csv
-from ..dataset.mutations import MutationBatch, batch_from_document
+from ..dataset.mutations import MutationBatch, UpsertOp, batch_from_document
 from ..dataset.profiler import TableProfile
 from ..discovery.config import DiscoveryConfig
 from ..exceptions import ReproError, ServiceError
@@ -340,41 +340,17 @@ class CleaningService:
         csv_text: Optional[str] = None,
         min_evidence: int = 1,
     ) -> dict:
-        """Append a batch (delta-maintaining the engine caches) and report
-        only the errors the batch introduced."""
-        with self._timed("ingest"):
-            batch, batch_columns = self._parse_batch(rows, csv_text)
-            with self._tenant_locked(tenant, write=True) as runtime:
-                session = runtime.session
-                columns = session.relation.attribute_names
-                if batch_columns is not None and tuple(batch_columns) != columns:
-                    raise ServiceError(
-                        f"ingest columns {list(batch_columns)} do not match "
-                        f"table columns {list(columns)} of tenant {tenant!r}"
-                    )
-                width = len(columns)
-                for row in batch:
-                    if len(row) != width:
-                        raise ServiceError(
-                            f"ingest row {row!r} has {len(row)} fields, "
-                            f"table {runtime.name!r} has {width} columns"
-                        )
-                pfds = self._active_pfds(runtime)
-                rows_before = session.relation.row_count
-                appended = session.append(batch)
-                if len(appended):
-                    # Durable mirror of the in-memory delta append.
-                    self.registry.append_data(tenant, batch)
-                    report = session.detect_new(pfds, min_evidence=min_evidence)
-                else:
-                    report = DetectionReport(
-                        relation_name=session.relation.name, errors=[], violations=[]
-                    )
-                doc = _detection_doc(report, runtime, kind="ingest")
-                doc["rows_before"] = rows_before
-                doc["rows_appended"] = len(appended)
-                doc["appended_start"] = appended.start if len(appended) else None
-                return doc
+        """Append a batch and report only the errors around the appended
+        rows: a :class:`MutationBatch` of appends through the same write
+        path as :meth:`update`."""
+        batch, batch_columns = self._parse_batch(rows, csv_text)
+        return self._mutate(
+            tenant,
+            MutationBatch.appends(batch),
+            kind="ingest",
+            min_evidence=min_evidence,
+            columns=batch_columns,
+        )
 
     def update(self, tenant: str, document: dict, min_evidence: int = 1) -> dict:
         """Apply a mutation document (cells / delete / rows / ops) and report
@@ -405,16 +381,46 @@ class CleaningService:
             raise ServiceError(f"'rows' must be a list of integer row ids, got {row_ids!r}")
         return self._mutate(tenant, batch, kind="delete", min_evidence=min_evidence)
 
-    def _mutate(self, tenant: str, batch: MutationBatch, kind: str, min_evidence: int) -> dict:
-        """The shared update/delete engine: apply, mirror, scoped detect.
+    def _mutate(
+        self,
+        tenant: str,
+        batch: MutationBatch,
+        kind: str,
+        min_evidence: int,
+        columns: Optional[Sequence[str]] = None,
+    ) -> dict:
+        """The one write path: check, apply, mirror, scoped detect.
 
-        Emits the same delta-report document shape as ``ingest`` —
-        ``_detection_doc`` plus ``rows_before`` and the mutation counters —
-        so every write endpoint reports through one schema.
+        Appended rows are checked against the live table's schema under
+        the write lock (``columns`` is an ingest batch's own CSV header).
+        The registry mirror appends when the batch only appended rows and
+        atomically rewrites ``data.csv`` otherwise (updates touch arbitrary
+        rows; tombstoned rows persist as blank rows, keeping ids stable
+        across rehydration).  If the mirror fails, the tenant's runtime is
+        evicted, so the next request rehydrates from what the registry
+        holds instead of serving rows it never stored.
+
+        Every write endpoint reports through one schema: ``_detection_doc``
+        plus ``rows_before`` and the mutation counters.
         """
         with self._timed(kind):
             with self._tenant_locked(tenant, write=True) as runtime:
                 session = runtime.session
+                names = session.relation.attribute_names
+                if columns is not None and tuple(columns) != names:
+                    raise ServiceError(
+                        f"{kind} columns {list(columns)} do not match "
+                        f"table columns {list(names)} of tenant {tenant!r}"
+                    )
+                for op in batch:
+                    if not isinstance(op, UpsertOp):
+                        continue
+                    for row in op.rows:
+                        if not isinstance(row, Mapping) and len(row) != len(names):
+                            raise ServiceError(
+                                f"{kind} row {row!r} has {len(row)} fields, "
+                                f"table {runtime.name!r} has {len(names)} columns"
+                            )
                 pfds = self._active_pfds(runtime)
                 rows_before = session.relation.row_count
                 try:
@@ -422,11 +428,16 @@ class CleaningService:
                 except ReproError as error:
                     raise ServiceError(str(error))
                 if result:
-                    # Durable mirror: updates touch arbitrary rows, so the
-                    # registry data file is atomically rewritten (tombstoned
-                    # rows persist as blank rows, keeping ids stable across
-                    # rehydration).
-                    self.registry.save_data(tenant, session.relation)
+                    try:
+                        if result.updated_rows or result.deleted_rows:
+                            self.registry.save_data(tenant, session.relation)
+                        else:
+                            self.registry.append_data(
+                                tenant, map(session.relation.row, result.appended)
+                            )
+                    except BaseException:
+                        self.manager.evict(tenant)
+                        raise
                     report = session.detect_changed(pfds, min_evidence=min_evidence)
                 else:
                     report = DetectionReport(
@@ -437,6 +448,7 @@ class CleaningService:
                 doc["rows_updated"] = len(result.updated_rows)
                 doc["rows_deleted"] = len(result.deleted_rows)
                 doc["rows_appended"] = len(result.appended)
+                doc["appended_start"] = result.appended.start if len(result.appended) else None
                 doc["changed_rows"] = list(result.changed_rows)
                 return doc
 

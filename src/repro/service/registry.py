@@ -9,8 +9,10 @@ One directory per tenant under a registry root::
                       with a metadata block: discovery config, row count,
                       and format version), and
         data.csv    — the tenant's table, kept current by ``load`` (full
-                      rewrite) and ``ingest`` (append-only, mirroring the
-                      in-memory ``append_rows`` delta).
+                      rewrite) and by every write endpoint's mutation
+                      batch: appended at the end when the batch only
+                      appended rows (every ``ingest``), atomically
+                      rewritten otherwise.
 
 This is the durable half of the serving tier: the LRU session manager may
 evict a cold tenant's live :class:`~repro.session.CleaningSession` at any
@@ -21,7 +23,9 @@ rebuilt lazily on the next request (bit-identical, per the append/rebuild
 parity the engine pins elsewhere).
 
 Writes go through a temp-file-then-rename so a crash mid-save never leaves
-a half-written document behind.
+a half-written document behind; an append (:meth:`ConstraintRegistry.append_data`)
+has no such guard yet.  When a mirror write raises, the service evicts the
+tenant's live session, so memory never runs ahead of this directory.
 """
 
 from __future__ import annotations
@@ -134,8 +138,8 @@ class ConstraintRegistry:
         return path
 
     def append_data(self, tenant: str, rows: Iterable[Sequence[str]]) -> int:
-        """Append rows to a tenant's stored CSV (the durable mirror of
-        ``append_rows``); returns the number of rows written."""
+        """Append rows to a tenant's stored CSV (the durable mirror of an
+        appends-only mutation batch); returns the number of rows written."""
         path = self.data_path(tenant)
         if not path.exists():
             raise UnknownTenantError(

@@ -36,12 +36,16 @@ The historical free functions (:func:`repro.discover_pfds`,
 :func:`repro.detect_errors`, :func:`repro.repair_errors`) remain as thin
 convenience wrappers that construct a throwaway session.
 
-Ingestion rides the same object: :meth:`CleaningSession.append` feeds a
-batch through :meth:`Relation.append_rows` (which delta-maintains the
-dictionary / mask / partition caches instead of invalidating them) while
-keeping the memoized discovery, and :meth:`CleaningSession.detect_new`
-re-validates just the appended delta — only PFDs whose partitions gained
-rows, only equivalence classes containing new rows.
+Ingestion rides the same object, through one delta path: every mutation
+— :meth:`CleaningSession.append` included, which is a one-op
+:class:`~repro.dataset.mutations.MutationBatch` of appends — goes through
+:meth:`CleaningSession.apply` and :meth:`Relation.apply` (which
+delta-maintain the dictionary / mask / partition caches instead of
+invalidating them) while keeping the memoized discovery, and accumulates
+the rows it touched into one pending delta.
+:meth:`CleaningSession.detect_changed` (alias :meth:`~CleaningSession.detect_new`)
+re-validates just that delta — only the touched tuples, only equivalence
+classes containing them.
 """
 
 from __future__ import annotations
@@ -301,12 +305,9 @@ class CleaningSession:
         self._detection: Optional[tuple[tuple, DetectionReport]] = None
         self._repair: Optional[tuple[tuple, RepairResult]] = None
         self._validation: Optional[tuple[tuple, ValidationReport]] = None
-        #: First row id of the batches appended via :meth:`append` that
-        #: :meth:`detect_new` has not yet examined (None = no pending delta).
-        self._delta_start: Optional[int] = None
-        #: Row ids touched by :meth:`apply` / :meth:`update` / :meth:`delete`
-        #: (and appends) that :meth:`detect_changed` has not yet examined
-        #: (None = no pending CRUD delta).
+        #: Row ids touched by :meth:`apply` and its wrappers (appends
+        #: included) that :meth:`detect_changed` has not yet examined
+        #: (None = no pending delta).
         self._changed_pending: Optional[set[int]] = None
 
     # -- constructors --------------------------------------------------------
@@ -435,7 +436,6 @@ class CleaningSession:
             self._detection = None
             self._repair = None
             self._validation = None
-            self._delta_start = None
             self._changed_pending = None
 
     def _mark(self, stage: str) -> None:
@@ -453,28 +453,20 @@ class CleaningSession:
         point of ingestion is validating new data against the constraints
         already learned); detection / repair / validation memos are dropped,
         since their reports describe the pre-mutation table.  Consecutive
-        batches accumulate into one pending CRUD delta for
-        :meth:`detect_changed` (appends additionally feed the append-only
-        delta :meth:`detect_new` consumes).  A batch with no effective
-        change (every assignment matched the stored value, nothing appended
-        or deleted) leaves every memo — including a pending delta — intact.
+        batches accumulate into one pending delta for
+        :meth:`detect_changed`.  A batch with no effective change (every
+        assignment matched the stored value, nothing appended or deleted)
+        leaves every memo — including a pending delta — intact.
         """
         with self._state_lock:
             self._sync()
             discovery = self._discovery
-            pending_start = self._delta_start
             pending_changed = self._changed_pending
             result = self.relation.apply(batch)
             if not result:
                 return result
             self.invalidate()
             self._discovery = discovery
-            if len(result.appended):
-                self._delta_start = (
-                    pending_start if pending_start is not None else result.appended.start
-                )
-            else:
-                self._delta_start = pending_start
             changed = set(pending_changed or ())
             changed.update(result.changed_rows)
             self._changed_pending = changed
@@ -484,9 +476,8 @@ class CleaningSession:
     def append(self, rows) -> range:
         """Append a batch of tuples: a one-op :meth:`apply`.
 
-        Returns the appended row-id range; consecutive appends accumulate
-        into one pending delta for :meth:`detect_new` (and, like every
-        mutation, into the CRUD delta for :meth:`detect_changed`).
+        Returns the appended row-id range; like every mutation, the
+        appended rows join the pending delta of :meth:`detect_changed`.
         """
         with self._state_lock:
             result = self.apply(MutationBatch.appends(rows))
@@ -514,19 +505,17 @@ class CleaningSession:
         pfds: Optional[Sequence[PFD]] = None,
         min_evidence: int = 1,
     ) -> DetectionReport:
-        """Detect suspect cells around the pending CRUD delta.
+        """Detect suspect cells around the pending delta.
 
-        The counterpart of :meth:`detect_new` for arbitrary mutations:
-        scopes the violation search (see
+        Scopes the violation search (see
         :meth:`~repro.cleaning.detector.ErrorDetector.detect` with
         ``changed_rows``) to the rows touched since the last consumption —
-        updated, deleted, or appended — and the equivalence classes
+        appended, updated, or deleted — and the equivalence classes
         currently containing them, O(delta) on a primed session.  Defaults
         to the session's discovered PFDs (which :meth:`apply` deliberately
-        preserves).  The pending delta (both the CRUD set and the append
-        watermark) is consumed; a second call without a new mutation
-        raises.  Suspect cells may reference untouched rows when a mutation
-        turns them into the minority of their class.
+        preserves).  The pending delta is consumed; a second call without a
+        new mutation raises.  Suspect cells may reference untouched rows
+        when a mutation turns them into the minority of their class.
         """
         with self._state_lock:
             self._sync()
@@ -545,46 +534,12 @@ class CleaningSession:
                 executor=self._executor_for(workers),
             ).detect(self.relation, changed_rows=self._changed_pending)
             self._changed_pending = None
-            self._delta_start = None
             self._mark("detect_changed")
             return report
 
-    def detect_new(
-        self,
-        pfds: Optional[Sequence[PFD]] = None,
-        min_evidence: int = 1,
-    ) -> DetectionReport:
-        """Detect suspect cells introduced by the pending appended batches.
-
-        Scopes the violation search to the delta (see
-        :meth:`~repro.cleaning.detector.ErrorDetector.detect` with
-        ``since_row``): only PFDs whose tableau-row partitions gained
-        covered rows are re-validated, and only equivalence classes
-        containing appended rows are walked — O(delta), not O(table), on a
-        primed session.  Defaults to the session's discovered PFDs (which
-        :meth:`append` deliberately preserves).  The pending delta is
-        consumed: a second call without a new :meth:`append` raises.
-        Suspect cells may reference pre-append rows when an appended tuple
-        turns them into the minority of their class.
-        """
-        with self._state_lock:
-            self._sync()
-            if self._delta_start is None:
-                raise ReproError(
-                    "detect_new() has no pending appended rows: call append() first"
-                )
-            _, resolved = self._resolve_pfds(pfds)
-            workers = self._workers_for()
-            report = ErrorDetector(
-                resolved,
-                min_evidence=min_evidence,
-                evaluator=self.evaluator,
-                workers=workers,
-                executor=self._executor_for(workers),
-            ).detect(self.relation, since_row=self._delta_start)
-            self._delta_start = None
-            self._mark("detect_new")
-            return report
+    #: Alias of :meth:`detect_changed`: an append is one more mutation, so
+    #: after an update-only batch it reports that batch's delta.
+    detect_new = detect_changed
 
     # -- stages --------------------------------------------------------------
 

@@ -155,7 +155,6 @@ class SqlStrippedPartition(StrippedPartition):
         self,
         rhs_cols: Sequence[int],
         rhs_good_codes: Sequence[Sequence[int]],
-        since_row: int,
         changed_rows: Optional[Sequence[int]] = None,
     ) -> list[tuple]:
         """Covered rows violating a constant tableau row, ascending.
@@ -163,17 +162,14 @@ class SqlStrippedPartition(StrippedPartition):
         Returns ``(rid, rhs_code_0, rhs_code_1, ...)`` for the covered rows
         in scope whose code on *some* RHS attribute is outside that
         attribute's accepted set — only violating rows leave the database.
-        The scope is rows at or after ``since_row``, or — when
-        ``changed_rows`` is given — exactly that row-id set (the CRUD delta
-        contract of :meth:`repro.core.pfd.PFD.violations`).
+        When ``changed_rows`` is given, the scope is exactly that row-id set
+        (the delta contract of :meth:`repro.core.pfd.PFD.violations`).
         """
         conditions = []
         scratch: list[str] = []
+        scope_sql = "1"
         if changed_rows is not None:
-            scope_sql, tables = self._store.code_set_sql("r.rid", changed_rows)
-            scratch.extend(tables)
-        else:
-            scope_sql = f"r.rid >= {int(since_row)}"
+            scope_sql, scratch = self._store.code_set_sql("r.rid", changed_rows)
         for col, good in zip(rhs_cols, rhs_good_codes):
             if good:
                 in_sql, tables = self._store.code_set_sql(f"r.c{col}", good)
@@ -197,18 +193,16 @@ class SqlStrippedPartition(StrippedPartition):
         self,
         rhs_cols: Sequence[int],
         bucket_tables: Sequence[str],
-        since_row: int,
         changed_rows: Optional[Sequence[int]] = None,
     ) -> list[tuple[int, ...]]:
         """The stripped classes that can violate a variable tableau row.
 
         ``bucket_tables`` map each RHS attribute's codes to RHS-bucket ids
         (matched/constrained vs literal value).  A class violates only if it
-        spans >= 2 distinct buckets on some RHS attribute and touches the
-        delta — rows at or after ``since_row``, or the explicit
-        ``changed_rows`` id set when given — both conditions are pushed into
-        one grouped query, so agreeing classes (the vast majority) never
-        leave SQLite.  Returned classes are in partition order (smallest
+        spans >= 2 distinct buckets on some RHS attribute and, when
+        ``changed_rows`` is given, contains one of those rows — both
+        conditions are pushed into one grouped query, so agreeing classes
+        (the vast majority) never leave SQLite.  Returned classes are in partition order (smallest
         member first).
         """
         joins = " ".join(
@@ -219,11 +213,10 @@ class SqlStrippedPartition(StrippedPartition):
             f"COUNT(DISTINCT b{i}.comp) >= 2" for i in range(len(rhs_cols))
         )
         phase1_scratch: list[str] = []
+        touches = "1"
         if changed_rows is not None:
             rid_in_sql, phase1_scratch = self._store.code_set_sql("r.rid", changed_rows)
             touches = f"SUM(CASE WHEN {rid_in_sql} THEN 1 ELSE 0 END) > 0"
-        else:
-            touches = f"MAX(r.rid) >= {int(since_row)}"
         phase1 = (
             f"SELECT {self._sql_group} AS g FROM {self._sql_from} {joins} "
             f"WHERE {self._sql_where} GROUP BY g "

@@ -298,7 +298,10 @@ def test_pfd_delta_violations_parity(base, batch):
         for violation in _variable_pfd.violations(fresh)
         if any(cell.row_id >= since for cell in violation.cells)
     ]
-    assert _variable_pfd.violations(relation, since_row=since) == expected
+    assert (
+        _variable_pfd.violations(relation, changed_rows=range(since, relation.row_count))
+        == expected
+    )
 
 
 # -- pipeline pins -------------------------------------------------------------

@@ -7,7 +7,7 @@ evaluator's pattern-match masks, and the stripped-partition layer — is
 would produce, so every downstream consumer (discovery, validation,
 detection, repair) sees exactly the same classes, codes, and reports.  The
 hypothesis properties below pin that equivalence on random tables and random
-appended batches; the unit tests cover the scoped ``since_row`` detection,
+appended batches; the unit tests cover detection scoped to the appended rows,
 the session ``append``/``detect_new`` workflow, and the CLI ``ingest``
 subcommand.
 """
@@ -143,7 +143,7 @@ def test_extended_caches_equal_full_rebuild(base, batch):
 @given(base=_base_rows, batch=_batch_rows)
 def test_detection_on_extended_caches_equals_full_rebuild(base, batch):
     """``detect`` over delta-maintained caches == ``detect`` from scratch,
-    and the scoped ``since_row`` report == the full report filtered to
+    and the report scoped to the appended rows == the full report filtered to
     violations touching the delta."""
     pfd = make_pfd("zip", "city", [{"zip": _zip_pattern, "city": "⊥"}])
 
@@ -165,7 +165,9 @@ def test_detection_on_extended_caches_equals_full_rebuild(base, batch):
         for e in fresh_full.errors
     ]
 
-    scoped = ErrorDetector([pfd], evaluator=evaluator).detect(relation, since_row=start)
+    scoped = ErrorDetector([pfd], evaluator=evaluator).detect(
+        relation, changed_rows=range(start, relation.row_count)
+    )
     touching = [
         violation
         for violation in fresh_full.violations
@@ -266,6 +268,19 @@ class TestSessionIngestion:
         session.detect_new()
         with pytest.raises(ReproError):
             session.detect_new()
+
+    def test_detect_new_consumes_the_delta_detect_changed_would_see(self, session):
+        # One pending delta: the appended rows are not reported a second time.
+        session.discover()
+        session.append([("90009", "New York")])
+        assert {error.cell.row_id for error in session.detect_new().errors} == {16}
+        with pytest.raises(ReproError):
+            session.detect_changed()
+
+    def test_detect_new_after_an_update_reports_the_update(self, session):
+        session.discover()
+        session.update([(0, "city", "New York")])
+        assert {error.cell.row_id for error in session.detect_new().errors} == {0}
 
     def test_consecutive_appends_accumulate_one_delta(self, session):
         session.discover()

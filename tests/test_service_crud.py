@@ -1,19 +1,23 @@
 """Service-level CRUD: /update + /delete semantics and torn-report safety.
 
-The mutation endpoints share one report schema with ``ingest`` (rows_before,
-rows_updated/rows_deleted/rows_appended, changed_rows, errors, clean), mirror
-every successful batch into the durable registry with a full atomic rewrite,
-and — because reports are assembled under the tenant's writer lock — can
-never hand a concurrent reader a torn view (half pre-update, half post).
+The write endpoints (``ingest`` included) share one report schema
+(rows_before, rows_updated/rows_deleted/rows_appended, changed_rows, errors,
+clean), mirror every successful batch into the durable registry (an append
+for append-only batches, a full atomic rewrite otherwise, and an eviction of
+the live runtime when that mirror fails), and — because reports are
+assembled under the tenant's writer lock — can never hand a concurrent
+reader a torn view (half pre-update, half post).
 """
 
 from __future__ import annotations
 
+import errno
 import threading
 
 import pytest
 
 from repro import DiscoveryConfig
+from repro.cleaning.detector import ErrorDetector
 from repro.exceptions import ServiceError
 from repro.service import CleaningService, ConstraintRegistry
 
@@ -110,6 +114,51 @@ class TestDeleteEndpoint:
         assert doc["clean"] is False
         doc = service.delete_rows("acme", [16])
         assert doc["clean"] is True
+
+
+class TestMirror:
+    def test_append_only_update_mirrors_by_appending(self, service, monkeypatch):
+        def rewrite(*args):
+            raise AssertionError("an append-only batch rewrote data.csv")
+
+        monkeypatch.setattr(service.registry, "save_data", rewrite)
+        doc = service.update(
+            "acme", {"rows": [["90020", "Los Angeles"], {"zip": "10020", "city": "Boston"}]}
+        )
+        assert doc["rows_appended"] == 2
+        assert doc["appended_start"] == 16
+        live = service.manager.peek("acme").session.relation
+        stored = service.registry.load_data("acme")
+        assert list(stored.iter_rows()) == list(live.iter_rows())
+
+    @pytest.mark.parametrize(
+        "mirror, write",
+        [
+            ("append_data", lambda svc: svc.ingest("acme", rows=[["90050", "New York"]])),
+            ("save_data", lambda svc: svc.update("acme", {"cells": [[0, "city", "New York"]]})),
+        ],
+    )
+    def test_failed_mirror_keeps_memory_and_registry_together(
+        self, service, monkeypatch, mirror, write
+    ):
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(service.registry, mirror, full_disk)
+        with pytest.raises(OSError):
+            write(service)
+        doc = service.detect("acme")
+        stored = service.registry.load_data("acme")
+        assert doc["rows"] == stored.row_count == 16
+        pfds, _ = service.registry.load_constraints("acme")
+        cold = ErrorDetector(pfds).detect(stored)
+        assert [
+            (entry["row"], entry["attribute"], entry["value"], entry["suggested"])
+            for entry in doc["errors"]
+        ] == [
+            (error.cell.row_id, error.cell.attribute, error.current_value, error.suggested_value)
+            for error in cold.errors
+        ]
 
 
 class TestTornReports:

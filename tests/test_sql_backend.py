@@ -318,9 +318,10 @@ def test_pfd_delta_violations_parity(base, batch):
     since = sql_relation.row_count
     sql_relation.append_rows(batch)
     memory_relation.append_rows(batch)
+    delta = range(since, sql_relation.row_count)
     assert _variable_pfd.violations(
-        sql_relation, since_row=since
-    ) == _variable_pfd.violations(memory_relation, since_row=since)
+        sql_relation, changed_rows=delta
+    ) == _variable_pfd.violations(memory_relation, changed_rows=delta)
 
 
 # -- pipeline parity -----------------------------------------------------------

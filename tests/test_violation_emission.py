@@ -40,14 +40,12 @@ _REPR = "R([x] -> [y], |Tp|=1) @ (x=⊥ || y=⊥)"
 # -- the reference: the original per-row dict-of-buckets walk -----------------
 
 
-def _reference_violations(lhs, rowids, offsets, rhs, since_row=0):
+def _reference_violations(lhs, rowids, offsets, rhs):
     """One violation per (class, RHS attribute) spanning >= 2 buckets."""
     found = []
     for index in range(len(offsets) - 1):
         lo, hi = int(offsets[index]), int(offsets[index + 1])
         row_ids = rowids[lo:hi].tolist()
-        if since_row and row_ids[-1] < since_row:
-            continue
         for buckets, codes in rhs:
             attribute = buckets.attribute
             code_of = dict(zip(row_ids, codes[lo:hi].tolist()))
@@ -95,9 +93,9 @@ def _classes(groups):
     return rowids, offsets
 
 
-def _assert_matches_reference(lhs, rowids, offsets, rhs, since_row=0):
-    actual = variable_class_violations(_REPR, lhs, rowids, offsets, rhs, since_row)
-    expected = _reference_violations(lhs, rowids, offsets, rhs, since_row)
+def _assert_matches_reference(lhs, rowids, offsets, rhs):
+    actual = variable_class_violations(_REPR, lhs, rowids, offsets, rhs)
+    expected = _reference_violations(lhs, rowids, offsets, rhs)
     assert [v.suspect_cells for v in actual] == [v.suspect_cells for v in expected]
     assert [v.expected_value for v in actual] == [v.expected_value for v in expected]
     assert [tuple(v.cells) for v in actual] == [v.cells for v in expected]
@@ -139,15 +137,14 @@ def _emission_cases(draw):
             )
         )
         rhs.append((_buckets(attribute, spec), np.asarray(codes, dtype=np.int64)))
-    since_row = draw(st.integers(min_value=0, max_value=total))
-    return rowids, offsets, rhs, since_row
+    return rowids, offsets, rhs
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_emission_cases(), lhs=st.sampled_from([("x",), ("w", "x")]))
 def test_emission_matches_dict_bucket_reference(case, lhs):
-    rowids, offsets, rhs, since_row = case
-    _assert_matches_reference(lhs, rowids, offsets, rhs, since_row)
+    rowids, offsets, rhs = case
+    _assert_matches_reference(lhs, rowids, offsets, rhs)
 
 
 def test_equal_size_buckets_break_ties_on_the_larger_key():
