@@ -13,15 +13,18 @@ equivalent on the constrained RHS parts.  Rows whose constrained parts are
 constants additionally apply to *single* tuples: any tuple matching the LHS
 must match the RHS.
 
-The implementation groups data tuples by their extracted constrained LHS
-values, which makes the check linear in the table size per tableau row
-(instead of quadratic over tuple pairs).  The grouping itself is served by
-the relation's stripped-partition cache
-(:meth:`~repro.dataset.relation.Relation.partitions`): each tableau row's
-LHS corresponds to an intersection of per-(attribute, pattern) partitions,
-built once and shared across violations, support, statistics, discovery
-validation, and error detection — the per-row walk then touches equivalence
-classes, not raw rows.
+Variable rows need pairs of tuples, so they group the tuples by their
+extracted constrained LHS values, which keeps the check linear in the table
+size (instead of quadratic over tuple pairs).  The grouping is served by the
+relation's stripped-partition cache
+(:meth:`~repro.dataset.relation.Relation.partitions`): a variable row's LHS
+is an intersection of per-(attribute, pattern) partitions, built once and
+shared by violations, discovery validation, and error detection.  Every
+per-tuple question — constant-row violations, support, coverage, matching
+rows — is answered in distinct-code-tuple space instead
+(:func:`covered_tuples`): a tableau row covers a code tuple when each LHS
+code is non-empty and set in the evaluator's per-code match mask, so these
+checks read no partition and no write has to patch one for them.
 
 Pattern matching itself is vectorized through :mod:`repro.engine`: every
 tableau cell is matched once per *distinct* column value (via the memoized
@@ -53,11 +56,11 @@ from ..constraints.fd import FD
 from ..dataset.relation import Relation
 from ..engine.dictionary import DictionaryColumn
 from ..engine.evaluator import PatternEvaluator, default_evaluator
-from ..engine.partitions import PartitionManager, StrippedPartition
+from ..engine.partitions import PartitionManager, StrippedPartition, _spans
 from ..exceptions import ConstraintError
 from ..patterns.ast import Pattern
 from ..storage.partitions import SqlStrippedPartition
-from .tableau import CellSpec, PatternTableau, PatternTuple, Wildcard
+from .tableau import _WILDCARD_PATTERN, CellSpec, PatternTableau, PatternTuple, Wildcard
 
 
 def gather_tableau_patterns(pfds: Iterable["PFD"]) -> dict[str, list[Pattern]]:
@@ -116,21 +119,6 @@ def prime_for_pfds(
     return evaluator
 
 
-def gather_partition_keys(pfds: Iterable["PFD"]) -> list[tuple[str, Pattern]]:
-    """The distinct (attribute, LHS pattern) pairs ``pfds`` will group by.
-
-    One pair per stripped-partition *leaf*: duplicates across tableau rows
-    and across sibling PFDs are dropped (order preserved), so priming walks
-    each leaf exactly once instead of re-asking the cache per row.
-    """
-    keys: dict[tuple[str, Pattern], None] = {}
-    for pfd in pfds:
-        for row in pfd.tableau:
-            for attribute in pfd.lhs:
-                keys[(attribute, row.pattern(attribute))] = None
-    return list(keys)
-
-
 def prime_partitions_for_pfds(
     relation: Relation,
     pfds: Iterable["PFD"],
@@ -138,8 +126,9 @@ def prime_partitions_for_pfds(
 ) -> PartitionManager:
     """Build the leaf partitions that evaluating ``pfds`` will group by.
 
-    Every (attribute, LHS pattern) pair across all tableau rows of all
-    supplied PFDs maps to one stripped partition in the relation's cache;
+    Every distinct (attribute, LHS pattern) pair across the *variable*
+    tableau rows of all supplied PFDs maps to one stripped partition in the
+    relation's cache (constant rows are checked per tuple and read none);
     building them here — after :func:`prime_for_pfds` has batched the
     pattern matching — means sibling PFDs sharing a pattern share one
     grouping pass, and the subsequent per-row evaluation only intersects
@@ -148,10 +137,63 @@ def prime_partitions_for_pfds(
     """
     manager = relation.partitions()
     known = set(relation.attribute_names)
-    for attribute, pattern in gather_partition_keys(pfds):
+    keys = {
+        (attribute, row.pattern(attribute)): None
+        for pfd in pfds
+        for row in pfd.variable_rows()
+        for attribute in pfd.lhs
+    }
+    for attribute, pattern in keys:
         if attribute in known:
             manager.pattern_partition(attribute, pattern, evaluator=evaluator)
     return manager
+
+
+def covered_tuples(
+    relation: Relation,
+    lhs: Sequence[str],
+    rows: Sequence[PatternTuple],
+    lhs_codes: np.ndarray,
+    evaluator: PatternEvaluator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(tuple, row)`` index pairs, sorted by tuple then row, where
+    tableau row ``rows[k]`` covers the code tuple ``lhs_codes[t]``: each LHS
+    code is non-empty and set in the evaluator's per-code match mask of the
+    row's pattern (the wildcard matches every value).
+
+    Per attribute, the rows' matched codes become sorted keys ``code * K +
+    k``; the first attribute expands each tuple into its code's key range,
+    every further one keeps the pairs whose key is present.  Beyond the
+    masks the work is O(matched codes + tuples + covered pairs).
+    """
+    width = len(rows)
+    tuple_ids = np.arange(len(lhs_codes), dtype=np.int64)
+    row_ids: Optional[np.ndarray] = None
+    for position, attribute in enumerate(lhs):
+        column = relation.dictionary(attribute)
+        matched = [_matched_codes(column, row.pattern(attribute), evaluator) for row in rows]
+        codes = np.concatenate(matched)
+        owners = np.repeat(np.arange(width, dtype=np.int64), [len(m) for m in matched])
+        keep = codes != column.code_of("")  # all True when no cell is empty
+        keys = np.sort(codes[keep] * width + owners[keep])
+        probe = lhs_codes[tuple_ids, position] * width
+        if row_ids is None:
+            starts = np.searchsorted(keys, probe)
+            stops = np.searchsorted(keys, probe + width)
+            tuple_ids = np.repeat(tuple_ids, stops - starts)
+            row_ids = keys[_spans(starts, stops)] % width
+        else:
+            hit = np.isin(probe + row_ids, keys)
+            tuple_ids, row_ids = tuple_ids[hit], row_ids[hit]
+    return tuple_ids, row_ids
+
+
+def _matched_codes(column: DictionaryColumn, pattern: Pattern, evaluator: PatternEvaluator) -> np.ndarray:
+    """The ascending codes of ``column`` whose value ``pattern`` matches
+    (every code for the wildcard)."""
+    if pattern == _WILDCARD_PATTERN:
+        return np.arange(len(column.values), dtype=np.int64)
+    return np.flatnonzero(evaluator.match_column(pattern, column).matched_array())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -410,25 +452,15 @@ class PFD:
 
     # -- matching helpers ------------------------------------------------------
 
-    def _prime_lhs(self, relation: Relation, evaluator: PatternEvaluator) -> None:
-        """Batch-match all LHS tableau patterns per attribute (one shared-DFA
-        scan per distinct value) before the row-by-row walk."""
-        for attribute in self.lhs:
-            patterns = list(
-                dict.fromkeys(row.pattern(attribute) for row in self.tableau)
-            )
-            if len(patterns) >= 2:
-                evaluator.match_column_many(patterns, relation.dictionary(attribute))
-
     def _row_partition(
         self,
         relation: Relation,
         row: PatternTuple,
         evaluator: PatternEvaluator,
     ) -> StrippedPartition:
-        """The stripped partition of a tableau row's LHS: covered rows are
-        the tuples matching every LHS pattern (with non-empty cells), and
-        classes group them by the tuple of extracted constrained parts.
+        """The stripped partition of a variable tableau row's LHS: classes
+        group the tuples matching every LHS pattern (with non-empty cells)
+        by the tuple of extracted constrained parts.
 
         Served from the relation's partition cache: single-attribute rows
         read one (attribute, pattern) leaf, multi-attribute rows intersect
@@ -449,9 +481,11 @@ class PFD:
         row: PatternTuple,
         evaluator: Optional[PatternEvaluator] = None,
     ) -> list[int]:
-        """Tuple ids matching every LHS pattern of ``row`` (its support set)."""
+        """Tuple ids matching every LHS pattern of ``row`` (its support set), ascending."""
         evaluator = evaluator or default_evaluator()
-        return list(self._row_partition(relation, row, evaluator).covered)
+        tuples, _ = relation.code_cooccurrence(self.lhs)
+        tuple_ids, _ = covered_tuples(relation, self.lhs, [row], tuples, evaluator)
+        return relation.rows_with_code_tuples(self.lhs, tuples[tuple_ids])[0].tolist()
 
     # -- satisfaction / violations ---------------------------------------------
 
@@ -511,14 +545,11 @@ class PFD:
         relation.schema.validate_attributes(self.attributes())
         if changed_rows is not None and not changed_rows:
             return []
+        constant = self._constant_violations(relation, evaluator, changed_rows)
         found: list[Violation] = []
-        for row in self.tableau:
+        for position, row in enumerate(self.tableau):
             if row.is_constant_row(self.lhs, self.rhs):
-                found.extend(
-                    self._constant_row_violations(
-                        relation, row, evaluator, changed_rows
-                    )
-                )
+                found.extend(constant.get(position, ()))
             else:
                 found.extend(
                     self._variable_row_violations(
@@ -527,118 +558,75 @@ class PFD:
                 )
         return found
 
-    def _constant_row_violations(
+    def _constant_violations(
         self,
         relation: Relation,
-        row: PatternTuple,
         evaluator: PatternEvaluator,
         changed_rows: Optional[tuple[int, ...]] = None,
-    ) -> list[Violation]:
-        partition = self._row_partition(relation, row, evaluator)
-        rhs_expected = {
-            attribute: row.pattern(attribute).constant_value() for attribute in self.rhs
-        }
-        rhs_columns = {attribute: relation.dictionary(attribute) for attribute in self.rhs}
-        if isinstance(partition, SqlStrippedPartition):
-            return self._constant_row_violations_sql(
-                row, partition, rhs_expected, rhs_columns, changed_rows
-            )
-        # Vectorized check: per-code equality masks broadcast to the
-        # supported rows via fancy indexing; Python touches only the
-        # offending positions, emitting violations in row-major, then RHS
-        # attribute, order.
-        supported = partition.covered_array()
-        if changed_rows is not None:
-            # Both sides are sorted and unique (covered rows ascending, the
-            # changed set normalized in violations()).
-            supported = np.intersect1d(
-                supported,
-                np.asarray(changed_rows, dtype=np.int64),
-                assume_unique=True,
-            )
-        if not len(supported):
-            return []
-        bad: dict[str, np.ndarray] = {}
-        any_bad = np.zeros(len(supported), dtype=bool)
-        for attribute in self.rhs:
-            column = rhs_columns[attribute]
-            expected = rhs_expected[attribute]
-            equal = np.fromiter(
-                (value == expected for value in column.values),
-                dtype=bool,
-                count=column.distinct_count,
-            )
-            attr_bad = ~equal[column.codes[supported]]
-            bad[attribute] = attr_bad
-            any_bad |= attr_bad
-        constraint_repr = self._row_repr(row)
-        found: list[Violation] = []
-        for position in np.flatnonzero(any_bad).tolist():
-            row_id = int(supported[position])
-            for attribute in self.rhs:
-                if bad[attribute][position]:
-                    found.append(
-                        self._constant_violation(
-                            constraint_repr, row_id, attribute, rhs_expected
+    ) -> dict[int, list[Violation]]:
+        """The violations of every constant tableau row, by tableau position.
+
+        Constant rows apply to single tuples, so all of them are checked in
+        one pass over the distinct ``(*lhs, *rhs)`` code tuples of the scope
+        (``changed_rows``, or all rows): a covered tuple (see
+        :func:`covered_tuples`) violates on each RHS attribute whose code is
+        not the expected constant's.  Only the violating tuples' rows are
+        fetched; each row's violations come by row id, then RHS attribute.
+        """
+        positions = [
+            position
+            for position, row in enumerate(self.tableau)
+            if row.is_constant_row(self.lhs, self.rhs)
+        ]
+        if not positions:
+            return {}
+        rows = [self.tableau[position] for position in positions]
+        names = self.lhs + self.rhs
+        width = len(self.lhs)
+        tuples, _ = relation.code_cooccurrence(names, changed_rows)
+        tuple_ids, row_ids = covered_tuples(
+            relation, self.lhs, rows, tuples[:, :width], evaluator
+        )
+        expected = [
+            [row.pattern(attribute).constant_value() for attribute in self.rhs] for row in rows
+        ]
+        columns = [relation.dictionary(attribute) for attribute in self.rhs]
+        codes = [[c.code_of(value) for c, value in zip(columns, values)] for values in expected]
+        expected_codes = np.array(
+            [[-1 if code is None else code for code in row] for row in codes], dtype=np.int64
+        )
+        bad = tuples[tuple_ids, width:] != expected_codes[row_ids]
+        violating = bad.any(axis=1)
+        tuple_ids, row_ids, bad = tuple_ids[violating], row_ids[violating], bad[violating]
+        if not len(tuple_ids):
+            return {}
+        # Pairs stay sorted by tuple: each holder of a violating tuple (they
+        # come ascending) takes that tuple's span of violating pairs, so
+        # every tableau row's list fills in row id order.
+        wanted = np.unique(tuple_ids)
+        holders, held = relation.rows_with_code_tuples(names, tuples[wanted], changed_rows)
+        starts = np.searchsorted(tuple_ids, wanted)[held]
+        stops = np.searchsorted(tuple_ids, wanted, side="right")[held]
+        pairs = _spans(starts, stops)
+        reprs = [self._row_repr(row) for row in rows]
+        found: dict[int, list[Violation]] = {}
+        for k, row_id, flags in zip(
+            row_ids[pairs].tolist(),
+            np.repeat(holders, stops - starts).tolist(),
+            bad[pairs].tolist(),
+        ):
+            emitted = found.setdefault(positions[k], [])
+            for attribute, value, flag in zip(self.rhs, expected[k], flags):
+                if flag:
+                    emitted.append(
+                        Violation(
+                            constraint_kind="PFD",
+                            constraint_repr=reprs[k],
+                            cells=tuple(CellRef(row_id, a) for a in (*self.lhs, attribute)),
+                            suspect_cells=(CellRef(row_id, attribute),),
+                            expected_value=value,
                         )
                     )
-        return found
-
-    def _constant_violation(
-        self,
-        constraint_repr: str,
-        row_id: int,
-        attribute: str,
-        rhs_expected: Mapping[str, Optional[str]],
-    ) -> Violation:
-        cells = tuple(CellRef(row_id, attr) for attr in (*self.lhs, attribute))
-        return Violation(
-            constraint_kind="PFD",
-            constraint_repr=constraint_repr,
-            cells=cells,
-            suspect_cells=(CellRef(row_id, attribute),),
-            expected_value=rhs_expected[attribute],
-        )
-
-    def _constant_row_violations_sql(
-        self,
-        row: PatternTuple,
-        partition: SqlStrippedPartition,
-        rhs_expected: Mapping[str, Optional[str]],
-        rhs_columns: Mapping[str, "DictionaryColumn"],
-        changed_rows: Optional[tuple[int, ...]] = None,
-    ) -> list[Violation]:
-        """Pushed-down constant-row check: the accepted code set of each RHS
-        attribute (the codes decoding to the expected constant) is shipped
-        into one query over the partition's spec, so only the violating rows
-        ever leave SQLite — same violations, same (row-major, then RHS
-        attribute) order as the in-memory path."""
-        rhs_cols: list[int] = []
-        good_codes: list[list[int]] = []
-        good_sets: dict[str, set[int]] = {}
-        for attribute in self.rhs:
-            column = rhs_columns[attribute]
-            expected = rhs_expected[attribute]
-            rhs_cols.append(column._col_index)
-            good = [
-                code for code, value in enumerate(column.values) if value == expected
-            ]
-            good_codes.append(good)
-            good_sets[attribute] = set(good)
-        constraint_repr = self._row_repr(row)
-        found: list[Violation] = []
-        for fetched in partition.constant_violation_rows(
-            rhs_cols, good_codes, changed_rows
-        ):
-            row_id = fetched[0]
-            for offset, attribute in enumerate(self.rhs):
-                if fetched[1 + offset] in good_sets[attribute]:
-                    continue
-                found.append(
-                    self._constant_violation(
-                        constraint_repr, row_id, attribute, rhs_expected
-                    )
-                )
         return found
 
     def _variable_row_violations(
@@ -764,22 +752,27 @@ class PFD:
     ) -> list[RowStatistics]:
         """Support and violation counts per tableau row."""
         evaluator = prime_for_pfds(relation, (self,), evaluator)
+        constant = self._constant_violations(relation, evaluator)
+        tuples, counts = relation.code_cooccurrence(self.lhs)
+        tuple_ids, row_ids = covered_tuples(
+            relation, self.lhs, list(self.tableau), tuples, evaluator
+        )
+        supports = np.bincount(
+            row_ids, weights=counts[tuple_ids], minlength=len(self.tableau)
+        ).astype(np.int64)
         statistics: list[RowStatistics] = []
-        violations_by_row: dict[PatternTuple, set[int]] = defaultdict(set)
-        for row in self.tableau:
+        for position, row in enumerate(self.tableau):
             if row.is_constant_row(self.lhs, self.rhs):
-                for violation in self._constant_row_violations(relation, row, evaluator):
-                    violations_by_row[row].update(c.row_id for c in violation.suspect_cells)
+                violations = constant.get(position, ())
             else:
-                for violation in self._variable_row_violations(relation, row, evaluator):
-                    violations_by_row[row].update(c.row_id for c in violation.suspect_cells)
-        for row in self.tableau:
-            support = len(self.matching_rows(relation, row, evaluator=evaluator))
+                violations = self._variable_row_violations(relation, row, evaluator)
             statistics.append(
                 RowStatistics(
                     row=row,
-                    support=support,
-                    violating_tuples=len(violations_by_row.get(row, ())),
+                    support=int(supports[position]),
+                    violating_tuples=len(
+                        {cell.row_id for v in violations for cell in v.suspect_cells}
+                    ),
                 )
             )
         return statistics
@@ -788,24 +781,10 @@ class PFD:
         self, relation: Relation, evaluator: Optional[PatternEvaluator] = None
     ) -> int:
         """Number of tuples matched by at least one tableau row's LHS."""
-        evaluator = evaluator or default_evaluator()
-        self._prime_lhs(relation, evaluator)
-        partitions = [
-            self._row_partition(relation, row, evaluator) for row in self.tableau
-        ]
-        if all(isinstance(p, SqlStrippedPartition) for p in partitions) and (
-            len({id(p._store) for p in partitions}) == 1
-        ):
-            # All rows' LHSes ground out in one store: the distinct covered
-            # row count is a single UNION-of-selects aggregate in SQLite.
-            union_sql = " UNION ".join(p.covered_select() for p in partitions)
-            return partitions[0]._store.fetch_value(
-                f"SELECT COUNT(*) FROM ({union_sql})"
-            )
-        union = partitions[0].covered_array()
-        for partition in partitions[1:]:
-            union = np.union1d(union, partition.covered_array())
-        return int(len(union))
+        evaluator = prime_for_pfds(relation, (self,), evaluator)
+        tuples, counts = relation.code_cooccurrence(self.lhs)
+        tuple_ids, _ = covered_tuples(relation, self.lhs, list(self.tableau), tuples, evaluator)
+        return int(counts[np.unique(tuple_ids)].sum())
 
     def coverage(
         self, relation: Relation, evaluator: Optional[PatternEvaluator] = None

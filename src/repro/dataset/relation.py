@@ -472,10 +472,10 @@ class Relation:
         return {values[code]: counts[code] for code in dictionary.seen_codes().tolist()}
 
     def non_empty_rows(self, name: str) -> list[int]:
-        """The rows whose ``name`` cell is non-empty, ascending (one pass
-        over the column's codes)."""
-        dictionary = self.dictionary(name)
-        return dictionary.broadcast_codes([bool(value) for value in dictionary.values])
+        """The rows whose ``name`` cell is non-empty, ascending."""
+        codes = [[code] for code, value in enumerate(self.dictionary(name).values) if value]
+        tuples = np.array(codes, dtype=np.int64).reshape(-1, 1)
+        return self.rows_with_code_tuples((name,), tuples)[0].tolist()
 
     def active_domain(self, name: str) -> set[str]:
         """The active domain of ``name``: the set of non-empty values present."""
@@ -486,11 +486,16 @@ class Relation:
             if value and count
         }
 
-    def code_cooccurrence(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    def code_cooccurrence(
+        self, names: Sequence[str], rows: Optional[Sequence[int]] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The distinct dictionary-code tuples of ``names`` with their row
         counts: an ``(n, len(names))`` int64 array sorted lexicographically,
-        and the matching int64 counts."""
+        and the matching int64 counts.  ``rows`` (ascending unique row ids)
+        restricts the count to those rows."""
         columns = [self.dictionary(name) for name in names]
+        scope = slice(None) if rows is None else np.asarray(rows, dtype=np.int64)
+        codes = [column.codes[scope] for column in columns]
         # One sort per column after the first: each pass keys the previous
         # pass's dense tuple ids by the next column's codes.  The keys grow
         # in lexicographic tuple order, and re-densifying before every
@@ -498,13 +503,13 @@ class Relation:
         # never overflow.  The last pass returns only counts; the tuples are
         # decoded back through each pass's keys by divmod.
         radices = [len(column.values) for column in columns[1:]]
-        key = columns[0].codes.astype(np.int64)
+        key = codes[0].astype(np.int64)
         seen = []
-        for radix, column in zip(radices[:-1], columns[1:-1]):
-            distinct, key = np.unique(key * radix + column.codes, return_inverse=True)
+        for radix, column_codes in zip(radices[:-1], codes[1:-1]):
+            distinct, key = np.unique(key * radix + column_codes, return_inverse=True)
             seen.append(distinct)
         if radices:
-            key = key * radices[-1] + columns[-1].codes
+            key = key * radices[-1] + codes[-1]
         key, counts = np.unique(key, return_counts=True)
         table = np.empty((len(key), len(columns)), dtype=np.int64)
         for position in range(len(columns) - 1, 0, -1):
@@ -513,6 +518,32 @@ class Relation:
                 key = seen[position - 2][key]
         table[:, 0] = key
         return table, counts.astype(np.int64)
+
+    def rows_with_code_tuples(
+        self,
+        names: Sequence[str],
+        tuples: np.ndarray,
+        rows: Optional[Sequence[int]] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending rows (among ``rows`` when given) whose codes on
+        ``names`` form one of ``tuples`` — distinct code tuples sorted
+        lexicographically, as :meth:`code_cooccurrence` returns them — and,
+        per row, the index of its tuple in ``tuples``."""
+        scope = np.arange(self.row_count) if rows is None else np.asarray(rows, dtype=np.int64)
+        # Column by column, a surviving row carries the dense id of its code
+        # prefix among the tuples' prefixes (in the tuples' order).
+        row_ids = np.zeros(len(scope), dtype=np.int64)
+        tuple_ids = np.zeros(len(tuples), dtype=np.int64)
+        for position, name in enumerate(names):
+            column = self.dictionary(name)
+            radix = len(column.values)
+            prefixes, tuple_ids = np.unique(
+                tuple_ids * radix + tuples[:, position], return_inverse=True
+            )
+            keys = row_ids * radix + column.codes[scope]
+            hit = np.isin(keys, prefixes)
+            scope, row_ids = scope[hit], np.searchsorted(prefixes, keys[hit])
+        return scope, row_ids
 
     # -- convenience ---------------------------------------------------------
 

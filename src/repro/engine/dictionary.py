@@ -393,16 +393,6 @@ class DictionaryColumn:
         """Rows per code as an int64 ndarray (do not mutate)."""
         return self._counts
 
-    def broadcast_codes(self, accepted: Sequence[bool]) -> list[int]:
-        """Row ids whose code is accepted, in ascending order.
-
-        ``accepted`` is a per-code mask (``accepted[code]`` truthy keeps the
-        rows carrying that code), broadcast to rows with one fancy-indexing
-        operation.
-        """
-        mask = np.asarray(accepted, dtype=bool)
-        return np.flatnonzero(mask[self.codes]).tolist()
-
     @property
     def duplication_factor(self) -> float:
         """Average number of rows per distinct value (1.0 = all unique)."""

@@ -356,11 +356,10 @@ class StrippedPartition:
         Total rows of the underlying relation (for error/coverage ratios).
 
     The *covered* rows — every row the grouping key is defined on, including
-    the stripped singletons — are kept alongside because PFD semantics need
-    them (tableau-row support counts rows, not classes; constant rows apply
-    to single tuples).  For intersections they are derived lazily from the
-    parent partitions, so candidates rejected on classes alone never pay for
-    them.
+    the stripped singletons — are kept alongside for discovery's coverage
+    pruning and the FD baselines (PFD support counts code tuples instead).
+    For intersections they are derived lazily from the parent partitions,
+    so candidates rejected on classes alone never pay for them.
     """
 
     __slots__ = (

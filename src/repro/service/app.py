@@ -461,7 +461,7 @@ class CleaningService:
         if rows is not None:
             if not isinstance(rows, (list, tuple)):
                 raise ServiceError("'rows' must be a list of rows")
-            return [list(map(str, row)) for row in rows], None
+            return list(rows), None
         if csv_text is not None:
             try:
                 parsed = read_csv(io.StringIO(csv_text), name="batch")

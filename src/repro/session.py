@@ -694,7 +694,7 @@ class CleaningSession:
                     pfd=pfd,
                     coverage=pfd.coverage(self.relation, evaluator=self.evaluator),
                     violation_count=len(
-                        pfd.violations(self.relation, evaluator=self.evaluator)
+                        pfd.primed_violations(self.relation, self.evaluator)
                     ),
                 )
                 for pfd in resolved

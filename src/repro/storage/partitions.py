@@ -15,8 +15,8 @@ instead — a ``FROM``/``WHERE``/group-expression triple over the store's
 * ``class_count`` / ``stripped_row_count`` / ``covered_count`` are SQL
   aggregates over the spec, so discovery's coverage pruning and the partition
   ``error`` never materialize a single row id;
-* PFD violation search runs as violating-rows / violating-groups queries
-  (see :mod:`repro.core.pfd`), fetching only the rows that actually violate.
+* variable-row PFD violation search runs as a violating-groups query (see
+  :mod:`repro.core.pfd`), fetching only the classes that actually violate.
 
 Every spec pins ``rid < max_rid`` at build time, so partitions handed out
 before an append keep describing the old rows — the same snapshot contract
@@ -89,10 +89,6 @@ class SqlStrippedPartition(StrippedPartition):
             f"WHERE {self._sql_where} GROUP BY g HAVING n >= 2"
         )
 
-    def covered_select(self) -> str:
-        """``SELECT rid`` over the covered rows (for COUNT/UNION pushdown)."""
-        return f"SELECT r.rid AS rid FROM {self._sql_from} WHERE {self._sql_where}"
-
     # -- lazy materialization -------------------------------------------------
 
     def class_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +108,9 @@ class SqlStrippedPartition(StrippedPartition):
 
     def covered_array(self) -> np.ndarray:
         if self._covered_array is None:
-            cursor = self._store.execute(f"{self.covered_select()} ORDER BY r.rid")
+            cursor = self._store.execute(
+                f"SELECT r.rid FROM {self._sql_from} WHERE {self._sql_where} ORDER BY r.rid"
+            )
             self._covered_array = np.fromiter((row[0] for row in cursor), dtype=np.int64)
         return self._covered_array
 
@@ -150,44 +148,6 @@ class SqlStrippedPartition(StrippedPartition):
         return self._covered_count_cache
 
     # -- violation pushdown ---------------------------------------------------
-
-    def constant_violation_rows(
-        self,
-        rhs_cols: Sequence[int],
-        rhs_good_codes: Sequence[Sequence[int]],
-        changed_rows: Optional[Sequence[int]] = None,
-    ) -> list[tuple]:
-        """Covered rows violating a constant tableau row, ascending.
-
-        Returns ``(rid, rhs_code_0, rhs_code_1, ...)`` for the covered rows
-        in scope whose code on *some* RHS attribute is outside that
-        attribute's accepted set — only violating rows leave the database.
-        When ``changed_rows`` is given, the scope is exactly that row-id set
-        (the delta contract of :meth:`repro.core.pfd.PFD.violations`).
-        """
-        conditions = []
-        scratch: list[str] = []
-        scope_sql = "1"
-        if changed_rows is not None:
-            scope_sql, scratch = self._store.code_set_sql("r.rid", changed_rows)
-        for col, good in zip(rhs_cols, rhs_good_codes):
-            if good:
-                in_sql, tables = self._store.code_set_sql(f"r.c{col}", good)
-                scratch.extend(tables)
-                conditions.append(f"NOT ({in_sql})")
-            else:
-                conditions.append("1")  # no code carries the expected value
-        columns = ", ".join(f"r.c{col}" for col in rhs_cols)
-        sql = (
-            f"SELECT r.rid, {columns} FROM {self._sql_from} "
-            f"WHERE {self._sql_where} AND {scope_sql} "
-            f"AND ({' OR '.join(conditions)}) ORDER BY r.rid"
-        )
-        try:
-            return self._store.execute(sql).fetchall()
-        finally:
-            for table in scratch:
-                self._store.drop_table(table)
 
     def variable_violation_classes(
         self,

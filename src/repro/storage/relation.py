@@ -72,10 +72,6 @@ class SqlDictionaryColumn(DictionaryColumn):
     def seen_codes(self) -> np.ndarray:
         return np.asarray(self._store.seen_codes(self._col_index), dtype=np.intp)
 
-    def broadcast_codes(self, accepted: Sequence[bool]) -> list[int]:
-        codes = [code for code, keep in enumerate(accepted) if keep]
-        return self._store.rows_with_codes(self._col_index, codes)
-
     def extend(self, cells) -> DictionaryDelta:
         raise RuntimeError(
             "SqlDictionaryColumn is extended through SqlRelation.append_rows, "
@@ -250,11 +246,21 @@ class SqlRelation(Relation):
             result._append_cells(batch)
         return result
 
-    def code_cooccurrence(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        store = self._store
-        rows = store.code_tuple_counts([store.column_index(name) for name in names])
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(names) + 1)
+    def code_cooccurrence(
+        self, names: Sequence[str], rows: Optional[Sequence[int]] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        cols = [self.dictionary(name)._col_index for name in names]
+        counted = self._store.code_tuple_counts(cols, rows)
+        table = np.array(counted, dtype=np.int64).reshape(len(counted), len(names) + 1)
         return table[:, :-1], table[:, -1]
+
+    def rows_with_code_tuples(
+        self, names: Sequence[str], tuples: np.ndarray, rows: Optional[Sequence[int]] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        cols = [self.dictionary(name)._col_index for name in names]
+        found = self._store.code_tuple_rows(cols, tuples.tolist(), rows)
+        pairs = np.array(found, dtype=np.int64).reshape(len(found), 2)
+        return pairs[:, 0], pairs[:, 1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

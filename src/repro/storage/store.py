@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sqlite3
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..engine.dictionary import DictionaryDelta, DictionaryUpdate
 
@@ -201,14 +201,6 @@ class SqlStore:
             )
         ]
 
-    def rows_with_codes(self, col_index: int, codes: Sequence[int]) -> list[int]:
-        """The row ids whose ``col_index`` code is one of ``codes``, ascending."""
-        condition, scratch = self.code_set_sql(f"c{col_index}", codes)
-        rows = [rid for (rid,) in self._conn.execute(f"SELECT rid FROM rows WHERE {condition} ORDER BY rid")]
-        for table in scratch:
-            self.drop_table(table)
-        return rows
-
     def iter_code_rows(self) -> Iterator[tuple[int, ...]]:
         """All rows' code tuples (without rid), in row order, batched."""
         cols = ", ".join(f"c{i}" for i in range(len(self.attributes)))
@@ -219,13 +211,48 @@ class SqlStore:
                 break
             yield from chunk
 
-    def code_tuple_counts(self, col_indexes: Sequence[int]) -> list[tuple[int, ...]]:
+    def code_tuple_counts(
+        self, col_indexes: Sequence[int], rids: Optional[Sequence[int]] = None
+    ) -> list[tuple[int, ...]]:
         """Distinct code tuples of the given columns with their row counts
-        (the count last), sorted: one ``GROUP BY`` over the rows table."""
+        (the count last), sorted: one ``GROUP BY`` over the rows table, or
+        over the rows ``rids`` names."""
         cols = ", ".join(f"c{int(i)}" for i in col_indexes)
-        return self.execute(
-            f"SELECT {cols}, COUNT(*) FROM rows GROUP BY {cols} ORDER BY {cols}"
-        ).fetchall()
+        scope, scratch = ("1", []) if rids is None else self.code_set_sql("rid", rids)
+        try:
+            return self.execute(
+                f"SELECT {cols}, COUNT(*) FROM rows WHERE {scope} GROUP BY {cols} ORDER BY {cols}"
+            ).fetchall()
+        finally:
+            for table in scratch:
+                self.drop_table(table)
+
+    def code_tuple_rows(
+        self,
+        col_indexes: Sequence[int],
+        tuples: Sequence[Sequence[int]],
+        rids: Optional[Sequence[int]] = None,
+    ) -> list[tuple[int, int]]:
+        """``(rid, t)`` for the rows (among ``rids`` when given) whose codes
+        on the given columns equal ``tuples[t]``, ascending by rid: the
+        tuples ship as a keyed scratch table that the rows join."""
+        self._temp_serial += 1
+        name = f"tuples_{self._temp_serial}"
+        keys = ", ".join(f"k{i}" for i in range(len(col_indexes)))
+        self._conn.execute(f"CREATE TABLE {name} ({keys}, t, PRIMARY KEY ({keys})) WITHOUT ROWID")
+        scope, scratch = ("1", []) if rids is None else self.code_set_sql("r.rid", rids)
+        on = " AND ".join(f"s.k{i} = r.c{int(col)}" for i, col in enumerate(col_indexes))
+        try:
+            self._conn.executemany(
+                f"INSERT INTO {name} VALUES ({', '.join('?' * (len(col_indexes) + 1))})",
+                ((*codes, t) for t, codes in enumerate(tuples)),
+            )
+            return self.execute(
+                f"SELECT r.rid, s.t FROM rows r JOIN {name} s ON {on} WHERE {scope} ORDER BY r.rid"
+            ).fetchall()
+        finally:
+            for table in (name, *scratch):
+                self.drop_table(table)
 
     # -- mutation -------------------------------------------------------------
 

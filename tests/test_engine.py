@@ -33,12 +33,6 @@ def test_dictionary_column_encodes_and_decodes():
     assert column.duplication_factor == 2.0
 
 
-def test_dictionary_column_broadcast_codes_preserves_row_order():
-    column = DictionaryColumn.from_values(["x", "y", "x", "z", "y"])
-    rows = column.broadcast_codes([True, False, True])
-    assert rows == [0, 2, 3]
-
-
 def test_relation_dictionary_is_cached_and_patched_in_place():
     relation = Relation.from_rows(["a", "b"], [("1", "x"), ("2", "y"), ("1", "x")])
     first = relation.dictionary("a")

@@ -325,9 +325,10 @@ def test_partition_evaluation_agrees_with_dict_grouping(rows, data, lhs_size):
     # Violations: identical suspect cells, per tableau row.
     reference = _reference_suspects(pfd, relation)
     actual: dict[object, set[int]] = {row: set() for row in pfd.tableau}
-    for row in pfd.tableau:
+    constant = pfd._constant_violations(relation, evaluator)
+    for position, row in enumerate(pfd.tableau):
         if row.is_constant_row(pfd.lhs, pfd.rhs):
-            found = pfd._constant_row_violations(relation, row, evaluator)
+            found = constant.get(position, [])
         else:
             found = pfd._variable_row_violations(relation, row, evaluator)
         for violation in found:

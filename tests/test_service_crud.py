@@ -161,6 +161,21 @@ class TestMirror:
         ]
 
 
+class TestIngestRows:
+    def test_ingest_stores_rows_as_update_does(self, service):
+        # A null cell is stored empty and a mapping row by its values, by
+        # both write endpoints alike.
+        rows = [[None, "Boston"], {"zip": "10030", "city": "Boston"}, [10031, "Boston"]]
+        service.ingest("acme", rows=rows)
+        service.update("acme", {"rows": rows})
+        live = service.manager.peek("acme").session.relation
+        stored = service.registry.load_data("acme")
+        expected = [("", "Boston"), ("10030", "Boston"), ("10031", "Boston")]
+        assert [live.row(row_id) for row_id in range(16, 19)] == expected
+        assert [live.row(row_id) for row_id in range(19, 22)] == expected
+        assert list(stored.iter_rows()) == list(live.iter_rows())
+
+
 class TestTornReports:
     def test_concurrent_readers_never_see_torn_state(self, service):
         """A writer flips row 0 between its clean and dirty value while

@@ -297,31 +297,54 @@ def test_set_cell_parity():
 
 _variable_pfd = make_pfd("x", "y", [{"x": "⊥", "y": "⊥"}])
 _mixed_pfd = make_pfd(("x", "y"), "z", [{"x": r"{{\w*}}", "y": "⊥", "z": "⊥"}])
-_constant_pfd = make_pfd("x", "y", [{"x": r"a{{\w*}}", "y": "a"}])
+# Constant rows: their LHS constrained parts and RHS cells are constants, so
+# each applies to single tuples.
+_constant_pfds = [
+    make_pfd("x", "y", [{"x": r"{{a}}\A*", "y": "b"}]),
+    make_pfd(("x", "y"), "z", [{"x": r"{{a}}\A*", "y": r"\A*{{b}}", "z": "1"}]),
+    make_pfd("x", ("y", "z"), [{"x": r"{{1}}\A*", "y": "a", "z": r"b\ "}]),
+    # Overlapping patterns: "ab" matches both rows.
+    make_pfd("x", "y", [{"x": r"{{a}}\A*", "y": "a"}, {"x": r"\A*{{b}}", "y": "b"}]),
+    # The expected value occurs in no column.
+    make_pfd("x", "y", [{"x": r"{{a}}\A*", "y": "zz"}]),
+]
+_pfds = [_variable_pfd, _mixed_pfd, *_constant_pfds]
+
+
+def test_constant_pfds_are_constant():
+    assert all(pfd.is_constant for pfd in _constant_pfds)
 
 
 @settings(max_examples=50, deadline=None)
-@given(rows=_tables, pfd=st.sampled_from([_variable_pfd, _mixed_pfd, _constant_pfd]))
+@given(rows=_tables, pfd=st.sampled_from(_pfds))
 def test_pfd_query_parity(rows, pfd):
     sql_relation, memory_relation = _pair(rows)
     assert pfd.violations(sql_relation) == pfd.violations(memory_relation)
     assert pfd.support(sql_relation) == pfd.support(memory_relation)
+    assert pfd.coverage(sql_relation) == pfd.coverage(memory_relation)
+    for row in pfd.tableau:
+        assert pfd.matching_rows(sql_relation, row) == pfd.matching_rows(memory_relation, row)
     assert pfd.row_statistics(sql_relation) == pfd.row_statistics(memory_relation)
 
 
 @settings(max_examples=40, deadline=None)
-@given(base=_tables, batch=_batches)
-def test_pfd_delta_violations_parity(base, batch):
+@given(base=_tables, batch=_batches, pfd=st.sampled_from(_pfds), data=st.data())
+def test_pfd_delta_violations_parity(base, batch, pfd, data):
     sql_relation, memory_relation = _pair(base)
     for relation in (sql_relation, memory_relation):
-        _variable_pfd.violations(relation)  # prime pre-append state
+        pfd.violations(relation)  # prime pre-append state
     since = sql_relation.row_count
     sql_relation.append_rows(batch)
     memory_relation.append_rows(batch)
     delta = range(since, sql_relation.row_count)
-    assert _variable_pfd.violations(
-        sql_relation, changed_rows=delta
-    ) == _variable_pfd.violations(memory_relation, changed_rows=delta)
+    assert pfd.violations(sql_relation, changed_rows=delta) == pfd.violations(
+        memory_relation, changed_rows=delta
+    )
+    scope = data.draw(st.sets(st.integers(0, max(sql_relation.row_count - 1, 0))))
+    scope = [row_id for row_id in scope if row_id < sql_relation.row_count]
+    assert pfd.violations(sql_relation, changed_rows=scope) == pfd.violations(
+        memory_relation, changed_rows=scope
+    )
 
 
 # -- pipeline parity -----------------------------------------------------------
