@@ -133,7 +133,7 @@ def test_bench_update_stream_beats_wholesale_redetect(benchmark, repro_scale):
         for _ in range(2):
             cold = session.relation.copy()
             reports.append(
-                ErrorDetector(_PFDS, evaluator=PatternEvaluator(), workers=1).detect(cold)
+                ErrorDetector(_PFDS, evaluator=PatternEvaluator()).detect(cold)
             )
         return reports
 

@@ -98,13 +98,13 @@ def test_bench_detect_new_beats_full_redetect(benchmark, repro_scale):
     delta_report = session.detect_new(_PFDS)
 
     def scoped_detect():
-        return ErrorDetector(_PFDS, evaluator=session.evaluator, workers=1).detect(
+        return ErrorDetector(_PFDS, evaluator=session.evaluator).detect(
             session.relation, changed_rows=range(appended.start, session.relation.row_count)
         )
 
     def full_redetect():
         cold = session.relation.copy()
-        return ErrorDetector(_PFDS, evaluator=PatternEvaluator(), workers=1).detect(cold)
+        return ErrorDetector(_PFDS, evaluator=PatternEvaluator()).detect(cold)
 
     # Scoped detection is stateless (unlike detect_new, which consumes the
     # pending delta), so it can be timed over many rounds.

@@ -79,11 +79,11 @@ def _run_free_functions(alumni_rows):
 
     relation_b = _fresh_relation(alumni_rows)
     evaluator_b = PatternEvaluator()
-    report = ErrorDetector(discovery.pfds, evaluator=evaluator_b, workers=1).detect(relation_b)
+    report = ErrorDetector(discovery.pfds, evaluator=evaluator_b).detect(relation_b)
 
     relation_c = _fresh_relation(alumni_rows)
     evaluator_c = PatternEvaluator()
-    repair = Repairer(discovery.pfds, evaluator=evaluator_c, workers=1).repair(relation_c)
+    repair = Repairer(discovery.pfds, evaluator=evaluator_c).repair(relation_c)
     elapsed = time.perf_counter() - start
 
     compilations = (

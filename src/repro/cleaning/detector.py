@@ -18,12 +18,6 @@ from ..constraints.base import CellRef, Violation
 from ..core.pfd import PFD, prime_for_pfds, prime_partitions_for_pfds
 from ..dataset.relation import Relation
 from ..engine.evaluator import PatternEvaluator
-from ..engine.parallel import (
-    ParallelExecutor,
-    _DetectionTask,
-    chunk_round_robin,
-    resolve_workers,
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,14 +81,11 @@ class ErrorDetector:
     evaluator:
         Optional shared :class:`PatternEvaluator`; pass the one used during
         discovery so detection reuses its per-distinct-value match cache.
-    workers:
-        Process-parallel workers for the violation search (see
-        :mod:`repro.engine.parallel`).  ``None`` defers to the
-        ``REPRO_WORKERS`` environment variable (else 1); 1 runs the serial
-        path and never creates a pool.
-    executor:
-        Optional shared :class:`ParallelExecutor` (a session passes its own
-        so detection reuses the pool discovery broadcast to).
+
+    Detection always runs in this process, whatever ``workers`` a session
+    or ``REPRO_WORKERS`` asks for: on a warm relation the search takes
+    milliseconds, less than re-broadcasting the relation to a process pool
+    and rebuilding its partitions there (``workers`` shards discovery only).
     """
 
     def __init__(
@@ -102,15 +93,11 @@ class ErrorDetector:
         pfds: Sequence[PFD],
         min_evidence: int = 1,
         evaluator: Optional[PatternEvaluator] = None,
-        workers: Optional[int] = None,
-        executor: Optional[ParallelExecutor] = None,
     ):
         self.pfds = list(pfds)
         self.min_evidence = min_evidence
         # Scoped per detector unless the caller shares one (e.g. discovery's).
         self.evaluator = evaluator or PatternEvaluator()
-        self.workers = workers
-        self.executor = executor
 
     def detect(
         self,
@@ -141,19 +128,7 @@ class ErrorDetector:
         """
         if changed_rows is not None:
             changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
-        workers = resolve_workers(self.workers)
-        # Out-of-core relations stay serial: their state is a live SQLite
-        # connection that cannot be shipped to pool workers.
-        if (
-            workers > 1
-            and len(self.pfds) > 1
-            and not getattr(relation, "is_sql_backed", False)
-        ):
-            all_violations = self._collect_violations_parallel(
-                relation, workers, changed_rows
-            )
-        else:
-            all_violations = self._collect_violations(relation, changed_rows)
+        all_violations = self._collect_violations(relation, changed_rows)
         # Evidence is keyed by plain ``(row_id, attribute)`` tuples — the
         # order ``CellRef`` sorts by, without its dataclass ``__lt__`` — and
         # keeps the first suspect ``CellRef`` seen as the error's cell.
@@ -196,65 +171,13 @@ class ErrorDetector:
         relation: Relation,
         changed_rows: Optional[tuple[int, ...]] = None,
     ) -> list[Violation]:
-        """The serial violation search: prime once, then one pass per PFD."""
+        """The violation search: prime once, then one pass per PFD."""
         prime_for_pfds(relation, self.pfds, self.evaluator)
         prime_partitions_for_pfds(relation, self.pfds, self.evaluator)
         all_violations: list[Violation] = []
         for pfd in self.pfds:
             all_violations.extend(pfd.primed_violations(relation, self.evaluator, changed_rows))
         return all_violations
-
-    def _collect_violations_parallel(
-        self,
-        relation: Relation,
-        workers: int,
-        changed_rows: Optional[tuple[int, ...]] = None,
-    ) -> list[Violation]:
-        """Shard the PFDs across the worker pool and merge in serial order.
-
-        PFDs are grouped by their LHS attributes before chunking, so PFDs
-        sharing tableau-row partitions land on the same worker and reuse one
-        cached equivalence-class build, mirroring the sharing the serial
-        ``prime_partitions_for_pfds`` pass exploits.  Each PFD's violation
-        list is independent of its neighbors, so reassembling the per-PFD
-        lists by original position reproduces the serial violation order
-        bit for bit.
-        """
-        executor = self.executor
-        owned = executor is None
-        if owned:
-            executor = ParallelExecutor(workers)
-        try:
-            group_index: dict[tuple[str, ...], int] = {}
-            groups: list[list[int]] = []
-            for position, pfd in enumerate(self.pfds):
-                key = tuple(pfd.lhs)
-                index = group_index.get(key)
-                if index is None:
-                    group_index[key] = index = len(groups)
-                    groups.append([])
-                groups[index].append(position)
-            tasks = [
-                _DetectionTask(
-                    positions=tuple(positions),
-                    pfds=tuple(self.pfds[position] for position in positions),
-                    changed_rows=changed_rows,
-                )
-                for chunk in chunk_round_robin(groups, workers * 2)
-                for positions in [[p for group in chunk for p in group]]
-            ]
-            violations_by_position: dict[int, list[Violation]] = {}
-            for task_result in executor.run_tasks(relation, "detect", tasks, stage="detect"):
-                for position, violations in task_result:
-                    violations_by_position[position] = violations
-            return [
-                violation
-                for position in range(len(self.pfds))
-                for violation in violations_by_position[position]
-            ]
-        finally:
-            if owned:
-                executor.close()
 
     @staticmethod
     def _best_suggestion(violations: Iterable[Violation]) -> Optional[str]:
@@ -274,20 +197,16 @@ def detect_errors(
     pfds: Sequence[PFD],
     min_evidence: int = 1,
     evaluator: Optional[PatternEvaluator] = None,
-    workers: Optional[int] = None,
 ) -> DetectionReport:
     """Convenience wrapper: detection through a throwaway
     :class:`~repro.session.CleaningSession`.
 
     Callers running more than one pipeline stage on the same relation
     should hold a session instead, so discovery, detection, and repair
-    share one evaluator and one partition cache (and, with ``workers > 1``,
-    one broadcast worker pool).
+    share one evaluator and one partition cache.
     """
     from ..session import CleaningSession  # local import: session sits above
 
-    session = CleaningSession(relation, evaluator=evaluator, workers=workers)
-    try:
-        return session.detect(pfds, min_evidence=min_evidence)
-    finally:
-        session.close()
+    return CleaningSession(relation, evaluator=evaluator).detect(
+        pfds, min_evidence=min_evidence
+    )

@@ -76,9 +76,10 @@ class Repairer:
         :attr:`RepairResult.remaining_error_cells`.  Repairs are written
         into a fresh copy of the relation, so the re-detection builds its
         partitions cold over the repaired rows.
-    workers:
-        Forwarded to the internal :class:`ErrorDetector` passes (detection
-        and verification).  ``None`` defers to ``REPRO_WORKERS``.
+
+    Both detection passes (the report, unless one is supplied, and the
+    verification) run serially in this process, like every
+    :class:`ErrorDetector`.
     """
 
     def __init__(
@@ -88,14 +89,12 @@ class Repairer:
         dry_run: bool = False,
         evaluator: Optional[PatternEvaluator] = None,
         verify: bool = False,
-        workers: Optional[int] = None,
     ):
         self.pfds = list(pfds)
         self.min_evidence = min_evidence
         self.dry_run = dry_run
         self.evaluator = evaluator
         self.verify = verify
-        self.workers = workers
 
     def repair(
         self, relation: Relation, report: Optional[DetectionReport] = None
@@ -103,8 +102,7 @@ class Repairer:
         """Detect (unless a report is supplied) and apply repairs."""
         if report is None:
             report = ErrorDetector(
-                self.pfds, min_evidence=self.min_evidence, evaluator=self.evaluator,
-                workers=self.workers,
+                self.pfds, min_evidence=self.min_evidence, evaluator=self.evaluator
             ).detect(relation)
         target = relation if self.dry_run else relation.copy()
         repairs: list[Repair] = []
@@ -126,8 +124,7 @@ class Repairer:
         remaining: Optional[frozenset[CellRef]] = None
         if self.verify and not self.dry_run:
             verification = ErrorDetector(
-                self.pfds, min_evidence=self.min_evidence, evaluator=self.evaluator,
-                workers=self.workers,
+                self.pfds, min_evidence=self.min_evidence, evaluator=self.evaluator
             ).detect(target)
             remaining = frozenset(verification.error_cells)
         return RepairResult(

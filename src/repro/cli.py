@@ -90,10 +90,10 @@ def _add_stats_argument(parser: argparse.ArgumentParser) -> None:
                              "tables larger than RAM); both produce identical "
                              "results")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="process-parallel workers for discovery and "
-                             "detection (default: REPRO_WORKERS env var, "
-                             "else 1 = serial); results are identical at "
-                             "any worker count")
+                        help="process-parallel workers for discovery "
+                             "(default: REPRO_WORKERS env var, else 1 = "
+                             "serial; detection is always serial); results "
+                             "are identical at any worker count")
 
 
 def _config_from_args(args: argparse.Namespace) -> DiscoveryConfig:
@@ -823,8 +823,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="engine backend for tenant sessions "
                             "('numpy'/'sql'; default: REPRO_ENGINE, else numpy)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="process-parallel workers per tenant session "
-                            "(default: REPRO_WORKERS, else 1)")
+                       help="process-parallel workers for each tenant "
+                            "session's discovery (default: REPRO_WORKERS, "
+                            "else 1; detection is always serial)")
     serve.set_defaults(handler=_command_serve)
 
     client = subparsers.add_parser(

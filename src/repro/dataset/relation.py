@@ -496,6 +496,11 @@ class Relation:
         columns = [self.dictionary(name) for name in names]
         scope = slice(None) if rows is None else np.asarray(rows, dtype=np.int64)
         codes = [column.codes[scope] for column in columns]
+        if len(columns) == 1:
+            # One attribute needs no sort: its codes are dense bin indices.
+            counts = np.bincount(codes[0], minlength=len(columns[0].values))
+            present = np.flatnonzero(counts)
+            return present.reshape(-1, 1), counts[present].astype(np.int64, copy=False)
         # One sort per column after the first: each pass keys the previous
         # pass's dense tuple ids by the next column's codes.  The keys grow
         # in lexicographic tuple order, and re-densifying before every

@@ -158,8 +158,8 @@ class PFDDiscoverer:
         #: own ``workers=`` through here); ``None`` defers to the config.
         self.workers = workers
         #: Optional shared :class:`ParallelExecutor` (the session owns one so
-        #: discovery and detection reuse a single broadcast pool).  When
-        #: absent, a parallel discover() scopes a throwaway executor.
+        #: repeated discoveries reuse a single broadcast pool).  When absent,
+        #: a parallel discover() scopes a throwaway executor.
         self.executor = executor
 
     # -- public API ----------------------------------------------------------
@@ -297,7 +297,7 @@ class PFDDiscoverer:
                 ]
                 outcomes = []
                 for entries, task_outcomes, stats_delta in executor.run_tasks(
-                    relation, "discover", tasks, stage="discover"
+                    relation, tasks, stage="discover"
                 ):
                     if index_entries is None:
                         index_entries = entries

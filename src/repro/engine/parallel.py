@@ -1,10 +1,9 @@
-"""Process-parallel execution of discovery and detection.
+"""Process-parallel execution of discovery.
 
-The paper's two hot loops are embarrassingly parallel once the engine state
-is shared: Figure-4 discovery validates every candidate of a lattice level
+Figure-4 discovery validates every candidate of a lattice level
 independently (the only cross-candidate coupling — superset pruning — acts
-*between* levels), and error detection evaluates each PFD's violations
-independently.  This module owns that parallelism:
+*between* levels), so once the engine state is shared a level's candidates
+can be validated by a process pool.  This module owns that parallelism:
 
 * :func:`resolve_workers` — the ``workers=`` knob resolution: an explicit
   value wins, else the ``REPRO_WORKERS`` environment variable, else 1.
@@ -15,16 +14,22 @@ independently.  This module owns that parallelism:
   snapshot.  The dictionary-encoded relation (distinct values + the
   ``int32`` code vectors from :attr:`DictionaryColumn.codes`) is
   pickled **once per pool** through the pool initializer, not once per
-  task; tasks then carry only candidate descriptions / PFD lists.  The pool
-  rebinds (new broadcast) when the relation object or its
-  :attr:`~repro.dataset.relation.Relation.version` changes, so appends are
-  visible to workers.
-* task protocols — :func:`_run_task` dispatches inside the worker:
-  ``"discover"`` validates one chunk of a lattice level's LHS groups
-  (tableau walk + dominant-RHS counting + generalization screen),
-  ``"detect"`` evaluates one chunk of PFDs.  Both tag results with the
-  candidate's enumeration position so the parent can merge in exactly the
-  serial order — parallel output is pinned bit-identical to serial.
+  task; tasks then carry only candidate descriptions.  The pool rebinds
+  (new broadcast) when the relation object or its
+  :attr:`~repro.dataset.relation.Relation.version` changes, so a discovery
+  after a mutation sees the mutated table.
+* the task protocol — :func:`_run_task` validates one chunk of a lattice
+  level's LHS groups inside the worker (tableau walk + dominant-RHS
+  counting + generalization screen) and tags each outcome with the group's
+  enumeration position, so the parent merges in exactly the serial order —
+  parallel output is pinned bit-identical to serial.
+
+Error detection is deliberately not here.  Its per-tuple and per-class
+checks take milliseconds on a warm session, while a pool would re-pickle
+the whole relation after every write and rebuild in each worker the
+partitions and match memos the session already holds; it lost on every
+table shape measured, so detection always runs serially in the caller's
+process.
 
 Determinism of the discovery protocol
 -------------------------------------
@@ -233,7 +238,7 @@ def _init_worker(payload: bytes) -> None:
     _STATE = _WorkerState(pickle.loads(payload))
 
 
-# -- task protocols -----------------------------------------------------------
+# -- the task protocol --------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class _DiscoveryTask:
@@ -261,16 +266,6 @@ class _GroupOutcome:
     accepted: tuple
 
 
-@dataclasses.dataclass(frozen=True)
-class _DetectionTask:
-    """One chunk of PFDs to evaluate; positions restore the serial order."""
-
-    positions: tuple[int, ...]
-    pfds: tuple
-    #: Delta scope (normalized sorted row ids); None = the whole relation.
-    changed_rows: Optional[tuple[int, ...]] = None
-
-
 def _stats_delta(before: PartitionStats, after: PartitionStats) -> PartitionStats:
     fields = dataclasses.fields(PartitionStats)
     return PartitionStats(
@@ -286,11 +281,13 @@ def merge_partition_stats(target: PartitionStats, delta: PartitionStats) -> Part
     )
 
 
-def _discovery_task(task: _DiscoveryTask) -> tuple[int, list, PartitionStats]:
-    """Validate one chunk of LHS groups; returns (index entries, outcomes,
-    partition-counter delta)."""
+def _run_task(task: _DiscoveryTask) -> tuple[int, list, PartitionStats]:
+    """The single worker entry point (top-level, so it pickles by
+    reference): validate one chunk of LHS groups; returns (index entries,
+    outcomes, partition-counter delta)."""
     state = _STATE
-    assert state is not None
+    if state is None:
+        raise RuntimeError("parallel worker used before its initializer ran")
     discoverer, index = state.discovery_context(task.config, task.profile)
     relation = state.relation
     manager = relation.partitions()
@@ -321,33 +318,6 @@ def _discovery_task(task: _DiscoveryTask) -> tuple[int, list, PartitionStats]:
         )
     delta = _stats_delta(before, dataclasses.replace(manager.stats))
     return index.total_entries(), outcomes, delta
-
-
-def _detection_task(task: _DetectionTask) -> list[tuple[int, list]]:
-    """Evaluate one chunk of PFDs; returns ``(position, violations)`` pairs."""
-    state = _STATE
-    assert state is not None
-    from ..core.pfd import prime_for_pfds, prime_partitions_for_pfds
-
-    relation = state.relation
-    prime_for_pfds(relation, task.pfds, state.evaluator)
-    prime_partitions_for_pfds(relation, task.pfds, state.evaluator)
-    results: list[tuple[int, list]] = []
-    for position, pfd in zip(task.positions, task.pfds):
-        violations = pfd.primed_violations(relation, state.evaluator, task.changed_rows)
-        results.append((position, violations))
-    return results
-
-
-def _run_task(kind: str, task):
-    """The single worker entry point (top-level, so it pickles by reference)."""
-    if _STATE is None:
-        raise RuntimeError("parallel worker used before its initializer ran")
-    if kind == "discover":
-        return _discovery_task(task)
-    if kind == "detect":
-        return _detection_task(task)
-    raise ValueError(f"unknown parallel task kind {kind!r}")
 
 
 # -- the executor -------------------------------------------------------------
@@ -397,12 +367,12 @@ class ParallelExecutor:
         self.stats.bytes_broadcast += len(payload)
         return self._pool
 
-    def run_tasks(self, relation: "Relation", kind: str, tasks: Sequence, stage: str) -> list:
+    def run_tasks(self, relation: "Relation", tasks: Sequence, stage: str) -> list:
         """Submit ``tasks`` against ``relation``'s broadcast; returns results
         in task order (callers merge by per-item position tags)."""
         pool = self._pool_for(relation)
         started = time.perf_counter()
-        futures = [pool.submit(_run_task, kind, task) for task in tasks]
+        futures = [pool.submit(_run_task, task) for task in tasks]
         results = [future.result() for future in futures]
         self.stats.tasks_dispatched += len(futures)
         self.stats.record_stage(stage, time.perf_counter() - started)

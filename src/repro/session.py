@@ -261,13 +261,14 @@ class CleaningSession:
         ``Relation(..., backend="sql")``).  Both produce bit-identical
         results.
     workers:
-        Process-parallel workers for discovery and detection (see
+        Process-parallel workers for discovery (see
         :mod:`repro.engine.parallel`).  ``None`` defers to a per-call
         config's ``workers``, then the ``REPRO_WORKERS`` environment
         variable, else 1.  With an effective count above 1 the session owns
-        one shared :class:`ParallelExecutor`, so every stage reuses a
-        single broadcast pool; results are bit-identical to ``workers=1``,
-        which runs fully serial and never creates a pool.  Call
+        one :class:`ParallelExecutor`, which every discovery reuses until a
+        mutation makes it re-broadcast; results are bit-identical to
+        ``workers=1``, which never creates a pool.  Detection, validation
+        and repair always run serially in this process.  Call
         :meth:`close` (or use the session as a context manager) to shut
         the pool down promptly.
     """
@@ -385,7 +386,8 @@ class CleaningSession:
         return resolve_workers(None)
 
     def _executor_for(self, workers: int) -> Optional[ParallelExecutor]:
-        """The session's shared executor (created lazily; None when serial)."""
+        """The executor discovery shards on (created lazily; None when
+        serial)."""
         if workers <= 1:
             return None
         if self._executor is None or self._executor.workers != workers:
@@ -395,12 +397,12 @@ class CleaningSession:
         return self._executor
 
     def close(self) -> None:
-        """Shut down the session's worker pool, if one was created.
+        """Shut down the session's discovery pool, if one was created.
 
         Idempotent and safe to call concurrently: the executor handle is
         detached under a dedicated lock, so a double (or racing) ``close``
         sees ``None`` and returns instead of re-entering pool shutdown.
-        The session stays usable afterwards — the next parallel stage call
+        The session stays usable afterwards — the next parallel discovery
         recreates the pool (and re-broadcasts the relation).  Serial
         sessions have nothing to close.
         """
@@ -525,13 +527,8 @@ class CleaningSession:
                     "update(), delete(), or append() first"
                 )
             _, resolved = self._resolve_pfds(pfds)
-            workers = self._workers_for()
             report = ErrorDetector(
-                resolved,
-                min_evidence=min_evidence,
-                evaluator=self.evaluator,
-                workers=workers,
-                executor=self._executor_for(workers),
+                resolved, min_evidence=min_evidence, evaluator=self.evaluator
             ).detect(self.relation, changed_rows=self._changed_pending)
             self._changed_pending = None
             self._mark("detect_changed")
@@ -627,13 +624,8 @@ class CleaningSession:
             key = (marker, min_evidence)
             if self._detection is not None and self._detection[0] == key:
                 return self._detection[1]
-            workers = self._workers_for()
             report = ErrorDetector(
-                resolved,
-                min_evidence=min_evidence,
-                evaluator=self.evaluator,
-                workers=workers,
-                executor=self._executor_for(workers),
+                resolved, min_evidence=min_evidence, evaluator=self.evaluator
             ).detect(self.relation)
             self._detection = (key, report)
             self._mark("detect")
@@ -668,7 +660,6 @@ class CleaningSession:
                 dry_run=dry_run,
                 evaluator=self.evaluator,
                 verify=verify,
-                workers=self._workers_for(),
             ).repair(self.relation, report=report)
             self._repair = (key, result)
             self._mark("repair")

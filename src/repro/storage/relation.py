@@ -124,8 +124,7 @@ class SqlRelation(Relation):
     """
 
     #: Feature probe for scale-sensitive callers (``getattr(...,
-    #: "is_sql_backed", False)``): discovery/detection stay serial on sql
-    #: relations.
+    #: "is_sql_backed", False)``): discovery stays serial on sql relations.
     is_sql_backed = True
     backend = SQL
 

@@ -1,10 +1,12 @@
-"""Parallel execution pins: sharded discovery/detection vs the serial path.
+"""Parallel execution pins: sharded discovery vs the serial path.
 
 The contract of :mod:`repro.engine.parallel` is *bit-identical* results at
 any worker count: ``workers=2..4`` must reproduce the ``workers=1`` output
-exactly — dependencies, candidate counts, violations, errors, repairs —
-cold and after ``append_rows`` deltas.  And
-``workers=1`` (the default) must never create a pool or touch a process.
+exactly — dependencies, candidate counts, and the violations, errors and
+repairs found with them — cold and after ``append_rows`` deltas.
+``workers=1`` (the default) must never create a pool or touch a process,
+and detection, validation and repair never use the pool at any worker
+count.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cleaning.detector import ErrorDetector, detect_errors
+from repro.cleaning.detector import ErrorDetector
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.pfd_discovery import discover_pfds
 from repro.dataset.relation import Relation
@@ -144,6 +146,28 @@ def test_serial_paths_create_no_pool(monkeypatch):
     assert explicit.stats().pool_size == 0
 
 
+def test_detection_stages_never_use_the_pool(monkeypatch):
+    relation = Relation.from_rows(_SCHEMA, _dirty_rows())
+    with CleaningSession(relation, config=_CONFIG, workers=2) as session:
+        pfds = session.discover().pfds
+        assert len(pfds) > 1
+        pooled = session.stats()
+        assert pooled.tasks_dispatched > 0
+        session.append([("90001", "Las Angeles", "G1")])
+        session.detect_changed()
+        session.detect()
+        session.validate()
+        session.repair()
+        after = session.stats()
+        assert after.bytes_broadcast == pooled.bytes_broadcast
+        assert after.tasks_dispatched == pooled.tasks_dispatched
+    # A bare detector never builds a pool, even when the environment asks
+    # for workers.
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _PoolBan)
+    assert ErrorDetector(pfds).detect(relation).errors
+
+
 def test_parallel_paths_do_use_the_pool(monkeypatch):
     monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _PoolBan)
     relation = Relation.from_rows(_SCHEMA, _dirty_rows())
@@ -214,10 +238,6 @@ def test_wrapper_functions_accept_workers():
         Relation.from_rows(_SCHEMA, _dirty_rows()), _CONFIG, workers=2
     )
     assert _discovery_fingerprint(serial_result) == _discovery_fingerprint(parallel_result)
-    serial_report = detect_errors(relation, serial_result.pfds)
-    parallel_report = detect_errors(relation, serial_result.pfds, workers=2)
-    assert serial_report.errors == parallel_report.errors
-    assert serial_report.violations == parallel_report.violations
 
 
 def test_env_override_forces_parallel(monkeypatch):
@@ -234,16 +254,6 @@ def test_env_override_forces_parallel(monkeypatch):
         assert parallel.stats().pool_size == 2
 
 
-def test_detector_shards_by_lhs_groups():
-    relation = Relation.from_rows(_SCHEMA, _dirty_rows())
-    pfds = CleaningSession(relation, config=_CONFIG).discover().pfds
-    assert len(pfds) > 1
-    serial = ErrorDetector(pfds, workers=1).detect(relation)
-    parallel = ErrorDetector(pfds, workers=3).detect(relation)
-    assert serial.errors == parallel.errors
-    assert serial.violations == parallel.violations
-
-
 # -- executor lifecycle and stats ---------------------------------------------
 
 
@@ -254,10 +264,12 @@ def test_executor_rebinds_on_relation_version_change():
         stats_before = session.stats()
         assert stats_before.pool_size == 2
         session.append([("90001", "Los Angeles", "G1")])
-        session.detect_new()
+        session.invalidate()
+        session.discover()
         stats_after = session.stats()
-        # The append bumped the relation version: a fresh broadcast happened.
+        # The append bumped the relation version: re-discovery broadcast anew.
         assert stats_after.bytes_broadcast > stats_before.bytes_broadcast
+        assert stats_after.tasks_dispatched > stats_before.tasks_dispatched
 
 
 def test_session_stats_surface_parallel_counters():
@@ -301,10 +313,13 @@ def test_close_is_idempotent_and_session_recovers():
         first = session.discover()
         session.close()
         session.close()
-        # The next parallel stage simply re-broadcasts.
         report = session.detect()
         assert report.violations
         assert first.dependencies
+        # The next parallel discovery simply re-broadcasts.
+        session.invalidate()
+        assert session.discover().dependencies == first.dependencies
+        assert session.stats().pool_size == 2
 
 
 @pytest.mark.skipif(

@@ -4,13 +4,17 @@ Constant tableau rows, ``support``, ``coverage`` and ``matching_rows`` are
 answered in distinct-code-tuple space from the evaluator's per-code match
 masks (see :func:`repro.core.pfd.covered_tuples`).  The reference here walks
 the rows one by one instead and calls :meth:`CompiledPattern.match` on every
-cell, so it shares nothing with the engine but the pattern matcher.  Tables
-go through random CRUD batches first — updates, tombstones, appends, empty
-cells — after the caches were warmed, and the checks run over the whole
-table and over scoped row sets, order included.
+cell, so it shares nothing with the engine but the pattern matcher; the
+distinct code tuples those checks start from
+(:meth:`Relation.code_cooccurrence`, one attribute or several) are counted
+from decoded rows.  Tables go through random CRUD batches first — updates,
+tombstones, appends, empty cells — after the caches were warmed, and the
+checks run over the whole table and over scoped row sets, order included.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +130,16 @@ def _reference_constant_violations(pfd: PFD, relation: Relation, scope) -> list[
     return found
 
 
+def _reference_cooccurrence(relation: Relation, names, scope) -> list[tuple]:
+    """Distinct code tuples of ``names`` over ``scope`` with their counts,
+    counted from decoded rows."""
+    counts = Counter(
+        tuple(relation.dictionary(name).code_of(relation.row_dict(row_id)[name]) for name in names)
+        for row_id in scope
+    )
+    return sorted((*codes, count) for codes, count in counts.items())
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=_rows, batches=_batches, data=st.data())
 def test_per_tuple_checks_match_reference_after_crud(rows, batches, data):
@@ -142,6 +156,14 @@ def test_per_tuple_checks_match_reference_after_crud(rows, batches, data):
         everything = range(relation.row_count)
         drawn = data.draw(st.sets(st.integers(min_value=0, max_value=79)), label="scope")
         scopes = [None, sorted(changed), sorted(r for r in drawn if r < relation.row_count)]
+        for names in (("x",), ("z",), ("y", "x")):
+            for scope in scopes:
+                tuples, counts = relation.code_cooccurrence(names, scope)
+                assert [(*codes, count) for codes, count in zip(
+                    tuples.tolist(), counts.tolist()
+                )] == _reference_cooccurrence(
+                    relation, names, everything if scope is None else scope
+                ), (backend, names, scope)
         for pfd in _CONSTANT_PFDS:
             for scope in scopes:
                 assert pfd.violations(

@@ -9,7 +9,7 @@ view.  This module pins
 * the vectorized majority/suspect selection against the original
   dict-of-buckets walk, kept here as a test-only reference (order included);
 * the view contract: equality and hashing interchangeable with the eager
-  tuple, O(1) ``len``, ``rows()``/``str()``, pickling across the pool;
+  tuple, O(1) ``len``, ``rows()``/``str()``, pickling as arrays;
 * the O(delta) property: a one-row update into a large class constructs
   ``CellRef``s for the suspects, not for every cell of the class.
 """
@@ -271,20 +271,6 @@ def test_view_does_not_pin_the_partition_arrays():
     row = _VARIABLE_PFD.tableau[0]
     rowids, _ = _VARIABLE_PFD._row_partition(relation, row, evaluator).class_arrays()
     assert not np.shares_memory(violation.cells.rows, rowids)
-
-
-def test_parallel_detect_returns_the_serial_violations():
-    relation = _relation(class_rows=40)
-    pfds = [
-        _VARIABLE_PFD,
-        make_pfd("city", "zip", [{"city": "⊥", "zip": "⊥"}]),
-        make_pfd("zip", "city", [{"zip": r"{{900}}\D{2}", "city": "Los\\ Angeles"}]),
-    ]
-    serial = ErrorDetector(pfds, workers=1).detect(relation)
-    parallel = ErrorDetector(pfds, workers=2).detect(relation)
-    assert any(isinstance(v.cells, ClassCells) for v in parallel.violations)
-    assert parallel.violations == serial.violations
-    assert parallel.errors == serial.errors
 
 
 # -- O(delta): a one-row update into a large class ----------------------------
