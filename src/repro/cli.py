@@ -520,7 +520,16 @@ def _command_serve(args: argparse.Namespace) -> int:
 def _command_client(args: argparse.Namespace) -> int:
     from .service import ServiceClient
 
-    client = ServiceClient(args.url)
+    with ServiceClient(args.url) as client:
+        document = _client_request(client, args)
+    print(json.dumps(document, ensure_ascii=False, indent=2))
+    if args.action in ("detect", "ingest", "update", "delete") and not document.get("clean", True):
+        return 1
+    return 0
+
+
+def _client_request(client, args: argparse.Namespace) -> dict:
+    """Send the request ``pfd-discover client <action>`` names."""
     action = args.action
 
     def read_csv_text() -> str:
@@ -594,11 +603,7 @@ def _command_client(args: argparse.Namespace) -> int:
         document = client.shutdown()
     else:  # pragma: no cover - argparse choices prevent this
         raise ReproError(f"unknown client action {action!r}")
-
-    print(json.dumps(document, ensure_ascii=False, indent=2))
-    if action in ("detect", "ingest", "update", "delete") and not document.get("clean", True):
-        return 1
-    return 0
+    return document
 
 
 def _command_suite(args: argparse.Namespace) -> int:
@@ -808,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
              "over a persistent constraint registry (JSON over HTTP)",
     )
     serve.add_argument("--registry", required=True, metavar="DIR",
-                       help="registry directory holding per-tenant pfds.json + data.csv "
+                       help="registry directory holding per-tenant pfds.json, data.csv and data.log "
                             "(created if missing; survives restarts)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="interface to bind (default 127.0.0.1)")

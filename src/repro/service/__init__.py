@@ -11,10 +11,11 @@ reads overlap while ``ingest``/``update``/``delete`` write exclusively
 
 Layers, transport-independent first::
 
-    ConstraintRegistry     durable per-tenant pfds.json + data.csv
+    ConstraintRegistry     durable per-tenant pfds.json + data.csv + data.log
     SessionManager         LRU of live CleaningSessions + RWLocks
     CleaningService        endpoints as methods, counters, latency stats
     http.serve / Client    stdlib JSON-over-HTTP codec around the service
+                           (kept-alive connections)
 
 Quick tour (no HTTP needed)::
 

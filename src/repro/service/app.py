@@ -172,9 +172,10 @@ class CleaningService:
         Between ``checkout`` and the lock acquisition the runtime can be
         replaced (``load``), dropped, or LRU-evicted — waking up on an
         orphaned runtime's lock would mutate a discarded session while the
-        durable mirror (``data.csv`` / ``pfds.json``) already belongs to
-        the new one.  So after acquiring, verify the runtime is still the
-        live one for the tenant and retry on a fresh checkout if not.
+        durable mirror (``data.csv`` / ``data.log`` / ``pfds.json``)
+        already belongs to the new one.  So after acquiring, verify the
+        runtime is still the live one for the tenant and retry on a fresh
+        checkout if not.
         """
         while True:
             runtime = self.manager.checkout(tenant)
@@ -393,12 +394,14 @@ class CleaningService:
 
         Appended rows are checked against the live table's schema under
         the write lock (``columns`` is an ingest batch's own CSV header).
-        The registry mirror appends when the batch only appended rows and
-        atomically rewrites ``data.csv`` otherwise (updates touch arbitrary
-        rows; tombstoned rows persist as blank rows, keeping ids stable
-        across rehydration).  If the mirror fails, the tenant's runtime is
-        evicted, so the next request rehydrates from what the registry
-        holds instead of serving rows it never stored.
+        The registry mirror appends the applied batch's post-images to the
+        tenant's log and fsyncs it before the response is built, so an
+        acknowledged write survives a crash (tombstoned rows persist as
+        blank rows, keeping ids stable across rehydration).  The mirror
+        follows ``apply`` because post-images exist only then, and a batch
+        that ``apply`` rejects is never logged.  If the mirror fails, the
+        tenant's runtime is evicted, so the next request rehydrates from
+        what the registry holds instead of serving rows it never stored.
 
         Every write endpoint reports through one schema: ``_detection_doc``
         plus ``rows_before`` and the mutation counters.
@@ -429,12 +432,7 @@ class CleaningService:
                     raise ServiceError(str(error))
                 if result:
                     try:
-                        if result.updated_rows or result.deleted_rows:
-                            self.registry.save_data(tenant, session.relation)
-                        else:
-                            self.registry.append_data(
-                                tenant, map(session.relation.row, result.appended)
-                            )
+                        self.registry.append_data(tenant, session.relation, result)
                     except BaseException:
                         self.manager.evict(tenant)
                         raise

@@ -5,13 +5,20 @@ document.  Service-reported failures raise
 :class:`~repro.exceptions.ServiceError` carrying the daemon's message and
 status code, so callers (the ``pfd-discover client`` subcommand, the CI
 smoke job, the tests) never parse error bodies themselves.
+
+Requests reuse kept-alive connections, so a request pays no TCP connect and
+the daemon no new handler thread.  Requests from one thread at a time share
+one connection; concurrent requests each take an idle one or open another.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Optional, Sequence
 
@@ -19,13 +26,31 @@ from ..exceptions import ServiceError
 
 
 class ServiceClient:
-    """JSON-over-HTTP client for one cleaning-service daemon."""
+    """JSON-over-HTTP client for one cleaning-service daemon.
+
+    Close it (or use it as a context manager) to drop its connections.
+    """
 
     def __init__(self, base_url: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._netloc = urllib.parse.urlsplit(self.base_url).netloc
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     # -- transport -----------------------------------------------------------
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle connection the daemon has not closed, or a new one."""
+        with self._idle_lock:
+            while self._idle:
+                connection = self._idle.pop()
+                # An idle socket that reads as ready holds either EOF (the
+                # daemon closed it) or stray bytes; neither can carry a request.
+                if not select.select([connection.sock], [], [], 0)[0]:
+                    return connection
+                connection.close()
+        return http.client.HTTPConnection(self._netloc, timeout=self.timeout)
 
     def _request(self, method: str, path: str, payload: Optional[dict] = None) -> dict:
         url = f"{self.base_url}{path}"
@@ -35,23 +60,69 @@ class ServiceClient:
             data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
             headers["Content-Type"] = "application/json; charset=utf-8"
         request = urllib.request.Request(url, data=data, headers=headers, method=method)
+        connection = self._checkout()
+        reused = connection.sock is not None
+
+        def send() -> None:
+            connection.request(
+                request.get_method(), request.selector, request.data,
+                dict(request.header_items()),
+            )
+
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            body = error.read()
+            try:
+                send()
+            except OSError:
+                if not reused:
+                    raise
+                # The request never fully left, so the daemon cannot have
+                # acted on it: send it again on a fresh connection.
+                connection.close()
+                send()
+        except OSError as error:
+            connection.close()
+            raise ServiceError(
+                f"could not reach service at {self.base_url}: {error}"
+            ) from None
+        # Once sent, a request is never sent again: the daemon may have
+        # applied it before the connection broke.
+        try:
+            response = connection.getresponse()
+            body = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            raise ServiceError(
+                f"{method} {path} got no reply from {self.base_url} "
+                f"(it may have been applied): {error}"
+            ) from None
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        if response.status >= 400:
             try:
                 message = json.loads(body.decode("utf-8")).get("error", "")
-            except (ValueError, UnicodeDecodeError):
+            except (ValueError, UnicodeDecodeError, AttributeError):
                 message = body.decode("utf-8", "replace")[:200]
             raise ServiceError(
-                f"{method} {path} failed ({error.code}): {message or error.reason}",
-                status=error.code,
-            ) from None
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"could not reach service at {self.base_url}: {error.reason}"
-            ) from None
+                f"{method} {path} failed ({response.status}): {message or response.reason}",
+                status=response.status,
+            )
+        return json.loads(body.decode("utf-8"))
+
+    def close(self) -> None:
+        """Close the idle connections (a later request opens a new one)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- service endpoints ---------------------------------------------------
 
@@ -148,7 +219,7 @@ class ServiceClient:
         for _ in range(attempts):
             try:
                 return self.health()
-            except ServiceError as error:
+            except ServiceError as error:  # the failed connection is closed
                 last = error
                 time.sleep(delay)
         raise ServiceError(

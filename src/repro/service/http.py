@@ -1,7 +1,8 @@
 """The HTTP face of the cleaning service: stdlib-only JSON over HTTP.
 
-``ThreadingHTTPServer`` gives one thread per in-flight request, which is
-exactly the concurrency model the service layer is built for: per-tenant
+``ThreadingHTTPServer`` gives one thread per connection, and connections
+are kept alive across requests (HTTP/1.1).  That is exactly the
+concurrency model the service layer is built for: per-tenant
 readers-writer locks let ``detect``/``validate`` requests overlap while an
 ``ingest`` drains them and appends exclusively.  No dependency beyond the
 standard library.
@@ -74,6 +75,9 @@ class CleaningServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "pfd-service/1"
     protocol_version = "HTTP/1.1"
+    # A reply goes out as two writes (headers, body); with Nagle on, a
+    # kept-alive connection holds the second until the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -159,6 +163,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         if method == "POST":
             if parts == ["shutdown"]:
+                self.close_connection = True
                 self._reply({"status": "shutting down"})
                 # shutdown() must run off the request thread (it joins the
                 # serve loop, which is waiting for this handler to return).

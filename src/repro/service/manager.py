@@ -7,9 +7,10 @@ at most ``max_sessions`` of them, in LRU order:
 
 * **checkout** returns the live runtime for a tenant, rehydrating it from
   the :class:`~repro.service.registry.ConstraintRegistry` on a miss —
-  ``data.csv`` back into a session, ``pfds.json`` back into the active
-  constraint set.  Engine caches rebuild lazily on the next stage call;
-  the *global* ``compile_pattern_set`` / NFA / DFA memos survive eviction,
+  ``data.csv`` with its ``data.log`` replayed back into a session,
+  ``pfds.json`` back into the active constraint set.  Engine caches
+  rebuild lazily on the next stage call; the *global*
+  ``compile_pattern_set`` / NFA / DFA memos survive eviction,
   which is what keeps a rehydrated tenant's first request well below a
   true cold start when tenants share pattern shapes.
 * **eviction** pops the least-recently-used tenant once the bound is

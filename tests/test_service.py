@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import CleaningSession, DiscoveryConfig, Relation
+from repro import CleaningSession, DiscoveryConfig, MutationBatch, Relation
 from repro.exceptions import ServiceError, UnknownTenantError
 from repro.service import (
     CleaningService,
@@ -90,14 +90,18 @@ class TestRegistry:
         assert registry.load_constraints("acme") == (None, {})
 
     def test_append_data_mirrors_delta(self, registry):
-        registry.save_data("acme", _zip_relation())
-        written = registry.append_data("acme", [["90009", "Los Angeles"]])
-        assert written == 1
+        relation = _zip_relation()
+        registry.save_data("acme", relation)
+        result = relation.apply(MutationBatch.appends([["90009", "Los Angeles"]]))
+        written = registry.append_data("acme", relation, result)
+        assert written == registry.log_path("acme").stat().st_size
         assert registry.load_data("acme").row_count == 17
 
     def test_append_without_table_raises(self, registry):
+        relation = _zip_relation()
+        result = relation.apply(MutationBatch.appends([["1", "2"]]))
         with pytest.raises(UnknownTenantError):
-            registry.append_data("ghost", [["1", "2"]])
+            registry.append_data("ghost", relation, result)
 
     def test_load_missing_tenant_raises(self, registry):
         with pytest.raises(UnknownTenantError):

@@ -2,9 +2,9 @@
 
 The write endpoints (``ingest`` included) share one report schema
 (rows_before, rows_updated/rows_deleted/rows_appended, changed_rows, errors,
-clean), mirror every successful batch into the durable registry (an append
-for append-only batches, a full atomic rewrite otherwise, and an eviction of
-the live runtime when that mirror fails), and — because reports are
+clean), mirror every successful batch into the durable registry (a log
+record, or a compaction of data.csv once the log outgrows it, and an
+eviction of the live runtime when that mirror fails), and — because reports are
 assembled under the tenant's writer lock — can never hand a concurrent
 reader a torn view (half pre-update, half post).
 """
@@ -12,6 +12,7 @@ reader a torn view (half pre-update, half post).
 from __future__ import annotations
 
 import errno
+import os
 import threading
 
 import pytest
@@ -134,8 +135,10 @@ class TestMirror:
     @pytest.mark.parametrize(
         "mirror, write",
         [
+            # A one-row batch is appended to the log.
             ("append_data", lambda svc: svc.ingest("acme", rows=[["90050", "New York"]])),
-            ("save_data", lambda svc: svc.update("acme", {"cells": [[0, "city", "New York"]]})),
+            # A batch larger than data.csv compacts: data.csv is rewritten.
+            ("save_data", lambda svc: svc.ingest("acme", rows=[["90050", "New York"]] * 20)),
         ],
     )
     def test_failed_mirror_keeps_memory_and_registry_together(
@@ -144,9 +147,11 @@ class TestMirror:
         def full_disk(*args):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(service.registry, mirror, full_disk)
-        with pytest.raises(OSError):
-            write(service)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", full_disk)
+            with pytest.raises(OSError) as excinfo:
+                write(service)
+        assert any(entry.name == mirror for entry in excinfo.traceback)
         doc = service.detect("acme")
         stored = service.registry.load_data("acme")
         assert doc["rows"] == stored.row_count == 16

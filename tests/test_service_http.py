@@ -8,8 +8,12 @@ stdlib :class:`~repro.service.client.ServiceClient` — the same pair the
 
 from __future__ import annotations
 
+import errno
 import http.client
 import json
+import select
+import socket
+import sys
 import threading
 import urllib.request
 
@@ -56,8 +60,9 @@ def server(registry_root):
 
 
 @pytest.fixture
-def client(server) -> ServiceClient:
-    return ServiceClient(server.url)
+def client(server):
+    with ServiceClient(server.url) as client:
+        yield client
 
 
 class TestRoundTrip:
@@ -163,9 +168,9 @@ class TestErrors:
         assert excinfo.value.code == 404
 
     def test_unreachable_daemon_raises_service_error(self):
-        client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
-        with pytest.raises(ServiceError):
-            client.health()
+        with ServiceClient("http://127.0.0.1:9", timeout=0.5) as client:
+            with pytest.raises(ServiceError):
+                client.health()
 
 
 class TestKeepAliveHygiene:
@@ -240,10 +245,10 @@ class TestPersistence:
             return server, thread
 
         server, thread = start(registry_root)
-        client = ServiceClient(server.url)
-        client.load("acme", columns=["zip", "city"], rows=_zip_rows(1))
-        client.discover("acme", min_support=4)
-        before = client.detect("acme")
+        with ServiceClient(server.url) as client:
+            client.load("acme", columns=["zip", "city"], rows=_zip_rows(1))
+            client.discover("acme", min_support=4)
+            before = client.detect("acme")
         assert before["error_count"] > 0
         server.shutdown()
         thread.join(timeout=10)
@@ -262,10 +267,10 @@ class TestPersistence:
         # A fresh daemon serves detect without re-load or re-discover.
         server, thread = start(registry_root)
         try:
-            client = ServiceClient(server.url)
-            after = client.detect("acme")
-            assert after["errors"] == before["errors"]
-            assert client.stats()["sessions"]["rehydrated"] == 1
+            with ServiceClient(server.url) as client:
+                after = client.detect("acme")
+                assert after["errors"] == before["errors"]
+                assert client.stats()["sessions"]["rehydrated"] == 1
         finally:
             server.shutdown()
             thread.join(timeout=10)
@@ -276,8 +281,111 @@ class TestPersistence:
         server = start_server(service, port=0, quiet=True)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        client = ServiceClient(server.url)
-        assert client.shutdown()["status"] == "shutting down"
+        with ServiceClient(server.url) as client:
+            assert client.shutdown()["status"] == "shutting down"
         thread.join(timeout=10)
         assert not thread.is_alive()
         server.close()
+
+
+class TestPersistentConnection:
+    """One client keeps one kept-alive connection, and never sends a request
+    twice."""
+
+    @pytest.fixture
+    def accepted(self, server, monkeypatch) -> list[socket.socket]:
+        """The server-side socket of every connection the daemon accepts."""
+        sockets: list[socket.socket] = []
+        process_request = server.process_request
+
+        def record(request, client_address):
+            sockets.append(request)
+            process_request(request, client_address)
+
+        monkeypatch.setattr(server, "process_request", record)
+        return sockets
+
+    def test_one_client_opens_one_connection(self, client, accepted):
+        for _ in range(20):
+            assert client.health()["status"] == "ok"
+        assert len(accepted) == 1
+
+    def test_accepted_socket_disables_nagle(self, client, accepted):
+        client.health()
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_reconnects_after_the_daemon_closes_an_idle_connection(self, client, accepted):
+        client.health()
+        accepted[0].shutdown(socket.SHUT_RDWR)
+        (idle,) = client._idle
+        assert select.select([idle.sock], [], [], 10)[0]  # the close reached the client
+        assert client.health()["status"] == "ok"
+        assert len(accepted) == 2
+
+    def test_request_that_failed_to_send_goes_again_on_a_new_connection(self, client, accepted):
+        client.health()
+        (idle,) = client._idle
+        send = idle.send
+
+        def broken_pipe(data):
+            idle.send = send
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        idle.send = broken_pipe
+        assert client.health()["status"] == "ok"
+        assert len(accepted) == 2
+
+    def test_request_lost_after_sending_is_not_sent_again(self, client, monkeypatch):
+        from repro.service.http import _Handler
+
+        client.load("acme", columns=["zip", "city"], rows=_zip_rows())
+        client.discover("acme", min_support=4)
+        reply = _Handler._reply
+
+        def die_before_replying(self, document, status=200):
+            if self.path.endswith("/ingest"):
+                self.close_connection = True  # applied, but never answered
+                return
+            reply(self, document, status)
+
+        monkeypatch.setattr(_Handler, "_reply", die_before_replying)
+        with pytest.raises(ServiceError):
+            client.ingest("acme", rows=[["90001", "Los Angeles"]])
+        assert client.tenant("acme")["rows"] == 17
+
+    def test_threads_sharing_a_client_never_share_a_connection(self, client, accepted):
+        client.load("acme", columns=["zip", "city"], rows=_zip_rows())
+        client.discover("acme", min_support=4)
+        starts: list[int] = []
+        errors: list[Exception] = []
+
+        def ingest():
+            try:
+                for _ in range(10):
+                    doc = client.ingest("acme", rows=[["90001", "Los Angeles"]])
+                    starts.append(doc["appended_start"])
+            except Exception as error:  # pragma: no cover - surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ingest) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sorted(starts) == list(range(16, 76))
+        assert client.tenant("acme")["rows"] == 76
+        assert len(accepted) <= 6
+
+    def test_shutdown_returns_while_a_connection_is_open(self, server, client):
+        client.health()
+        stopper = threading.Thread(target=server.shutdown)
+        stopper.start()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive()
