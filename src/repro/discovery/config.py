@@ -45,7 +45,7 @@ class DiscoveryConfig:
     #: Process-parallel workers for candidate validation (see
     #: :mod:`repro.engine.parallel`).  ``None`` defers to the session's
     #: ``workers=`` (or the ``REPRO_WORKERS`` environment variable, else 1);
-    #: 1 bypasses the pool entirely and runs the exact serial path.
+    #: 1 never creates a pool and validates every level in process.
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:

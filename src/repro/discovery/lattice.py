@@ -39,8 +39,6 @@ class CandidateLattice:
         self.max_level = max_level
         #: RHS attribute -> set of LHS sets already satisfied (for pruning).
         self._satisfied: dict[str, list[frozenset[str]]] = {}
-        #: candidates explicitly pruned (e.g. coverage bound cannot be met).
-        self._pruned: set[tuple[frozenset[str], str]] = set()
         #: LHS sets whose covered rows cannot reach the support/coverage
         #: floor; supersets cover a subset of the same rows, so the whole
         #: cone above them is pruned for every RHS.
@@ -52,10 +50,6 @@ class CandidateLattice:
         """Record that ``lhs -> rhs`` was reported; supersets get pruned."""
         self._satisfied.setdefault(rhs, []).append(frozenset(lhs))
 
-    def prune(self, lhs: Iterable[str], rhs: str) -> None:
-        """Explicitly prune a single candidate (coverage bound, etc.)."""
-        self._pruned.add((frozenset(lhs), rhs))
-
     def mark_coverage_deficient(self, lhs: Iterable[str]) -> None:
         """Record that ``lhs`` cannot cover enough rows (partition-based
         bound): ``lhs`` and every superset are pruned for every RHS, since
@@ -64,8 +58,6 @@ class CandidateLattice:
 
     def is_pruned(self, lhs: Iterable[str], rhs: str) -> bool:
         lhs_set = frozenset(lhs)
-        if (lhs_set, rhs) in self._pruned:
-            return True
         for deficient in self._deficient:
             if deficient <= lhs_set:
                 return True
@@ -87,6 +79,22 @@ class CandidateLattice:
                 if self.is_pruned(lhs_set, rhs):
                     continue
                 yield lhs, rhs
+
+    def level_groups(self, size: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """The candidates of :meth:`level` grouped by LHS, ``(X, (B, ...))``,
+        in enumeration order.
+
+        The groups are decided once, at the level boundary: within one level
+        :meth:`mark_satisfied` prunes only strict supersets and
+        :meth:`mark_coverage_deficient` only the identical LHS, so marking
+        one group's outcome never changes another group of the same level.
+        """
+        return [
+            (lhs, tuple(rhs for _, rhs in candidates))
+            for lhs, candidates in itertools.groupby(
+                self.level(size), key=lambda candidate: candidate[0]
+            )
+        ]
 
     def __iter__(self) -> Iterator[tuple[tuple[str, ...], str]]:
         """All candidates level by level up to ``max_level``."""

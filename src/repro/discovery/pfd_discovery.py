@@ -46,10 +46,9 @@ from ..engine.parallel import (
     ParallelExecutor,
     _DiscoveryTask,
     chunk_round_robin,
-    merge_partition_stats,
     resolve_workers,
 )
-from ..engine.partitions import PartitionStats, _spans
+from ..engine.partitions import _spans
 from ..patterns.ast import (
     ClassAtom,
     ConstrainedGroup,
@@ -97,8 +96,6 @@ class DiscoveryResult:
     index_entries: int
     #: Candidates enumerated per lattice level (after pruning).
     candidates_per_level: dict[int, int] = dataclasses.field(default_factory=dict)
-    #: Snapshot of the relation's partition-cache counters after discovery.
-    partition_stats: Optional[PartitionStats] = None
 
     @property
     def pfds(self) -> list[PFD]:
@@ -128,6 +125,24 @@ class DiscoveryResult:
         for dependency in self.dependencies:
             lines.append(f"  {dependency}")
         return "\n".join(lines)
+
+
+@dataclasses.dataclass(frozen=True)
+class GroupOutcome:
+    """What validating one LHS group of a lattice level produced.
+
+    Module top-level, so the outcomes a pool worker returns pickle by
+    reference.
+    """
+
+    lhs: tuple[str, ...]
+    #: Candidates the group counts: one for a coverage-deficient LHS (marking
+    #: it prunes the group's other RHS), else one per RHS.
+    candidates: int
+    #: The LHS partition missed the coverage floor (prunes the superset cone).
+    deficient: bool
+    #: Accepted dependencies, in RHS enumeration order.
+    accepted: tuple[DiscoveredDependency, ...]
 
 
 class PFDDiscoverer:
@@ -171,12 +186,16 @@ class PFDDiscoverer:
     ) -> DiscoveryResult:
         """Run the full discovery pipeline on ``relation``.
 
-        With an effective worker count above 1 (``workers=`` on this
-        discoverer, else ``config.workers``, else ``REPRO_WORKERS``), each
-        lattice level's candidate validations are sharded across a process
-        pool and merged at the level barrier — bit-identical to the serial
-        loop (see :mod:`repro.engine.parallel`).  ``workers=1`` runs the
-        serial path below and never touches a pool.
+        The attribute-set lattice is walked level by level.  A level's
+        candidates are fixed at the level boundary as LHS groups
+        (:meth:`CandidateLattice.level_groups`) and validated by
+        :meth:`_validate_groups`; the level barrier then applies the lattice
+        marks and collects accepted dependencies in enumeration order.  With
+        an effective worker count above 1 (``workers=`` on this discoverer,
+        else ``config.workers``, else ``REPRO_WORKERS``) the groups are
+        validated in a process pool (see :mod:`repro.engine.parallel`), with
+        output bit-identical to ``workers=1``, which validates them in this
+        process and never touches a pool.
         """
         start = time.perf_counter()
         config = self.config
@@ -184,165 +203,130 @@ class PFDDiscoverer:
         workers = resolve_workers(
             self.workers if self.workers is not None else config.workers
         )
+        executor: Optional[ParallelExecutor] = None
+        index: Optional[PatternIndex] = None
         if workers > 1 and not getattr(relation, "is_sql_backed", False):
             # Out-of-core relations stay serial: their state is a live SQLite
             # connection that cannot be shipped to pool workers.
-            return self._discover_parallel(relation, profile, workers, start)
-        index = PatternIndex(
-            relation,
-            profile=profile,
-            prune_substrings=config.prune_substrings,
-            prefixes_only=config.prefixes_only,
+            executor = self.executor or ParallelExecutor(workers)
+        else:
+            index = self._pattern_index(relation, profile)
+        lattice = CandidateLattice(
+            self._eligible_attributes(profile), max_level=config.max_lhs_size
         )
-        attributes = self._eligible_attributes(profile)
-        lattice = CandidateLattice(attributes, max_level=config.max_lhs_size)
-
-        dependencies: list[DiscoveredDependency] = []
-        candidate_count = 0
-        candidates_per_level: dict[int, int] = {}
-        manager = relation.partitions()
         # A tableau needs at least one group of min_support rows and must
         # cover min_coverage of the table; both are bounded by the covered
         # rows of the LHS partition, known before any pattern work.
         coverage_floor = max(
             config.min_support, math.ceil(config.min_coverage * relation.row_count)
         )
-        for level in range(1, config.max_lhs_size + 1):
-            for lhs, rhs in lattice.level(level):
-                candidate_count += 1
-                candidates_per_level[level] = candidates_per_level.get(level, 0) + 1
-                partition = manager.attribute_set_partition(lhs)
-                if partition.covered_count < coverage_floor:
-                    # Intersections only shrink the covered set: prune the
-                    # whole superset cone, for every RHS.
-                    lattice.mark_coverage_deficient(lhs)
-                    continue
-                dependency = self._evaluate_candidate(relation, index, lhs, rhs)
-                if dependency is None:
-                    continue
-                dependencies.append(dependency)
-                lattice.mark_satisfied(lhs, rhs)
-        runtime = time.perf_counter() - start
-        return DiscoveryResult(
-            relation_name=relation.name,
-            config=config,
-            dependencies=dependencies,
-            runtime_seconds=runtime,
-            candidate_count=candidate_count,
-            index_entries=index.total_entries(),
-            candidates_per_level=candidates_per_level,
-            partition_stats=dataclasses.replace(manager.stats),
-        )
-
-    # -- parallel discovery ------------------------------------------------------
-
-    def _discover_parallel(
-        self,
-        relation: Relation,
-        profile: TableProfile,
-        workers: int,
-        start: float,
-    ) -> DiscoveryResult:
-        """Shard each lattice level's LHS groups across the process pool.
-
-        Within one level, satisfied-superset pruning only affects *larger*
-        LHS sets and coverage deficiency only the identical LHS, so the
-        level's candidate set is fixed at the level boundary: whole LHS
-        groups are validated atomically by workers and the results merged
-        here in enumeration order — dependencies, candidate counts, and
-        pruning decisions come out bit-identical to the serial loop.
-        """
-        config = self.config
-        attributes = self._eligible_attributes(profile)
-        lattice = CandidateLattice(attributes, max_level=config.max_lhs_size)
-        executor = self.executor
-        owned = executor is None
-        if owned:
-            executor = ParallelExecutor(workers)
-
         dependencies: list[DiscoveredDependency] = []
-        candidate_count = 0
         candidates_per_level: dict[int, int] = {}
-        coverage_floor = max(
-            config.min_support, math.ceil(config.min_coverage * relation.row_count)
-        )
         index_entries: Optional[int] = None
-        merged_stats = PartitionStats()
         try:
             for level in range(1, config.max_lhs_size + 1):
-                # Snapshot the level's surviving candidates as LHS groups
-                # (the generator yields LHS-major, in deterministic order).
-                groups: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
-                current_lhs: Optional[tuple[str, ...]] = None
-                rhs_acc: list[str] = []
-                for lhs, rhs in lattice.level(level):
-                    if lhs != current_lhs:
-                        if current_lhs is not None:
-                            groups.append((len(groups), current_lhs, tuple(rhs_acc)))
-                        current_lhs = lhs
-                        rhs_acc = []
-                    rhs_acc.append(rhs)
-                if current_lhs is not None:
-                    groups.append((len(groups), current_lhs, tuple(rhs_acc)))
+                groups = lattice.level_groups(level)
                 if not groups:
                     continue
-                tasks = [
-                    _DiscoveryTask(
-                        config=config,
-                        profile=profile,
-                        coverage_floor=coverage_floor,
-                        groups=tuple(chunk),
+                if executor is None:
+                    outcomes = self._validate_groups(relation, index, groups, coverage_floor)
+                else:
+                    index_entries, outcomes = self._validate_pooled(
+                        executor, relation, profile, groups, coverage_floor
                     )
-                    for chunk in chunk_round_robin(groups, workers * 4)
-                ]
-                outcomes = []
-                for entries, task_outcomes, stats_delta in executor.run_tasks(
-                    relation, tasks, stage="discover"
-                ):
-                    if index_entries is None:
-                        index_entries = entries
-                    merged_stats = merge_partition_stats(merged_stats, stats_delta)
-                    outcomes.extend(task_outcomes)
-                # The level barrier: apply lattice marks and collect accepted
-                # dependencies in exactly the serial enumeration order.
-                outcomes.sort(key=lambda outcome: outcome.position)
+                # The level barrier: marks go in in enumeration order; none
+                # changes another group of this level (see level_groups).
+                candidates_per_level[level] = sum(outcome.candidates for outcome in outcomes)
                 for outcome in outcomes:
-                    candidate_count += outcome.candidates
-                    candidates_per_level[level] = (
-                        candidates_per_level.get(level, 0) + outcome.candidates
-                    )
                     if outcome.deficient:
+                        # Intersections only shrink the covered set: prune
+                        # the whole superset cone, for every RHS.
                         lattice.mark_coverage_deficient(outcome.lhs)
                         continue
                     for dependency in outcome.accepted:
                         dependencies.append(dependency)
                         lattice.mark_satisfied(dependency.lhs, dependency.rhs)
         finally:
-            if owned:
+            if executor is not None and executor is not self.executor:
                 executor.close()
         if index_entries is None:
-            # Degenerate table (no candidates at any level): report the same
-            # index statistics the serial path would have.
-            index = PatternIndex(
-                relation,
-                profile=profile,
-                prune_substrings=config.prune_substrings,
-                prefixes_only=config.prefixes_only,
-            )
+            if index is None:  # a pooled run that dispatched no group
+                index = self._pattern_index(relation, profile)
             index_entries = index.total_entries()
-        runtime = time.perf_counter() - start
         return DiscoveryResult(
             relation_name=relation.name,
             config=config,
             dependencies=dependencies,
-            runtime_seconds=runtime,
-            candidate_count=candidate_count,
+            runtime_seconds=time.perf_counter() - start,
+            candidate_count=sum(candidates_per_level.values()),
             index_entries=index_entries,
             candidates_per_level=candidates_per_level,
-            # Workers hold their own partition caches; the merged counters
-            # describe the union of per-worker cache activity for the run.
-            partition_stats=merged_stats,
         )
+
+    def _pattern_index(self, relation: Relation, profile: TableProfile) -> PatternIndex:
+        config = self.config
+        return PatternIndex(
+            relation,
+            profile=profile,
+            prune_substrings=config.prune_substrings,
+            prefixes_only=config.prefixes_only,
+        )
+
+    def _validate_groups(
+        self,
+        relation: Relation,
+        index: PatternIndex,
+        groups: Sequence[tuple[tuple[str, ...], tuple[str, ...]]],
+        coverage_floor: int,
+    ) -> list[GroupOutcome]:
+        """Validate LHS groups ``(X, (B, ...))`` of one lattice level, one
+        outcome per group in input order.  A serial run calls this on the
+        whole level; a pool worker calls it on its chunk.
+
+        Before any tableau work each LHS is screened against its cached
+        stripped partition: an LHS covering fewer than ``coverage_floor``
+        rows is deficient and counts one candidate, as the level generator
+        would skip its remaining RHS once it is marked.
+        """
+        manager = relation.partitions()
+        outcomes: list[GroupOutcome] = []
+        for lhs, rhs_list in groups:
+            if manager.attribute_set_partition(lhs).covered_count < coverage_floor:
+                outcomes.append(GroupOutcome(lhs, 1, deficient=True, accepted=()))
+                continue
+            evaluated = (self._evaluate_candidate(relation, index, lhs, rhs) for rhs in rhs_list)
+            accepted = tuple(d for d in evaluated if d is not None)
+            outcomes.append(GroupOutcome(lhs, len(rhs_list), deficient=False, accepted=accepted))
+        return outcomes
+
+    def _validate_pooled(
+        self,
+        executor: ParallelExecutor,
+        relation: Relation,
+        profile: TableProfile,
+        groups: list[tuple[tuple[str, ...], tuple[str, ...]]],
+        coverage_floor: int,
+    ) -> tuple[int, list[GroupOutcome]]:
+        """:meth:`_validate_groups` sharded across ``executor``'s pool in
+        round-robin chunks of whole groups; returns the workers' index size
+        and the outcomes put back in group order."""
+        chunks = chunk_round_robin(range(len(groups)), executor.workers * 4)
+        tasks = [
+            _DiscoveryTask(
+                config=self.config,
+                profile=profile,
+                coverage_floor=coverage_floor,
+                groups=tuple(groups[position] for position in chunk),
+            )
+            for chunk in chunks
+        ]
+        by_position: dict[int, GroupOutcome] = {}
+        index_entries = 0
+        for chunk, (index_entries, chunk_outcomes) in zip(
+            chunks, executor.run_tasks(relation, tasks)
+        ):
+            by_position.update(zip(chunk, chunk_outcomes))
+        return index_entries, [by_position[position] for position in range(len(groups))]
 
     # -- candidate evaluation ---------------------------------------------------
 

@@ -67,10 +67,6 @@ class DictionaryDelta:
     def row_count(self) -> int:
         return len(self.appended_codes)
 
-    def new_rows(self) -> range:
-        """The appended row ids."""
-        return range(self.start_row, self.start_row + len(self.appended_codes))
-
     def code_changes(self) -> np.ndarray:
         """A ``(3, n)`` int64 block stacking ``(rows, old_codes,
         new_codes)``, rows ascending; an appended row had no code before, so

@@ -89,10 +89,6 @@ class ColumnMatch:
             )
         return column
 
-    @property
-    def pattern_string(self) -> str:
-        return self.compiled.pattern.to_pattern_string()
-
     def _extend(self, new_results: tuple[MatchResult, ...]) -> None:
         """Grow the per-code results in place (codes only ever append)."""
         self.results = self.results + new_results
@@ -182,9 +178,6 @@ class ColumnMatchSet:
         if isinstance(pattern, (CompiledPattern, Pattern, str)):
             return _compiled(pattern) in self._bit_of
         return False
-
-    def has_pattern(self, pattern: PatternLike) -> bool:
-        return _compiled(pattern) in self._bit_of
 
     def _register(self, compiled: CompiledPattern) -> int:
         bit = self._bit_of.get(compiled)

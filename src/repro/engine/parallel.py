@@ -7,8 +7,8 @@ can be validated by a process pool.  This module owns that parallelism:
 
 * :func:`resolve_workers` — the ``workers=`` knob resolution: an explicit
   value wins, else the ``REPRO_WORKERS`` environment variable, else 1.
-  ``workers=1`` means *no pool is ever created*; callers bypass this module
-  entirely and run the exact serial code path.
+  ``workers=1`` means *no pool is ever created*; discovery then validates
+  each level in process, through the same walk.
 * :class:`ParallelExecutor` — a lazily created
   :class:`~concurrent.futures.ProcessPoolExecutor` bound to one relation
   snapshot.  The dictionary-encoded relation (distinct values + the
@@ -18,11 +18,12 @@ can be validated by a process pool.  This module owns that parallelism:
   (new broadcast) when the relation object or its
   :attr:`~repro.dataset.relation.Relation.version` changes, so a discovery
   after a mutation sees the mutated table.
-* the task protocol — :func:`_run_task` validates one chunk of a lattice
-  level's LHS groups inside the worker (tableau walk + dominant-RHS
-  counting + generalization screen) and tags each outcome with the group's
-  enumeration position, so the parent merges in exactly the serial order —
-  parallel output is pinned bit-identical to serial.
+* the task protocol — :func:`_run_task` hands one chunk of a lattice
+  level's LHS groups to
+  :meth:`~repro.discovery.pfd_discovery.PFDDiscoverer._validate_groups`,
+  the same method a serial run calls in process, and returns its outcomes
+  in chunk order; the parent puts them back in enumeration order before
+  the level-barrier merge, so parallel output is bit-identical to serial.
 
 Error detection is deliberately not here.  Its per-tuple and per-class
 checks take milliseconds on a warm session, while a pool would re-pickle
@@ -38,14 +39,14 @@ Within one lattice level, ``mark_satisfied(lhs, rhs)`` prunes only *strict*
 supersets of ``lhs`` (never another same-size LHS) and
 ``mark_coverage_deficient(lhs)`` prunes ``lhs`` itself and its supersets
 (between equal-size sets, only the identical LHS).  Therefore the set of
-candidates a level enumerates is fully determined at the level boundary,
-and each LHS group — all surviving RHS of one LHS — can be validated
-atomically by any worker.  A worker replicates the serial semantics inside
-the group (a coverage-deficient LHS counts exactly one candidate and stops,
-matching the serial generator's re-check after ``mark_coverage_deficient``);
-the parent applies lattice marks and appends accepted dependencies in
-enumeration order at the level barrier.  Candidate counts, per-level
-counts, dependencies, and tableaux are bit-identical to the serial loop.
+candidates a level enumerates is fully determined at the level boundary
+(:meth:`~repro.discovery.lattice.CandidateLattice.level_groups`), and each
+LHS group — all surviving RHS of one LHS — can be validated atomically by
+any worker.  Serial and pooled runs share one level walk: only where
+``_validate_groups`` runs differs, and the parent applies lattice marks and
+appends accepted dependencies in enumeration order at the level barrier.
+Candidate counts, per-level counts, dependencies, and tableaux are
+bit-identical at any worker count.
 
 Fork/spawn safety
 -----------------
@@ -79,8 +80,6 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence
-
-from .partitions import PartitionStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset -> engine)
     from ..dataset.relation import Relation
@@ -144,17 +143,12 @@ class ParallelStats:
 
     #: Workers in the current/most recent pool (0 = no pool ever created).
     pool_size: int = 0
-    #: Pools created (== relation snapshots broadcast).
-    broadcasts: int = 0
     #: Total pickled bytes of the broadcast snapshots.
     bytes_broadcast: int = 0
-    #: Task submissions across all stages.
+    #: Task submissions (discovery is the only stage that uses the pool).
     tasks_dispatched: int = 0
-    #: Wall-clock seconds spent inside parallel sections, per stage name.
-    stage_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
-
-    def record_stage(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+    #: Wall-clock seconds spent waiting on pool tasks.
+    seconds: float = 0.0
 
 
 # -- the broadcast snapshot ---------------------------------------------------
@@ -214,17 +208,10 @@ class _WorkerState:
         for cached_config, cached_profile, context in self._discovery_contexts:
             if cached_config == config and cached_profile == profile:
                 return context
-        from ..dataset.index import PatternIndex
         from ..discovery.pfd_discovery import PFDDiscoverer
 
         discoverer = PFDDiscoverer(config, evaluator=self.evaluator)
-        index = PatternIndex(
-            self.relation,
-            profile=profile,
-            prune_substrings=config.prune_substrings,
-            prefixes_only=config.prefixes_only,
-        )
-        context = (discoverer, index)
+        context = (discoverer, discoverer._pattern_index(self.relation, profile))
         self._discovery_contexts.append((config, profile, context))
         return context
 
@@ -247,77 +234,22 @@ class _DiscoveryTask:
     config: object
     profile: object
     coverage_floor: int
-    #: ``(position, lhs, rhs_tuple)`` triples; position is the group's index
-    #: in the level's serial enumeration order.
-    groups: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]
+    #: ``(lhs, rhs_tuple)`` pairs, a subsequence of the level's groups.
+    groups: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class _GroupOutcome:
-    """What validating one LHS group produced."""
-
-    position: int
-    lhs: tuple[str, ...]
-    #: Candidates the serial loop would have counted for this group.
-    candidates: int
-    #: The LHS partition missed the coverage floor (prunes the superset cone).
-    deficient: bool
-    #: Accepted dependencies, in RHS enumeration order.
-    accepted: tuple
-
-
-def _stats_delta(before: PartitionStats, after: PartitionStats) -> PartitionStats:
-    fields = dataclasses.fields(PartitionStats)
-    return PartitionStats(
-        **{f.name: getattr(after, f.name) - getattr(before, f.name) for f in fields}
-    )
-
-
-def merge_partition_stats(target: PartitionStats, delta: PartitionStats) -> PartitionStats:
-    """Field-wise sum (the level-barrier merge of worker counters)."""
-    fields = dataclasses.fields(PartitionStats)
-    return PartitionStats(
-        **{f.name: getattr(target, f.name) + getattr(delta, f.name) for f in fields}
-    )
-
-
-def _run_task(task: _DiscoveryTask) -> tuple[int, list, PartitionStats]:
+def _run_task(task: _DiscoveryTask) -> tuple[int, list]:
     """The single worker entry point (top-level, so it pickles by
     reference): validate one chunk of LHS groups; returns (index entries,
-    outcomes, partition-counter delta)."""
+    one :class:`~repro.discovery.pfd_discovery.GroupOutcome` per group)."""
     state = _STATE
     if state is None:
         raise RuntimeError("parallel worker used before its initializer ran")
     discoverer, index = state.discovery_context(task.config, task.profile)
-    relation = state.relation
-    manager = relation.partitions()
-    before = dataclasses.replace(manager.stats)
-    outcomes: list[_GroupOutcome] = []
-    for position, lhs, rhs_list in task.groups:
-        partition = manager.attribute_set_partition(lhs)
-        if partition.covered_count < task.coverage_floor:
-            # Serial counts exactly one candidate for a deficient LHS (the
-            # level generator re-checks pruning before yielding the rest).
-            outcomes.append(
-                _GroupOutcome(position, lhs, candidates=1, deficient=True, accepted=())
-            )
-            continue
-        accepted = []
-        for rhs in rhs_list:
-            dependency = discoverer._evaluate_candidate(relation, index, lhs, rhs)
-            if dependency is not None:
-                accepted.append(dependency)
-        outcomes.append(
-            _GroupOutcome(
-                position,
-                lhs,
-                candidates=len(rhs_list),
-                deficient=False,
-                accepted=tuple(accepted),
-            )
-        )
-    delta = _stats_delta(before, dataclasses.replace(manager.stats))
-    return index.total_entries(), outcomes, delta
+    outcomes = discoverer._validate_groups(
+        state.relation, index, task.groups, task.coverage_floor
+    )
+    return index.total_entries(), outcomes
 
 
 # -- the executor -------------------------------------------------------------
@@ -363,19 +295,18 @@ class ParallelExecutor:
         )
         self._bound = (weakref.ref(relation), relation.version)
         self.stats.pool_size = self.workers
-        self.stats.broadcasts += 1
         self.stats.bytes_broadcast += len(payload)
         return self._pool
 
-    def run_tasks(self, relation: "Relation", tasks: Sequence, stage: str) -> list:
+    def run_tasks(self, relation: "Relation", tasks: Sequence) -> list:
         """Submit ``tasks`` against ``relation``'s broadcast; returns results
-        in task order (callers merge by per-item position tags)."""
+        in task order."""
         pool = self._pool_for(relation)
         started = time.perf_counter()
         futures = [pool.submit(_run_task, task) for task in tasks]
         results = [future.result() for future in futures]
         self.stats.tasks_dispatched += len(futures)
-        self.stats.record_stage(stage, time.perf_counter() - started)
+        self.stats.seconds += time.perf_counter() - started
         return results
 
     def close(self) -> None:

@@ -45,7 +45,6 @@ consistent relation version — never a torn view across an append.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import statistics
 import threading
@@ -60,7 +59,7 @@ from ..dataset.mutations import MutationBatch, UpsertOp, batch_from_document
 from ..dataset.profiler import TableProfile
 from ..discovery.config import DiscoveryConfig
 from ..exceptions import ReproError, ServiceError
-from ..session import CleaningSession, ValidationReport
+from ..session import ValidationReport
 from .manager import SessionManager, TenantRuntime
 from .registry import ConstraintRegistry
 
@@ -672,8 +671,3 @@ def _repair_doc(result: RepairResult, runtime: TenantRuntime) -> dict:
         }
     )
     return doc
-
-
-def session_stats_doc(session: CleaningSession) -> dict:
-    """Convenience used by tests: a session's stats as the service emits."""
-    return dataclasses.asdict(session.stats())

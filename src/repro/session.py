@@ -116,7 +116,8 @@ class SessionStats:
     tasks_dispatched: int = 0
     #: Pickled bytes of relation snapshots broadcast to worker pools.
     bytes_broadcast: int = 0
-    #: Wall-clock seconds spent inside parallel sections, per stage name.
+    #: Wall-clock seconds spent waiting on the pool, per stage name (only
+    #: ``"discover"`` uses it).
     parallel_stage_seconds: tuple[tuple[str, float], ...] = ()
 
     @property
@@ -725,7 +726,9 @@ class CleaningSession:
             tasks_dispatched=parallel.tasks_dispatched if parallel is not None else 0,
             bytes_broadcast=parallel.bytes_broadcast if parallel is not None else 0,
             parallel_stage_seconds=(
-                tuple(sorted(parallel.stage_seconds.items())) if parallel is not None else ()
+                (("discover", parallel.seconds),)
+                if parallel is not None and parallel.tasks_dispatched
+                else ()
             ),
         )
 

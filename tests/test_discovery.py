@@ -101,12 +101,6 @@ class TestCandidateLattice:
         assert (("a", "b"), "c") not in level2
         assert (("a", "b"), "c") not in list(lattice)
 
-    def test_explicit_prune(self):
-        lattice = CandidateLattice(["a", "b"])
-        lattice.prune(("a",), "b")
-        assert (("a",), "b") not in list(lattice.level(1))
-        assert lattice.is_pruned(("a",), "b")
-
     def test_candidate_count(self):
         lattice = CandidateLattice(["a", "b", "c"], max_level=2)
         assert lattice.candidate_count(1) == 6

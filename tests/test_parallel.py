@@ -284,8 +284,8 @@ def test_session_stats_surface_parallel_counters():
         assert stats.tasks_dispatched > 0
         assert stats.bytes_broadcast > 0
         stages = dict(stats.parallel_stage_seconds)
-        assert set(stages) <= {"discover", "detect"}
-        assert "discover" in stages and stages["discover"] >= 0.0
+        assert set(stages) == {"discover"}
+        assert stages["discover"] >= 0.0
         assert "parallel:" in stats.summary()
         doc = stats.to_json_dict()
         assert doc["workers"] == 2
