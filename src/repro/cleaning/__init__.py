@@ -1,7 +1,13 @@
 """Data cleaning with PFDs: error injection, detection, repair, and the
 precision/recall evaluation harness (Section 5.3 of the paper)."""
 
-from .detector import DetectedError, DetectionReport, ErrorDetector, detect_errors
+from .detector import (
+    DetectedError,
+    DetectionReport,
+    DetectionView,
+    ErrorDetector,
+    detect_errors,
+)
 from .evaluation import (
     PrecisionRecall,
     cell_precision_recall,
@@ -20,6 +26,7 @@ from .repair import Repair, RepairResult, Repairer, repair_errors
 __all__ = [
     "DetectedError",
     "DetectionReport",
+    "DetectionView",
     "ErrorDetector",
     "detect_errors",
     "PrecisionRecall",

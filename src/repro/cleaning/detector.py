@@ -6,6 +6,11 @@ into an error report.  When several PFDs disagree about a cell, the cell is
 still reported (any violation is evidence of *some* error in the violating
 tuple pair), but the proposed repair comes from the constraint with the
 strongest support.
+
+The report is built as a :class:`DetectionView`, which can also be kept
+across writes: a :class:`~repro.session.CleaningSession` marks each write's
+changed rows in it and splices only what they can affect into the last
+report, instead of re-detecting the whole table.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from ..constraints.base import CellRef, Violation
 from ..core.pfd import PFD, prime_for_pfds, prime_partitions_for_pfds
@@ -67,6 +74,355 @@ class DetectionReport:
         return "\n".join(lines)
 
 
+#: A suspect cell's evidence key: ``(row_id, attribute)``, the order
+#: ``CellRef`` sorts by, without its dataclass ``__lt__``.
+_Cell = tuple[int, str]
+
+
+class DetectionView:
+    """The detection report of one PFD set, kept as a view of a relation.
+
+    Violations are held per *segment* — one tableau row of one PFD, in
+    PFD-then-position order — and within a segment per *entry*: the
+    violations of one tuple for a constant row, keyed by its row id, or of
+    one equivalence class for a variable row, keyed by the class's smallest
+    member (the order partitions list their classes in).  Every suspect cell
+    maps to the violations naming it, tagged ``(segment, entry, index)``,
+    which sorts in the report's violation order.
+
+    :meth:`mark` records the rows a write changed, and :meth:`refresh`
+    propagates them into the view with :meth:`splice` (Polynesia-style
+    update propagation, with the report as the analytical replica of the
+    table):
+
+    * the changed rows are searched as a scoped detection searches them:
+      constant rows check those tuples, variable rows the classes now
+      holding one;
+    * a constant row's entries of the changed rows are retracted; a variable
+      row's entries are retracted when their class rows meet a changed row
+      or a class that search found (a changed row entered that class, which
+      therefore still violates);
+    * the classes now holding a row of a retracted class are searched too:
+      they cover the classes a changed row left;
+    * evidence, suggestion, current value and constraint order are
+      recomputed only for the cells a retracted or added violation names.
+
+    A class with no changed row that met no found class is the same class
+    with the same values as before, so its entry stands.  A new view is
+    empty with every row dirty, so its first refresh is a cold detection;
+    splicing given rows into a new view leaves the scoped report of those
+    rows (see :meth:`ErrorDetector.detect`).  All three run the same splice.
+    """
+
+    def __init__(self, pfds: Sequence[PFD], evaluator: PatternEvaluator):
+        self.pfds = list(pfds)
+        self.evaluator = evaluator
+        #: ``(pfd index, pfd, tableau row, is constant)`` per segment.
+        self._segments = [
+            (index, pfd, row, row.is_constant_row(pfd.lhs, pfd.rhs))
+            for index, pfd in enumerate(self.pfds)
+            for row in pfd.tableau
+        ]
+        self._clear()
+
+    def _clear(self) -> None:
+        """Empty the view and mark every row dirty."""
+        #: The dirty rows as a mask by row id, grown on demand (rows past
+        #: its end are clean); None marks every row dirty.
+        self._dirty: Optional[np.ndarray] = None
+        self._entries: dict[int, dict[int, list[Violation]]] = {}
+        #: Per segment, its violations in entry order (dropped on change).
+        self._ordered: dict[int, list[Violation]] = {}
+        #: Per variable segment, its classes' rows and owning entry keys.
+        self._class_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: Per suspect cell, its first ``CellRef`` and its tagged violations.
+        self._evidence: dict[_Cell, tuple[CellRef, dict[tuple[int, int, int], Violation]]] = {}
+        self._errors: dict[_Cell, DetectedError] = {}
+        self._violations: Optional[list[Violation]] = None
+        #: ``(rows, violations per segment)`` of the last search.
+        self._searched: Optional[tuple[Optional[tuple[int, ...]], dict]] = None
+
+    # -- writes ----------------------------------------------------------------
+
+    def mark(self, rows: Sequence[int]) -> None:
+        """Record rows a write changed (appended, updated or deleted); the
+        next :meth:`refresh` splices them in.  O(rows), amortized."""
+        self._searched = None
+        if self._dirty is None or not len(rows):
+            return
+        rows = np.asarray(rows, dtype=np.int64)
+        size = int(rows.max()) + 1
+        if size > len(self._dirty):
+            grown = np.zeros(max(size, 2 * len(self._dirty)), dtype=bool)
+            grown[: len(self._dirty)] = self._dirty
+            self._dirty = grown
+        self._dirty[rows] = True
+
+    def adopt(self, other: "DetectionView") -> None:
+        """Reuse ``other``'s last search for the next :meth:`refresh` when
+        it covered exactly this view's dirty rows, for the same PFDs — a
+        scoped detection of the pending writes is that very search."""
+        searched, dirty = other._searched, self._dirty
+        if searched is None or searched[0] is None or dirty is None:
+            return
+        rows = np.asarray(searched[0], dtype=np.int64)
+        if (
+            np.count_nonzero(dirty) == len(rows)
+            and (not len(rows) or (rows[-1] < len(dirty) and dirty[rows].all()))
+            and other.pfds == self.pfds
+        ):
+            self._searched = searched
+
+    def refresh(self, relation: Relation) -> None:
+        """Splice the dirty rows into the view (a no-op when none are)."""
+        dirty = self._dirty
+        self.splice(relation, None if dirty is None else tuple(np.flatnonzero(dirty).tolist()))
+        if dirty is None:
+            self._dirty = np.zeros(0, dtype=bool)
+        else:
+            dirty[:] = False
+
+    def splice(self, relation: Relation, rows: Optional[tuple[int, ...]]) -> None:
+        """Propagate the changes of ``rows`` (unique and ascending; None for
+        every row) into the view.  Dirty marks are left to :meth:`refresh`."""
+        for pfd in self.pfds:
+            relation.schema.validate_attributes(pfd.attributes())
+        if rows == ():
+            return
+        if self._searched is None or self._searched[0] != rows:
+            self._searched = (rows, self._search(relation, rows))
+        try:
+            self._splice(relation, rows, self._searched[1])
+        except BaseException:
+            self._clear()  # a half-spliced view is rebuilt cold
+            raise
+
+    # -- reads -----------------------------------------------------------------
+
+    def report(self, relation: Relation, min_evidence: int = 1) -> DetectionReport:
+        """The view's report (call :meth:`refresh` first)."""
+        return DetectionReport(
+            relation_name=relation.name,
+            errors=[
+                error for error in self._errors.values() if error.evidence_count >= min_evidence
+            ],
+            violations=list(self.violations()),
+            backend=relation.backend,
+        )
+
+    def violations(self) -> list[Violation]:
+        """Every violation, by PFD, tableau position, then row or class."""
+        if self._violations is None:
+            self._violations = [
+                violation for segment in sorted(self._entries) for violation in self._segment(segment)
+            ]
+        return self._violations
+
+    def violation_counts(self) -> list[int]:
+        """The number of violations of each PFD, in PFD order."""
+        counts = [0] * len(self.pfds)
+        for segment in self._entries:
+            counts[self._segments[segment][0]] += len(self._segment(segment))
+        return counts
+
+    def _segment(self, segment: int) -> list[Violation]:
+        ordered = self._ordered.get(segment)
+        if ordered is None:
+            entries = self._entries[segment]
+            ordered = [violation for key in sorted(entries) for violation in entries[key]]
+            self._ordered[segment] = ordered
+        return ordered
+
+    # -- the splice ------------------------------------------------------------
+
+    def _search(
+        self, relation: Relation, scope: Optional[tuple[int, ...]]
+    ) -> dict[int, list[Violation]]:
+        """The violations per segment of the rows in ``scope`` (all rows for
+        None): prime once for every PFD, then one pass per PFD."""
+        prime_for_pfds(relation, self.pfds, self.evaluator)
+        prime_partitions_for_pfds(relation, self.pfds, self.evaluator)
+        found: dict[int, list[Violation]] = {}
+        segment = 0
+        for pfd in self.pfds:
+            constant = pfd._constant_violations(relation, self.evaluator, scope)
+            for position, row in enumerate(pfd.tableau):
+                if self._segments[segment][3]:
+                    violations = constant.get(position)
+                else:
+                    violations = pfd._variable_row_violations(
+                        relation, row, self.evaluator, scope
+                    )
+                if violations:
+                    found[segment] = violations
+                segment += 1
+        return found
+
+    def _splice(
+        self,
+        relation: Relation,
+        scope: Optional[tuple[int, ...]],
+        found: dict[int, list[Violation]],
+    ) -> None:
+        touched: set[_Cell] = set()
+        scope_rows = None if scope is None else np.asarray(scope, dtype=np.int64)
+        scope_set: Optional[set[int]] = None
+        for segment, (_, pfd, row, is_constant) in enumerate(self._segments):
+            entries = self._entries.get(segment)
+            added = _entries_of(found.get(segment, ()), is_constant)
+            if not entries and not added:
+                continue
+            if entries is None:
+                entries = self._entries[segment] = {}
+            probe = None
+            if not entries:
+                retracted = []
+            elif scope is None:
+                retracted = list(entries)
+            elif is_constant:
+                if len(entries) < len(scope):
+                    scope_set = scope_set or set(scope)
+                    retracted = [key for key in entries if key in scope_set]
+                else:
+                    retracted = [key for key in scope if key in entries]
+            else:
+                probe = np.concatenate(
+                    [scope_rows] + [violations[0].cells.rows for _, violations in added]
+                )
+                retracted = self._meeting(segment, probe)
+            gone = [(key, entries.pop(key)) for key in retracted]
+            for key, violations in gone:
+                self._unlink(segment, key, violations, touched)
+            if gone and probe is not None:
+                # The classes a changed row left: search the classes now
+                # holding a row of a retracted class that no class searched
+                # above holds.
+                rows = np.setdiff1d(
+                    np.concatenate([violations[0].cells.rows for _, violations in gone]),
+                    probe,
+                )
+                if len(rows):
+                    added += _entries_of(
+                        pfd._variable_row_violations(
+                            relation, row, self.evaluator, tuple(rows.tolist())
+                        ),
+                        False,
+                    )
+            for key, violations in added:
+                entries[key] = violations
+                self._link(segment, key, violations, touched)
+            if gone or added:
+                self._ordered.pop(segment, None)
+                self._class_rows.pop(segment, None)
+                self._violations = None
+            if not entries:
+                del self._entries[segment]
+        self._aggregate(relation, touched)
+
+    def _meeting(self, segment: int, rows: np.ndarray) -> list[int]:
+        """The keys of a variable segment's entries whose class rows meet
+        ``rows``."""
+        class_rows = self._class_rows.get(segment)
+        if class_rows is None:
+            entries = self._entries[segment]
+            first = [violations[0].cells.rows for violations in entries.values()]
+            class_rows = (
+                np.concatenate(first),
+                np.repeat(
+                    np.fromiter(entries, dtype=np.int64, count=len(entries)),
+                    [len(rows) for rows in first],
+                ),
+            )
+            self._class_rows[segment] = class_rows
+        members, owners = class_rows
+        return np.unique(owners[np.isin(members, rows)]).tolist()
+
+    def _link(self, segment: int, key: int, violations: list[Violation], touched: set) -> None:
+        evidence_of = self._evidence
+        for index, violation in enumerate(violations):
+            tag = (segment, key, index)
+            for cell in violation.suspect_cells:
+                at = (cell.row_id, cell.attribute)
+                evidence = evidence_of.get(at)
+                if evidence is None:
+                    evidence_of[at] = (cell, {tag: violation})
+                else:
+                    evidence[1][tag] = violation
+                touched.add(at)
+
+    def _unlink(self, segment: int, key: int, violations: list[Violation], touched: set) -> None:
+        for index, violation in enumerate(violations):
+            tag = (segment, key, index)
+            for cell in violation.suspect_cells:
+                at = (cell.row_id, cell.attribute)
+                del self._evidence[at][1][tag]
+                touched.add(at)
+
+    def _aggregate(self, relation: Relation, touched: set[_Cell]) -> None:
+        """Recompute the errors of the touched cells, keeping the errors
+        sorted by cell."""
+        errors = self._errors
+        last = next(reversed(errors), None)
+        unordered = False
+        for at in sorted(touched):
+            cell, evidence = self._evidence[at]
+            if not evidence:
+                del self._evidence[at]
+                errors.pop(at, None)
+                continue
+            if len(evidence) == 1:
+                (violation,) = evidence.values()
+                violations = [violation]
+                suggestion = violation.expected_value
+            else:
+                violations = [evidence[tag] for tag in sorted(evidence)]
+                suggestion = _best_suggestion(violations)
+            if at not in errors:
+                if last is not None and at < last:
+                    unordered = True
+                else:
+                    last = at
+            errors[at] = DetectedError(
+                cell=cell,
+                current_value=relation.cell(*at),
+                suggested_value=suggestion,
+                evidence_count=len(violations),
+                constraints=tuple(dict.fromkeys(v.constraint_repr for v in violations)),
+            )
+        if unordered:
+            self._errors = {at: errors[at] for at in sorted(errors)}
+
+
+def _entries_of(
+    violations: Iterable[Violation], is_constant: bool
+) -> list[tuple[int, list[Violation]]]:
+    """Consecutive violations of one tuple (constant rows) or one class
+    (variable rows) grouped under its entry key."""
+    entries: list[tuple[int, list[Violation]]] = []
+    for violation in violations:
+        if is_constant:
+            key = violation.suspect_cells[0].row_id
+        else:
+            key = int(violation.cells.rows[0])
+        if entries and entries[-1][0] == key:
+            entries[-1][1].append(violation)
+        else:
+            entries.append((key, [violation]))
+    return entries
+
+
+def _best_suggestion(violations: Iterable[Violation]) -> Optional[str]:
+    """Majority vote over the expected values proposed by the violations."""
+    counts: dict[str, int] = defaultdict(int)
+    for violation in violations:
+        if violation.expected_value is not None:
+            counts[violation.expected_value] += 1
+    if not counts:
+        return None
+    value, _ = max(counts.items(), key=lambda item: (item[1], item[0]))
+    return value
+
+
 class ErrorDetector:
     """Detect cell-level errors by evaluating PFD violations.
 
@@ -103,6 +459,7 @@ class ErrorDetector:
         self,
         relation: Relation,
         changed_rows: Optional[Iterable[int]] = None,
+        view: Optional[DetectionView] = None,
     ) -> DetectionReport:
         """Evaluate every PFD and aggregate suspect cells into a report.
 
@@ -125,71 +482,20 @@ class ErrorDetector:
         can turn an old cell into the minority of its class, and a class a
         changed row joined is re-examined as a whole.  An empty set yields
         an empty report.
+
+        ``view`` is a :class:`DetectionView` of this detector's PFDs that
+        the caller keeps across writes (a
+        :class:`~repro.session.CleaningSession` does): its dirty rows, or
+        the ``changed_rows`` when given, are spliced in and the report comes
+        from it.  Without one, detection is the same splice over a new,
+        empty view.
         """
-        if changed_rows is not None:
-            changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
-        all_violations = self._collect_violations(relation, changed_rows)
-        # Evidence is keyed by plain ``(row_id, attribute)`` tuples — the
-        # order ``CellRef`` sorts by, without its dataclass ``__lt__`` — and
-        # keeps the first suspect ``CellRef`` seen as the error's cell.
-        evidence: dict[tuple[int, str], tuple[CellRef, list[Violation]]] = {}
-        for violation in all_violations:
-            for cell in violation.suspect_cells:
-                key = (cell.row_id, cell.attribute)
-                entry = evidence.get(key)
-                if entry is None:
-                    evidence[key] = (cell, [violation])
-                else:
-                    entry[1].append(violation)
-
-        errors: list[DetectedError] = []
-        for key in sorted(evidence):
-            cell, cell_violations = evidence[key]
-            if len(cell_violations) < self.min_evidence:
-                continue
-            suggestion = self._best_suggestion(cell_violations)
-            errors.append(
-                DetectedError(
-                    cell=cell,
-                    current_value=relation.cell(*key),
-                    suggested_value=suggestion,
-                    evidence_count=len(cell_violations),
-                    constraints=tuple(
-                        dict.fromkeys(v.constraint_repr for v in cell_violations)
-                    ),
-                )
-            )
-        return DetectionReport(
-            relation_name=relation.name,
-            errors=errors,
-            violations=all_violations,
-            backend=relation.backend,
-        )
-
-    def _collect_violations(
-        self,
-        relation: Relation,
-        changed_rows: Optional[tuple[int, ...]] = None,
-    ) -> list[Violation]:
-        """The violation search: prime once, then one pass per PFD."""
-        prime_for_pfds(relation, self.pfds, self.evaluator)
-        prime_partitions_for_pfds(relation, self.pfds, self.evaluator)
-        all_violations: list[Violation] = []
-        for pfd in self.pfds:
-            all_violations.extend(pfd.primed_violations(relation, self.evaluator, changed_rows))
-        return all_violations
-
-    @staticmethod
-    def _best_suggestion(violations: Iterable[Violation]) -> Optional[str]:
-        """Majority vote over the expected values proposed by the violations."""
-        counts: dict[str, int] = defaultdict(int)
-        for violation in violations:
-            if violation.expected_value is not None:
-                counts[violation.expected_value] += 1
-        if not counts:
-            return None
-        value, _ = max(counts.items(), key=lambda item: (item[1], item[0]))
-        return value
+        view = view or DetectionView(self.pfds, self.evaluator)
+        if changed_rows is None:
+            view.refresh(relation)
+        else:
+            view.splice(relation, tuple(sorted({int(row_id) for row_id in changed_rows})))
+        return view.report(relation, self.min_evidence)
 
 
 def detect_errors(

@@ -161,39 +161,42 @@ def covered_tuples(
     code is non-empty and set in the evaluator's per-code match mask of the
     row's pattern (the wildcard matches every value).
 
-    Per attribute, the rows' matched codes become sorted keys ``code * K +
-    k``; the first attribute expands each tuple into its code's key range,
-    every further one keeps the pairs whose key is present.  Beyond the
-    masks the work is O(matched codes + tuples + covered pairs).
+    Per attribute, every row's mask is read only at the distinct codes the
+    tuples hold, giving a rows x codes hit matrix.  The first attribute
+    expands each tuple into its code's hitting rows, every further one keeps
+    the pairs whose row hits the tuple's code there.  A scope of a few tuples
+    thus costs O(rows), not O(rows x distinct values); beyond the hit
+    matrices the work is O(tuples + covered pairs).
     """
-    width = len(rows)
-    tuple_ids = np.arange(len(lhs_codes), dtype=np.int64)
-    row_ids: Optional[np.ndarray] = None
+    tuple_ids: Optional[np.ndarray] = None
     for position, attribute in enumerate(lhs):
         column = relation.dictionary(attribute)
-        matched = [_matched_codes(column, row.pattern(attribute), evaluator) for row in rows]
-        codes = np.concatenate(matched)
-        owners = np.repeat(np.arange(width, dtype=np.int64), [len(m) for m in matched])
-        keep = codes != column.code_of("")  # all True when no cell is empty
-        keys = np.sort(codes[keep] * width + owners[keep])
-        probe = lhs_codes[tuple_ids, position] * width
-        if row_ids is None:
-            starts = np.searchsorted(keys, probe)
-            stops = np.searchsorted(keys, probe + width)
-            tuple_ids = np.repeat(tuple_ids, stops - starts)
-            row_ids = keys[_spans(starts, stops)] % width
+        codes, inverse = np.unique(lhs_codes[:, position], return_inverse=True)
+        masks = [_match_mask(column, row.pattern(attribute), evaluator) for row in rows]
+        hits = np.array([codes >= 0 if mask is None else mask[codes] for mask in masks])
+        hits &= codes != column.code_of("")  # all True when no cell is empty
+        if tuple_ids is None:
+            # Hitting rows grouped by code, ascending within each code.
+            code_ids, hitting = np.nonzero(hits.T)
+            counts = np.bincount(code_ids, minlength=len(codes))
+            starts = (np.cumsum(counts) - counts)[inverse]
+            stops = starts + counts[inverse]
+            tuple_ids = np.repeat(np.arange(len(lhs_codes), dtype=np.int64), stops - starts)
+            row_ids = hitting[_spans(starts, stops)]
         else:
-            hit = np.isin(probe + row_ids, keys)
-            tuple_ids, row_ids = tuple_ids[hit], row_ids[hit]
+            keep = hits[row_ids, inverse[tuple_ids]]
+            tuple_ids, row_ids = tuple_ids[keep], row_ids[keep]
     return tuple_ids, row_ids
 
 
-def _matched_codes(column: DictionaryColumn, pattern: Pattern, evaluator: PatternEvaluator) -> np.ndarray:
-    """The ascending codes of ``column`` whose value ``pattern`` matches
-    (every code for the wildcard)."""
+def _match_mask(
+    column: DictionaryColumn, pattern: Pattern, evaluator: PatternEvaluator
+) -> Optional[np.ndarray]:
+    """The per-code match mask of ``pattern`` on ``column`` (None for the
+    wildcard, which matches every code)."""
     if pattern == _WILDCARD_PATTERN:
-        return np.arange(len(column.values), dtype=np.int64)
-    return np.flatnonzero(evaluator.match_column(pattern, column).matched_array())
+        return None
+    return evaluator.match_column(pattern, column).matched_array()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -530,18 +533,6 @@ class PFD:
         if changed_rows is not None:
             changed_rows = tuple(sorted({int(row_id) for row_id in changed_rows}))
         evaluator = prime_for_pfds(relation, (self,), evaluator)
-        return self.primed_violations(relation, evaluator, changed_rows)
-
-    def primed_violations(
-        self,
-        relation: Relation,
-        evaluator: PatternEvaluator,
-        changed_rows: Optional[tuple[int, ...]] = None,
-    ) -> list[Violation]:
-        """:meth:`violations` for a caller that has already primed
-        ``evaluator`` for this PFD (:func:`prime_for_pfds`) and passes
-        ``changed_rows`` as unique row ids in ascending order — the error
-        detector, which primes once for all of its PFDs."""
         relation.schema.validate_attributes(self.attributes())
         if changed_rows is not None and not changed_rows:
             return []
@@ -552,9 +543,7 @@ class PFD:
                 found.extend(constant.get(position, ()))
             else:
                 found.extend(
-                    self._variable_row_violations(
-                        relation, row, evaluator, changed_rows
-                    )
+                    self._variable_row_violations(relation, row, evaluator, changed_rows)
                 )
         return found
 
@@ -608,13 +597,15 @@ class PFD:
         starts = np.searchsorted(tuple_ids, wanted)[held]
         stops = np.searchsorted(tuple_ids, wanted, side="right")[held]
         pairs = _spans(starts, stops)
-        reprs = [self._row_repr(row) for row in rows]
+        reprs: dict[int, str] = {}
         found: dict[int, list[Violation]] = {}
         for k, row_id, flags in zip(
             row_ids[pairs].tolist(),
             np.repeat(holders, stops - starts).tolist(),
             bad[pairs].tolist(),
         ):
+            if k not in reprs:
+                reprs[k] = self._row_repr(rows[k])
             emitted = found.setdefault(positions[k], [])
             for attribute, value, flag in zip(self.rhs, expected[k], flags):
                 if flag:

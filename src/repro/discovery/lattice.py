@@ -24,19 +24,15 @@ class CandidateLattice:
         The attributes eligible for the LHS.
     rhs_attributes:
         The attributes eligible for the RHS (defaults to ``attributes``).
-    max_level:
-        Largest LHS size to enumerate.
     """
 
     def __init__(
         self,
         attributes: Sequence[str],
         rhs_attributes: Sequence[str] | None = None,
-        max_level: int = 1,
     ):
         self.attributes = tuple(attributes)
         self.rhs_attributes = tuple(rhs_attributes if rhs_attributes is not None else attributes)
-        self.max_level = max_level
         #: RHS attribute -> set of LHS sets already satisfied (for pruning).
         self._satisfied: dict[str, list[frozenset[str]]] = {}
         #: LHS sets whose covered rows cannot reach the support/coverage
@@ -95,12 +91,3 @@ class CandidateLattice:
                 self.level(size), key=lambda candidate: candidate[0]
             )
         ]
-
-    def __iter__(self) -> Iterator[tuple[tuple[str, ...], str]]:
-        """All candidates level by level up to ``max_level``."""
-        for size in range(1, self.max_level + 1):
-            yield from self.level(size)
-
-    def candidate_count(self, size: int) -> int:
-        """Number of (unpruned) candidates at a level (mostly for reporting)."""
-        return sum(1 for _ in self.level(size))

@@ -211,9 +211,7 @@ class PFDDiscoverer:
             executor = self.executor or ParallelExecutor(workers)
         else:
             index = self._pattern_index(relation, profile)
-        lattice = CandidateLattice(
-            self._eligible_attributes(profile), max_level=config.max_lhs_size
-        )
+        lattice = CandidateLattice(self._eligible_attributes(profile))
         # A tableau needs at least one group of min_support rows and must
         # cover min_coverage of the table; both are bounded by the covered
         # rows of the LHS partition, known before any pattern work.

@@ -27,10 +27,10 @@ Each stage
   :class:`ValidationReport`),
 * primes the shared caches exactly once (one evaluator, one partition
   manager, for the session's whole lifetime), and
-* is memoized per argument set — and invalidated when the relation mutates,
-  by watching :attr:`Relation.version` (which is bumped by the same
-  ``append_rows``/``apply`` hooks that delta-maintain the dictionary and
-  partition caches).
+* is memoized per argument set — and invalidated when the relation mutates
+  behind the session's back, by watching :attr:`Relation.version` (which is
+  bumped by the same ``append_rows``/``apply`` hooks that delta-maintain the
+  dictionary and partition caches).
 
 The historical free functions (:func:`repro.discover_pfds`,
 :func:`repro.detect_errors`, :func:`repro.repair_errors`) remain as thin
@@ -45,7 +45,10 @@ invalidating them) while keeping the memoized discovery, and accumulates
 the rows it touched into one pending delta.
 :meth:`CleaningSession.detect_changed` (alias :meth:`~CleaningSession.detect_new`)
 re-validates just that delta — only the touched tuples, only equivalence
-classes containing them.
+classes containing them.  The full report survives writes too: it is kept
+as a :class:`~repro.cleaning.detector.DetectionView`, and the next
+:meth:`CleaningSession.detect` or :meth:`CleaningSession.validate` splices
+the changed rows into it instead of re-detecting the table.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ import threading
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .cleaning.detector import DetectionReport, ErrorDetector
+from .cleaning.detector import DetectionReport, DetectionView, ErrorDetector
 from .cleaning.repair import Repairer, RepairResult
-from .core.pfd import PFD, prime_for_pfds, prime_partitions_for_pfds
+from .core.pfd import PFD, prime_for_pfds
 from .dataset.csvio import estimate_csv_rows, read_csv
 from .dataset.mutations import MutationBatch, MutationResult
 from .dataset.profiler import TableProfile, profile_relation
@@ -242,10 +245,12 @@ class CleaningSession:
     Parameters
     ----------
     relation:
-        The table to clean.  The session observes (but never copies) it;
-        mutations through ``append_rows``/``apply`` (and the ``set_cell`` /
-        ``delete_rows`` wrappers) invalidate every memoized stage result
-        automatically.
+        The table to clean.  The session observes (but never copies) it.
+        Writes through :meth:`apply` (and its ``update`` / ``delete`` /
+        ``append`` wrappers) keep the discovery and the detection view (see
+        :meth:`apply`); mutations made on the relation directly
+        (``append_rows`` / ``apply`` / ``set_cell`` / ``delete_rows``)
+        invalidate every memoized stage result automatically.
     config:
         Default :class:`DiscoveryConfig` for :meth:`discover` (and for the
         implicit discovery that :meth:`detect` runs when no PFDs are given).
@@ -305,6 +310,10 @@ class CleaningSession:
         self._profile: Optional[TableProfile] = None
         self._discovery: Optional[tuple[DiscoveryConfig, DiscoveryResult]] = None
         self._detection: Optional[tuple[tuple, DetectionReport]] = None
+        #: The last detected PFD set's report as a view of the relation
+        #: (keyed by its memo marker): writes mark their rows in it, and the
+        #: next :meth:`detect` or :meth:`validate` splices them in.
+        self._view: Optional[tuple[object, DetectionView]] = None
         self._repair: Optional[tuple[tuple, RepairResult]] = None
         self._validation: Optional[tuple[tuple, ValidationReport]] = None
         #: Row ids touched by :meth:`apply` and its wrappers (appends
@@ -437,6 +446,7 @@ class CleaningSession:
             self._profile = None
             self._discovery = None
             self._detection = None
+            self._view = None
             self._repair = None
             self._validation = None
             self._changed_pending = None
@@ -454,22 +464,28 @@ class CleaningSession:
         pattern-match masks, stripped partitions — are delta-maintained
         rather than rebuilt.  The memoized *discovery* survives (the whole
         point of ingestion is validating new data against the constraints
-        already learned); detection / repair / validation memos are dropped,
-        since their reports describe the pre-mutation table.  Consecutive
-        batches accumulate into one pending delta for
+        already learned), and so does the detection view: the batch's
+        changed rows are recorded in it, O(batch), and the next
+        :meth:`detect` or :meth:`validate` splices just those rows into the
+        last report instead of re-detecting the table.  The repair and
+        validation memos are dropped, since they describe the pre-mutation
+        table.  Consecutive batches accumulate into one pending delta for
         :meth:`detect_changed`.  A batch with no effective change (every
         assignment matched the stored value, nothing appended or deleted)
         leaves every memo — including a pending delta — intact.
         """
         with self._state_lock:
             self._sync()
-            discovery = self._discovery
+            discovery, view = self._discovery, self._view
             pending_changed = self._changed_pending
             result = self.relation.apply(batch)
             if not result:
                 return result
             self.invalidate()
             self._discovery = discovery
+            if view is not None:
+                view[1].mark(result.changed_rows)
+                self._view = view
             changed = set(pending_changed or ())
             changed.update(result.changed_rows)
             self._changed_pending = changed
@@ -518,7 +534,9 @@ class CleaningSession:
         to the session's discovered PFDs (which :meth:`apply` deliberately
         preserves).  The pending delta is consumed; a second call without a
         new mutation raises.  Suspect cells may reference untouched rows
-        when a mutation turns them into the minority of their class.
+        when a mutation turns them into the minority of their class.  When
+        the detection view of the same PFDs has exactly these rows to
+        splice, its next refresh reuses this search.
         """
         with self._state_lock:
             self._sync()
@@ -527,10 +545,13 @@ class CleaningSession:
                     "detect_changed() has no pending mutations: call apply(), "
                     "update(), delete(), or append() first"
                 )
-            _, resolved = self._resolve_pfds(pfds)
+            marker, resolved = self._resolve_pfds(pfds)
+            scoped = DetectionView(resolved, self.evaluator)
             report = ErrorDetector(
                 resolved, min_evidence=min_evidence, evaluator=self.evaluator
-            ).detect(self.relation, changed_rows=self._changed_pending)
+            ).detect(self.relation, changed_rows=self._changed_pending, view=scoped)
+            if self._view is not None and self._view[0] == marker:
+                self._view[1].adopt(scoped)
             self._changed_pending = None
             self._mark("detect_changed")
             return report
@@ -582,6 +603,7 @@ class CleaningSession:
             result = discoverer.discover(self.relation, profile=self._profile)
             self._discovery = (effective, result)
             self._detection = None
+            self._view = None
             self._repair = None
             self._validation = None
             self._mark("discover")
@@ -618,6 +640,12 @@ class CleaningSession:
         Runs on the session's evaluator and partition manager, so after
         :meth:`discover` has primed them this performs zero additional
         pattern-set compilations and reuses the cached partition leaves.
+        The report comes from the session's detection view of ``pfds``
+        (see :class:`~repro.cleaning.detector.DetectionView`): the first
+        call builds it cold, and after writes only the changed rows and
+        the classes they entered or left are searched again and spliced in,
+        with evidence re-aggregated for the cells whose violations changed.
+        The report equals a cold detection, order included.
         """
         with self._state_lock:
             self._sync()
@@ -627,10 +655,17 @@ class CleaningSession:
                 return self._detection[1]
             report = ErrorDetector(
                 resolved, min_evidence=min_evidence, evaluator=self.evaluator
-            ).detect(self.relation)
+            ).detect(self.relation, view=self._view_for(marker, resolved))
             self._detection = (key, report)
             self._mark("detect")
             return report
+
+    def _view_for(self, marker: object, resolved: list[PFD]) -> DetectionView:
+        """The detection view of ``resolved``; a new PFD set replaces the
+        session's view with a cold one."""
+        if self._view is None or self._view[0] != marker:
+            self._view = (marker, DetectionView(resolved, self.evaluator))
+        return self._view[1]
 
     def repair(
         self,
@@ -669,9 +704,11 @@ class CleaningSession:
     def validate(self, pfds: Optional[Sequence[PFD]] = None) -> ValidationReport:
         """Per-PFD coverage and violation counts (memoized).
 
-        Primes the evaluator set-at-a-time and the partition leaves once for
-        the whole PFD set, so sibling PFDs on the same column share one
-        shared-DFA scan per distinct value and one grouping pass per leaf.
+        The violation counts are read from the same detection view as
+        :meth:`detect`, spliced first if writes made it stale, so a
+        validate after a write searches only around the changed rows.
+        Coverage is recomputed per PFD, on an evaluator primed
+        set-at-a-time for the whole PFD set.
         """
         with self._state_lock:
             self._sync()
@@ -679,17 +716,16 @@ class CleaningSession:
             key = (marker,)
             if self._validation is not None and self._validation[0] == key:
                 return self._validation[1]
+            view = self._view_for(marker, resolved)
+            view.refresh(self.relation)
             prime_for_pfds(self.relation, resolved, self.evaluator)
-            prime_partitions_for_pfds(self.relation, resolved, self.evaluator)
             entries = [
                 PFDValidation(
                     pfd=pfd,
                     coverage=pfd.coverage(self.relation, evaluator=self.evaluator),
-                    violation_count=len(
-                        pfd.primed_violations(self.relation, self.evaluator)
-                    ),
+                    violation_count=count,
                 )
-                for pfd in resolved
+                for pfd, count in zip(resolved, view.violation_counts())
             ]
             report = ValidationReport(relation_name=self.relation.name, entries=entries)
             self._validation = (key, report)

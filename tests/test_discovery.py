@@ -95,16 +95,10 @@ class TestCandidateLattice:
         assert len(candidates) == 6
 
     def test_mark_satisfied_prunes_supersets(self):
-        lattice = CandidateLattice(["a", "b", "c"], max_level=2)
+        lattice = CandidateLattice(["a", "b", "c"])
         lattice.mark_satisfied(("a",), "c")
         level2 = list(lattice.level(2))
         assert (("a", "b"), "c") not in level2
-        assert (("a", "b"), "c") not in list(lattice)
-
-    def test_candidate_count(self):
-        lattice = CandidateLattice(["a", "b", "c"], max_level=2)
-        assert lattice.candidate_count(1) == 6
-        assert lattice.candidate_count(2) == 3
 
 
 class TestPFDDiscovery:

@@ -68,9 +68,7 @@ def reference_discover(discoverer, relation):
         prune_substrings=config.prune_substrings,
         prefixes_only=config.prefixes_only,
     )
-    lattice = CandidateLattice(
-        discoverer._eligible_attributes(profile), max_level=config.max_lhs_size
-    )
+    lattice = CandidateLattice(discoverer._eligible_attributes(profile))
     manager = relation.partitions()
     coverage_floor = max(
         config.min_support, math.ceil(config.min_coverage * relation.row_count)
@@ -176,7 +174,7 @@ def _flatten(groups):
 
 
 def test_level_groups_group_level_by_lhs_in_order():
-    lattice = CandidateLattice(["a", "b", "c"], max_level=2)
+    lattice = CandidateLattice(["a", "b", "c"])
     assert lattice.level_groups(1) == [
         (("a",), ("b", "c")),
         (("b",), ("a", "c")),
@@ -188,13 +186,13 @@ def test_level_groups_group_level_by_lhs_in_order():
         (("b", "c"), ("a",)),
     ]
     assert lattice.level_groups(3) == []
-    restricted = CandidateLattice(["a", "b", "c"], rhs_attributes=["c"], max_level=2)
+    restricted = CandidateLattice(["a", "b", "c"], rhs_attributes=["c"])
     assert restricted.level_groups(1) == [(("a",), ("c",)), (("b",), ("c",))]
     assert restricted.level_groups(2) == [(("a", "b"), ("c",))]
 
 
 def test_level_groups_prune_as_level_does():
-    lattice = CandidateLattice(["a", "b", "c", "d"], max_level=3)
+    lattice = CandidateLattice(["a", "b", "c", "d"])
     level_one = lattice.level_groups(1)
     # A satisfied LHS prunes only strict supersets for its RHS ...
     lattice.mark_satisfied(("a",), "c")
@@ -218,7 +216,7 @@ def test_level_groups_prune_as_level_does():
 )
 def test_level_groups_flatten_to_level_under_random_marks(width, marks):
     attributes = "abcde"[:width]
-    lattice = CandidateLattice(list(attributes), max_level=width)
+    lattice = CandidateLattice(list(attributes))
     subsets = [
         subset
         for size in range(1, width + 1)
