@@ -239,9 +239,12 @@ class DetectionView:
         self, relation: Relation, scope: Optional[tuple[int, ...]]
     ) -> dict[int, list[Violation]]:
         """The violations per segment of the rows in ``scope`` (all rows for
-        None): prime once for every PFD, then one pass per PFD."""
+        None): prime once for every PFD, then one pass per PFD.  Only an
+        unscoped search builds partition leaves; a scoped one finds its
+        classes from the leaves' grouping states."""
         prime_for_pfds(relation, self.pfds, self.evaluator)
-        prime_partitions_for_pfds(relation, self.pfds, self.evaluator)
+        if scope is None:
+            prime_partitions_for_pfds(relation, self.pfds, self.evaluator)
         found: dict[int, list[Violation]] = {}
         segment = 0
         for pfd in self.pfds:

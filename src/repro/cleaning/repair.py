@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from ..constraints.base import CellRef
 from ..core.pfd import PFD
+from ..dataset.mutations import MutationBatch
 from ..dataset.relation import Relation
 from ..engine.evaluator import PatternEvaluator
 from .detector import DetectionReport, ErrorDetector
@@ -111,14 +112,21 @@ class Repairer:
             if error.suggested_value is None or error.suggested_value == error.current_value:
                 unresolved.append(error.cell)
                 continue
-            if not self.dry_run:
-                target.set_cell(error.cell.row_id, error.cell.attribute, error.suggested_value)
             repairs.append(
                 Repair(
                     cell=error.cell,
                     old_value=error.current_value,
                     new_value=error.suggested_value,
                     justification=error.constraints,
+                )
+            )
+        if repairs and not self.dry_run:
+            # One batch: the report names each cell once, so the cells'
+            # order does not matter.
+            target.apply(
+                MutationBatch.update_cells(
+                    (repair.cell.row_id, repair.cell.attribute, repair.new_value)
+                    for repair in repairs
                 )
             )
         remaining: Optional[frozenset[CellRef]] = None

@@ -19,12 +19,15 @@ size (instead of quadratic over tuple pairs).  The grouping is served by the
 relation's stripped-partition cache
 (:meth:`~repro.dataset.relation.Relation.partitions`): a variable row's LHS
 is an intersection of per-(attribute, pattern) partitions, built once and
-shared by violations, discovery validation, and error detection.  Every
-per-tuple question — constant-row violations, support, coverage, matching
-rows — is answered in distinct-code-tuple space instead
+shared by violations, discovery validation, and error detection.  A search
+scoped to the rows a write changed builds no partition: it reads the
+classes of those rows off the leaves' code → key maps and the dictionary
+codes (:meth:`~repro.engine.partitions.PartitionManager.scoped_classes`).
+Every per-tuple question — constant-row violations, support, coverage,
+matching rows — is answered in distinct-code-tuple space instead
 (:func:`covered_tuples`): a tableau row covers a code tuple when each LHS
 code is non-empty and set in the evaluator's per-code match mask, so these
-checks read no partition and no write has to patch one for them.
+checks read no partition at all.
 
 Pattern matching itself is vectorized through :mod:`repro.engine`: every
 tableau cell is matched once per *distinct* column value (via the memoized
@@ -56,10 +59,10 @@ from ..constraints.fd import FD
 from ..dataset.relation import Relation
 from ..engine.dictionary import DictionaryColumn
 from ..engine.evaluator import PatternEvaluator, default_evaluator
-from ..engine.partitions import PartitionManager, StrippedPartition, _spans
+from ..engine.partitions import PartitionKey, PartitionManager, StrippedPartition, _spans
 from ..exceptions import ConstraintError
 from ..patterns.ast import Pattern
-from ..storage.partitions import SqlStrippedPartition
+from ..storage.partitions import SqlPartitionManager, SqlStrippedPartition
 from .tableau import _WILDCARD_PATTERN, CellSpec, PatternTableau, PatternTuple, Wildcard
 
 
@@ -124,7 +127,8 @@ def prime_partitions_for_pfds(
     pfds: Iterable["PFD"],
     evaluator: Optional[PatternEvaluator] = None,
 ) -> PartitionManager:
-    """Build the leaf partitions that evaluating ``pfds`` will group by.
+    """Build the leaf partitions that an unscoped evaluation of ``pfds``
+    will group by.
 
     Every distinct (attribute, LHS pattern) pair across the *variable*
     tableau rows of all supplied PFDs maps to one stripped partition in the
@@ -132,8 +136,9 @@ def prime_partitions_for_pfds(
     building them here — after :func:`prime_for_pfds` has batched the
     pattern matching — means sibling PFDs sharing a pattern share one
     grouping pass, and the subsequent per-row evaluation only intersects
-    cached classes.  Attributes missing from the schema are skipped (the
-    per-PFD evaluation reports them).
+    cached classes.  A search scoped to changed rows reads no partition, so
+    it does not call this.  Attributes missing from the schema are skipped
+    (the per-PFD evaluation reports them).
     """
     manager = relation.partitions()
     known = set(relation.attribute_names)
@@ -455,6 +460,10 @@ class PFD:
 
     # -- matching helpers ------------------------------------------------------
 
+    def _row_keys(self, manager: PartitionManager, row: PatternTuple) -> list[PartitionKey]:
+        """The partition keys of a variable tableau row's LHS leaves."""
+        return [manager.key(attribute, row.pattern(attribute)) for attribute in self.lhs]
+
     def _row_partition(
         self,
         relation: Relation,
@@ -471,12 +480,7 @@ class PFD:
         the relation row by row.
         """
         manager = relation.partitions()
-        keys = [
-            manager.key(attribute, row.pattern(attribute)) for attribute in self.lhs
-        ]
-        if len(keys) == 1:
-            return manager.partition_for(keys[0], evaluator)
-        return manager.intersection(keys, evaluator)
+        return manager.intersection(self._row_keys(manager, row), evaluator)
 
     def matching_rows(
         self,
@@ -521,9 +525,10 @@ class PFD:
         listed tuples (constant rows) and the classes *currently
         containing* one of them (variable rows) are examined.  A row that
         left a class — its cell now carries a different value — takes that
-        class out of scope.  Together with the delta-maintained partition
-        cache, the scoped report equals the full report on the final state
-        restricted to the changed tuples and their classes; for an append
+        class out of scope.  The classes come from the leaves' grouping
+        states and the dictionary codes, never from a partition built for
+        the purpose, and the scoped report equals the full report on the
+        final state restricted to the changed tuples and their classes; for an append
         (``changed_rows=range(start, relation.row_count)``) that is every
         violation with a cell in the appended rows.  A touched class is
         re-examined as a whole, so on a base that was not fully clean the
@@ -633,18 +638,24 @@ class PFD:
         # surviving classes, not with the relation.  Both backends hand their
         # class arrays and per-row RHS codes to ``variable_class_violations``,
         # which finds the disagreeing classes and emits their violations.
-        partition = self._row_partition(relation, row, evaluator)
+        # A ``changed_rows`` scope reads only the classes holding a changed
+        # row, found from the leaves' grouping states and the dictionary
+        # codes (``PartitionManager.scoped_classes``) without building a
+        # partition; the sql backend pushes a one-leaf scope down instead.
+        manager = relation.partitions()
+        keys = self._row_keys(manager, row)
+        if changed_rows is None:
+            partition = manager.intersection(keys, evaluator)
+        elif isinstance(manager, SqlPartitionManager) and len(keys) == 1:
+            partition = manager.leaf_spec(keys[0], evaluator)
+        else:
+            partition = None
         if isinstance(partition, SqlStrippedPartition):
             return self._variable_row_violations_sql(
                 relation, row, evaluator, partition, changed_rows
             )
-        # A ``changed_rows`` scope restricts the scan to the classes that
-        # currently contain a changed row before any per-row RHS work
-        # happens: the RHS codes are gathered for just those classes'
-        # rows, and every tableau row over the same partition shares the
-        # one scope (see ``StrippedPartition.classes_containing``).
-        if changed_rows is not None:
-            rowids, offsets = partition.classes_containing(changed_rows)
+        if partition is None:
+            rowids, offsets = manager.scoped_classes(keys, changed_rows, evaluator)
         else:
             rowids, offsets = partition.class_arrays()
         if len(offsets) <= 1:

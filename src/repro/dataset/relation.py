@@ -214,12 +214,11 @@ class Relation:
         """The relation's stripped-partition (PLI) cache.
 
         Built lazily on first use; :meth:`append_rows` and :meth:`apply`
-        (so also ``set_cell`` / ``delete_rows``) hand the dictionary deltas
-        to it, and each cached leaf of a touched attribute queues them
-        until its next read patches its classes positionally — moved and
-        appended rows are deleted from and inserted into the class arrays,
-        never regrouped from the code vector.  The manager object itself
-        is stable across mutations, so its hit/miss statistics describe the
+        (so also ``set_cell`` / ``delete_rows``) report every write to it,
+        and it drops the cached partitions over the touched attributes
+        while keeping each leaf's grouping state, from which a scoped
+        search finds a changed row's class.  The manager object itself is
+        stable across mutations, so its hit/miss statistics describe the
         relation's whole lifetime.
         """
         if self._partitions is None:
@@ -268,12 +267,10 @@ class Relation:
 
         This is the incremental ingestion path: every column's
         :class:`~repro.engine.dictionary.DictionaryColumn` is extended in
-        place (fresh codes for unseen values, counts patched) and the
-        resulting per-column deltas are routed to the stripped-partition
-        cache, which queues the appended rows on its cached leaves until
-        their next read
-        (:meth:`~repro.engine.partitions.PartitionManager.extend`) and marks
-        memoized intersections for a lazy refresh.  Downstream consumers
+        place (fresh codes for unseen values, counts patched), and the
+        stripped-partition cache drops its cached partitions, keeping the
+        leaves' grouping states
+        (:meth:`~repro.engine.partitions.PartitionManager.extend`).  Downstream consumers
         keyed on the dictionary objects' identity (the pattern evaluator's
         memoized masks) observe the growth and extend themselves lazily.  An
         empty batch is a no-op (no version bump).
@@ -298,14 +295,11 @@ class Relation:
     def set_cell(self, row_id: int, name: str, value: object) -> None:
         """Overwrite one cell (used by error injection and repair).
 
-        A one-cell :meth:`apply` batch.  Unlike the historical behavior
-        (which dropped the attribute's dictionary and partitions wholesale),
-        the engine caches are now *patched* in place: the dictionary object
-        survives — so the evaluator's memoized per-distinct-value masks stay
-        valid — and the partition cache queues the row's move between the
-        touched attribute's cached classes until their next read.
-        Writing the value the cell already holds is a no-op (no version
-        bump).
+        A one-cell :meth:`apply` batch: the dictionary is patched in place
+        and survives — so the evaluator's memoized per-distinct-value masks
+        stay valid — and the partition cache drops the touched attribute's
+        partitions.  Writing the value the cell already holds is a no-op
+        (no version bump).
         """
         self.apply(MutationBatch.update_cells(((row_id, name, value),)))
 
@@ -326,12 +320,11 @@ class Relation:
         The unified mutation entry point: updates and deletes target
         *pre-batch* row ids, appends land last, and the whole batch is
         validated (row ranges, attribute names, append shapes) before any
-        cell changes.  Engine state is delta-maintained, not dropped — the
-        columns' dictionaries patch their code vectors in place
-        (:meth:`~repro.engine.dictionary.DictionaryColumn.update_rows`, so
-        memoized evaluator masks survive), the cached partition leaves of
-        the touched attributes queue the moved rows for a patch on their
-        next read (:meth:`~repro.engine.partitions.PartitionManager.apply_update`),
+        cell changes.  The columns' dictionaries patch their code vectors in
+        place (:meth:`~repro.engine.dictionary.DictionaryColumn.update_rows`,
+        so memoized evaluator masks survive), the partition cache drops the
+        partitions over the touched attributes
+        (:meth:`~repro.engine.partitions.PartitionManager.apply_update`),
         and appended rows ride the existing :meth:`append_rows` extend path.
         """
         if not isinstance(batch, MutationBatch):

@@ -26,14 +26,17 @@ encoding — the standard analytical-engine layout (dictionary-encoded columns
   tier: TANE-style stripped partitions per attribute (read off
   ``rows_by_code``) or per (attribute, tableau pattern), with memoized
   probe-table intersections for multi-attribute candidates, cached per
-  relation and invalidated on mutation.
+  relation; a write drops the partitions over the attributes it touched.
 
-Batch ingestion keeps all three tiers warm instead of rebuilding them:
+Batch ingestion keeps the first two tiers warm instead of rebuilding them:
 :meth:`~repro.dataset.relation.Relation.append_rows` extends dictionaries in
 place (:class:`~repro.engine.dictionary.DictionaryDelta` describes each
-batch), the evaluator's memoized masks self-heal by matching only the newly
-introduced distinct values, and the partition manager patches equivalence
-classes and refreshes memoized intersections from the patched leaves.
+batch) and the evaluator's memoized masks self-heal by matching only the
+newly introduced distinct values.  The partition manager drops its cached
+partitions but keeps each leaf's code → key map, so a scoped detection of
+the appended rows finds their classes from the maps and the codes
+(:meth:`~repro.engine.partitions.PartitionManager.scoped_classes`) without
+building a partition.
 
 The user-facing handle on all of this shared state is the
 :class:`~repro.session.CleaningSession` facade: one evaluator plus one

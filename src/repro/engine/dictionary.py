@@ -22,9 +22,9 @@ rather than rebuilt — and returns a :class:`DictionaryDelta`.  Cell
 overwrites and deletes (``Relation.apply``, so also ``set_cell``) call
 :meth:`DictionaryColumn.update_rows`, which rewrites the touched codes and
 returns a :class:`DictionaryUpdate` of ``(row, old_code, new_code)``
-triples.  Both records describe exactly what changed; the partition layer
-patches its cached classes from them and the pattern evaluator
-delta-maintains its masks.  Existing codes and values never renumber
+triples.  Both records describe exactly what changed: the partition layer
+drops the partitions over the attributes they name, and the pattern
+evaluator delta-maintains its masks.  Existing codes and values never renumber
 (values whose rows all moved away stay as zero-count tombstones), so every
 result computed per distinct value stays valid; downstream caches only have
 to *grow*.
@@ -66,17 +66,6 @@ class DictionaryDelta:
     @property
     def row_count(self) -> int:
         return len(self.appended_codes)
-
-    def code_changes(self) -> np.ndarray:
-        """A ``(3, n)`` int64 block stacking ``(rows, old_codes,
-        new_codes)``, rows ascending; an appended row had no code before, so
-        its old code is ``-1``."""
-        count = len(self.appended_codes)
-        block = np.empty((3, count), dtype=np.int64)
-        block[0] = np.arange(self.start_row, self.start_row + count)
-        block[1] = -1
-        block[2] = self.appended_codes
-        return block
 
 
 @dataclasses.dataclass(frozen=True)

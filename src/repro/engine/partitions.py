@@ -37,8 +37,7 @@ Three partition sources, one cache
 ----------------------------------
 
 :class:`PartitionManager` — created lazily per relation via
-:meth:`repro.dataset.relation.Relation.partitions` and invalidated on
-mutation exactly like the dictionary cache — memoizes:
+:meth:`repro.dataset.relation.Relation.partitions` — memoizes:
 
 (a) **attribute partitions**, grouped straight off the dictionary codes;
 (b) **pattern-projected partitions**, keyed by ``(attribute, pattern)``;
@@ -58,56 +57,26 @@ A partition object is an immutable snapshot: like a ``DictionaryColumn``, it
 keeps meaning after the relation mutates, but the manager will no longer
 hand it out.
 
-Delta maintenance
------------------
+Writes and scoped searches
+--------------------------
 
-Mutations do not invalidate this cache — they *queue* patches on it.  Batch
-ingestion (:meth:`repro.dataset.relation.Relation.append_rows`) routes the
-per-column :class:`~repro.engine.dictionary.DictionaryDelta` records through
-:meth:`PartitionManager.extend`, and cell overwrites / deletes
-(:meth:`repro.dataset.relation.Relation.apply`) route their
-:class:`~repro.engine.dictionary.DictionaryUpdate` records through
-:meth:`PartitionManager.apply_update`.  Both then
+A write drops the cached partition *objects* it can change: an append
+(:meth:`PartitionManager.extend`) every leaf, an overwrite or delete
+(:meth:`PartitionManager.apply_update`) the leaves of the attributes it
+touched, and both every memoized intersection over a dropped leaf.  The next
+unscoped read rebuilds them cold.  What survives a write is each leaf's
+*grouping state*: the map from a dictionary code to its group key (the code
+itself for an attribute leaf, a stable constrained-component id for a
+pattern leaf).  Dictionary codes never renumber, so a pattern leaf's map
+only has to match the distinct values first seen since it was last read.
 
-* queue the delta's ``(row, old code, new code)`` triples on every cached
-  leaf of a touched attribute, and nothing more.  Once the queued triples
-  outnumber twice the largest queued delta, the queue composes into one
-  block — per row the first old code and the last new code — so it holds
-  ``O(distinct queued rows)`` triples and queueing costs amortized
-  ``O(delta log pending)``.  A leaf whose distinct queued rows reach the
-  relation's row count is dropped instead: its cold rebuild costs no more
-  than the patch;
-* patch a leaf on its first read afterwards (inside
-  :meth:`~PartitionManager.attribute_partition` /
-  :meth:`~PartitionManager.pattern_partition`): the queue composes into one
-  net change per row and the cached classes take it in one positional
-  patch, so a leaf nobody reads between mutations costs no patch at all.
-  Each leaf keeps, next to its ``(rowids, offsets)`` snapshot, a per-key row
-  count and smallest member (the key is the code for an attribute leaf, a
-  stable constrained-component id for a pattern leaf, whose state first
-  matches only the distinct values seen since its last patch).  The net
-  changes become key moves: a moved row is deleted from its old class — a
-  class left with one row dissolves — and inserted at its sorted position
-  in its new class; a former singleton and an incoming row form a new class
-  placed by its smallest member, and a class whose smallest member changed
-  is re-seated.  The edits land in one batched ``np.delete``/``np.insert``
-  per array (class rows, class sizes, covered rows); a probe array built on
-  the old snapshot is carried over by shifting its class indices in one
-  pass and rewriting the moved rows.  A patch therefore costs
-  ``O(delta log rows)`` index work plus one copy of the arrays — the full
-  regroup runs only as the cold build;
-* mark every memoized **intersection** over a touched leaf as *stale*: the
-  next request refreshes it by re-running the product over the patched
-  leaf classes (cost ``O(||π||)``, never a regroup of raw rows), so
-  mutations themselves stay O(touched leaves) and entries a workload
-  stopped reading cost nothing; entries it cannot refresh (no delta
-  available for the column) are dropped and rebuilt cold on demand.
-
-Every patch yields fresh arrays, so partitions handed out earlier stay
-valid snapshots.  The patched partitions are bit-identical — classes, class
-order, covered rows, row counts and probe arrays — to what a from-scratch
-rebuild would produce, which the incremental-append, CRUD and deferral
-property tests pin.
+The only reader of a partition right after a write is the detection view's
+scoped search, which needs just the classes holding the rows that changed.
+:meth:`PartitionManager.scoped_classes` finds them from the grouping states
+and the code vectors without building a partition: the changed rows' keys
+name the codes of their classes, one pass over each LHS column's codes
+finds the rows carrying those codes, and a sort/group over those rows
+yields exactly the classes a cold build would list for them, in its order.
 """
 
 from __future__ import annotations
@@ -230,117 +199,6 @@ def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.arange(heads[-1], dtype=np.int64) + np.repeat(starts - heads[:-1], sizes)
 
 
-def _class_positions(
-    rowids: np.ndarray, offsets: np.ndarray, classes: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Per element, the index in ``rowids`` of the first member of class
-    ``classes[i]`` that is ``>= rows[i]`` (the class end when none).
-
-    A row above the class's largest member (every appended row) goes to
-    the class end; the rest — a removed member is never above it — take one
-    ``searchsorted`` per touched class over that class's ascending slice,
-    reading ``O(log class size)`` entries per row instead of gathering whole
-    classes.
-    """
-    positions = offsets[classes + 1]
-    inside = np.flatnonzero(rows <= rowids[positions - 1])
-    order = inside[stable_order(classes[inside])]
-    grouped = classes[order]
-    bounds = (np.flatnonzero(np.diff(grouped)) + 1).tolist()
-    for start, stop in zip([0, *bounds], [*bounds, len(order)] if len(order) else []):
-        members = order[start:stop]
-        lo, hi = offsets[grouped[start]], offsets[grouped[start] + 1]
-        positions[members] = lo + np.searchsorted(rowids[lo:hi], rows[members])
-    return positions
-
-
-def _splice(
-    array: np.ndarray, remove: np.ndarray, insert_at: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """``array`` without the elements at the ascending positions ``remove``
-    and with ``values`` inserted before the original positions
-    ``insert_at`` (equal positions keep the order of ``values``).
-
-    Returns a fresh array (or ``array`` itself when nothing changes) —
-    the input is never written, so snapshots sharing it stay intact.
-    """
-    if len(remove):
-        insert_at = insert_at - np.searchsorted(remove, insert_at)
-        array = np.delete(array, remove)
-    if len(values):
-        array = np.insert(array, insert_at, values)
-    return array
-
-
-class _ChangeQueue:
-    """Code changes queued on one cached leaf until its next read.
-
-    Changes arrive as ``(3, n)`` int64 blocks stacking ``(rows, old_codes,
-    new_codes)``, rows ascending and unique within a block.  The queue keeps
-    a composed *base* block — one net change per row, rows ascending — plus
-    a *tail* buffer that blocks are copied into in mutation order (grown
-    geometrically, so queueing allocates no object per block).  Once the
-    tail holds more rows than the base and more than one block, both are
-    composed into a new base (:meth:`compose`).  The queue therefore never
-    holds more than twice its distinct rows, and a queued row is re-sorted
-    an amortized ``O(log pending)`` times.
-    """
-
-    __slots__ = ("base", "tail", "tail_rows", "tail_blocks")
-
-    def __init__(self) -> None:
-        self.base = np.empty((3, 0), dtype=np.int64)
-        self.tail = np.empty((3, 0), dtype=np.int64)
-        self.tail_rows = 0
-        self.tail_blocks = 0
-
-    @property
-    def size(self) -> int:
-        """Rows held (a row queued twice counts twice)."""
-        return self.base.shape[1] + self.tail_rows
-
-    def push(self, block: np.ndarray, row_count: int) -> bool:
-        """Queue ``block``; False when the distinct queued rows reach
-        ``row_count`` (patching then costs no less than a cold build)."""
-        start, stop = self.tail_rows, self.tail_rows + block.shape[1]
-        if stop > self.tail.shape[1]:
-            grown = np.empty((3, max(stop, 2 * self.tail.shape[1])), dtype=np.int64)
-            grown[:, :start] = self.tail[:, :start]
-            self.tail = grown
-        self.tail[:, start:stop] = block
-        self.tail_rows = stop
-        self.tail_blocks += 1
-        if (self.tail_blocks > 1 and stop > self.base.shape[1]) or self.size >= row_count:
-            self.base = self.compose()
-            self.tail_rows = self.tail_blocks = 0
-        return self.size < row_count
-
-    def compose(self) -> np.ndarray:
-        """The net change of every queued block: per row the old code of its
-        first change and the new code of its last, rows ascending."""
-        tail = self.tail[:, : self.tail_rows]
-        if not self.tail_blocks:
-            return self.base
-        if not self.base.shape[1] and self.tail_blocks == 1:
-            return tail.copy()
-        stacked = np.concatenate((self.base, tail), axis=1)
-        # Stable: equal rows stay in mutation order (the base is oldest).
-        stacked = stacked[:, np.argsort(stacked[0], kind="stable")]
-        rows = stacked[0]
-        first = np.empty(len(rows), dtype=bool)
-        first[0] = True
-        np.not_equal(rows[1:], rows[:-1], out=first[1:])
-        last = np.empty(len(rows), dtype=bool)
-        last[:-1] = first[1:]
-        last[-1] = True
-        composed = stacked[:, first]
-        composed[2] = stacked[2, last]
-        return composed
-
-    def __bool__(self) -> bool:
-        return self.size > 0
-
-
 class StrippedPartition:
     """Equivalence classes of size >= 2 over row ids.
 
@@ -372,7 +230,6 @@ class StrippedPartition:
         "_parents",
         "_probe",
         "_probe_array",
-        "_scope",
     )
 
     def __init__(
@@ -402,7 +259,6 @@ class StrippedPartition:
         self._parents = parents
         self._probe: Optional[dict[int, int]] = None
         self._probe_array: Optional[np.ndarray] = None
-        self._scope: Optional[tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = None
 
     @classmethod
     def from_arrays(
@@ -507,35 +363,6 @@ class StrippedPartition:
                 )
             self._probe_array = probe
         return self._probe_array
-
-    def classes_containing(self, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`class_arrays` restricted to the classes that contain one
-        of ``rows`` (ascending), in class order.
-
-        The last answer is memoized: every variable tableau row whose LHS
-        shares this partition asks for the same scope of one mutation.
-        """
-        if self._scope is not None and self._scope[0] == rows:
-            return self._scope[1]
-        rowids, offsets = self.class_arrays()
-        if len(offsets) <= 1:
-            return rowids, offsets
-        # Mark the changed rows, then keep the classes holding a mark.
-        changed = np.asarray(rows, dtype=np.int64)
-        marked = np.zeros(self.row_count, dtype=bool)
-        marked[changed[changed < self.row_count]] = True
-        touched = np.flatnonzero(np.logical_or.reduceat(marked[rowids], offsets[:-1]))
-        # Gather the touched classes' rows in one pass: each output position
-        # is its class's start shifted by its rank in the class.
-        starts = offsets[touched]
-        sizes = offsets[touched + 1] - starts
-        scoped_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        scoped = (
-            rowids[np.arange(scoped_offsets[-1]) + np.repeat(starts - scoped_offsets[:-1], sizes)],
-            scoped_offsets,
-        )
-        self._scope = (rows, scoped)
-        return scoped
 
     def intersect(self, other: "StrippedPartition") -> "StrippedPartition":
         """The product partition (rows equivalent under *both* keys).
@@ -660,10 +487,9 @@ class PartitionKey:
 class PartitionStats:
     """Cache-effectiveness counters of one :class:`PartitionManager`.
 
-    The ``*_extends`` / ``*_updates`` counters count deltas *absorbed* — one
-    per cached leaf per mutation that queued it — not patches executed: a
-    leaf read once after many mutations is patched once but counted once per
-    mutation.
+    A miss is a cold build.  A scoped search
+    (:meth:`PartitionManager.scoped_classes`) reads no partition and counts
+    as neither.
     """
 
     attribute_hits: int = 0
@@ -672,17 +498,6 @@ class PartitionStats:
     pattern_misses: int = 0
     intersection_hits: int = 0
     intersection_misses: int = 0
-    #: Cached leaves that queued an append delta in
-    #: :meth:`PartitionManager.extend` (delta maintenance instead of a cache
-    #: drop); ``intersection_refreshes`` counts stale products recomputed.
-    attribute_extends: int = 0
-    pattern_extends: int = 0
-    intersection_refreshes: int = 0
-    #: Cached leaves that queued a cell-overwrite / delete delta in
-    #: :meth:`PartitionManager.apply_update` (instead of the old
-    #: per-attribute cache drop).
-    attribute_updates: int = 0
-    pattern_updates: int = 0
 
     @property
     def hits(self) -> int:
@@ -692,243 +507,38 @@ class PartitionStats:
     def misses(self) -> int:
         return self.attribute_misses + self.pattern_misses + self.intersection_misses
 
-    @property
-    def extends(self) -> int:
-        return (
-            self.attribute_extends
-            + self.pattern_extends
-            + self.intersection_refreshes
-            + self.attribute_updates
-            + self.pattern_updates
-        )
-
     def summary(self) -> str:
         return (
             f"partition cache: {self.hits} hits / {self.misses} misses "
             f"(attribute {self.attribute_hits}/{self.attribute_misses}, "
             f"pattern {self.pattern_hits}/{self.pattern_misses}, "
-            f"intersection {self.intersection_hits}/{self.intersection_misses}), "
-            f"{self.extends} delta extends"
+            f"intersection {self.intersection_hits}/{self.intersection_misses})"
         )
 
 
 class _LeafGroups:
-    """Per-key bookkeeping behind one cached in-memory leaf partition.
+    """Grouping state of one leaf: an integer *key* per dictionary code
+    (:meth:`row_keys`; ``-1`` = uncovered).  It outlives the leaf's
+    partition objects: a write drops those, never the state."""
 
-    A leaf groups the covered rows by an integer *key* per dictionary code
-    (:meth:`row_keys`; ``-1`` = uncovered).  ``counts[k]`` is the number of
-    covered rows carrying key ``k`` and ``first[k]`` the smallest of them
-    (``-1`` when none), so a key with ``counts[k] >= 2`` owns the stripped
-    class whose smallest member is ``first[k]`` and a key with
-    ``counts[k] == 1`` is the singleton ``first[k]``.  The cold build
-    (:meth:`build`) regroups the whole code vector; later mutations are
-    queued in :attr:`pending` and applied as one positional patch of the
-    class arrays on the next read (:meth:`flush`).
-    """
-
-    __slots__ = ("counts", "first", "pending")
-
-    def __init__(self) -> None:
-        self.counts = np.zeros(0, dtype=np.int64)
-        self.first = np.zeros(0, dtype=np.int64)
-        self.pending = _ChangeQueue()
-
-    def flush(self, partition: StrippedPartition, column: DictionaryColumn) -> StrippedPartition:
-        """``partition`` patched for every queued change, as one net patch."""
-        rows, old_codes, new_codes = self.pending.compose()
-        self.pending = _ChangeQueue()
-        return self.refresh(partition, column, rows, old_codes, new_codes)
+    __slots__ = ()
 
     def row_keys(self, column: DictionaryColumn, codes: np.ndarray) -> np.ndarray:
         """The group key of each code in ``codes`` (``-1`` stays ``-1``)."""
         raise NotImplementedError
 
-    def _reserve(self, key_count: int) -> None:
-        size = len(self.counts)
-        if key_count > size:
-            grow = max(key_count, 2 * size) - size
-            self.counts = np.concatenate((self.counts, np.zeros(grow, dtype=np.int64)))
-            self.first = np.concatenate((self.first, np.full(grow, -1, dtype=np.int64)))
+    def key_mask(self, column: DictionaryColumn, keys: np.ndarray) -> np.ndarray:
+        """Per code, whether its group key is one of ``keys`` (all ``>= 0``)."""
+        raise NotImplementedError
 
     def build(self, column: DictionaryColumn) -> StrippedPartition:
-        """Cold build: one sort/group pass over the whole code vector (no
-        per-row Python work), recording ``counts``/``first`` on the way."""
+        """Cold build: one sort/group pass over the whole code vector."""
         keys = self.row_keys(column, column.codes)
         covered = np.flatnonzero(keys >= 0).astype(np.int64)
-        if not len(covered):
-            rowids, offsets = _empty_arrays()
-        else:
-            sorted_keys, sorted_rows, starts, sizes = _group_runs(keys[covered], covered)
-            run_keys = sorted_keys[starts]
-            self._reserve(int(run_keys[-1]) + 1)
-            self.counts[run_keys] = sizes
-            self.first[run_keys] = sorted_rows[starts]
-            rowids, offsets = _strip_runs(sorted_rows, starts, sizes)
+        rowids, offsets = _group_stripped(keys[covered], covered)
         return StrippedPartition.from_arrays(
             rowids, offsets, column.row_count, covered=covered
         )
-
-    def refresh(
-        self,
-        partition: StrippedPartition,
-        column: DictionaryColumn,
-        rows: np.ndarray,
-        old_codes: np.ndarray,
-        new_codes: np.ndarray,
-    ) -> StrippedPartition:
-        """``partition`` patched for the net code changes of ``rows``
-        (ascending)."""
-        return self._patch(
-            partition,
-            rows,
-            self.row_keys(column, old_codes),
-            self.row_keys(column, new_codes),
-            column.row_count,
-        )
-
-    def _patch(
-        self,
-        partition: StrippedPartition,
-        rows: np.ndarray,
-        old: np.ndarray,
-        new: np.ndarray,
-        row_count: int,
-    ) -> StrippedPartition:
-        """Move ``rows`` (ascending) from key ``old`` to key ``new``.
-
-        A class that keeps >= 2 rows and its smallest member is edited in
-        place: moved rows are deleted from it and inserted at their sorted
-        position.  Every other touched key — a class that dissolves, one
-        whose smallest member changed, a former singleton joined by moved
-        rows, a key seen for the first time — is regrouped from its members
-        and (re)seated at the position of its smallest member.  All edits
-        land in one splice per array, so the cost is ``O(delta log rows)``
-        index work plus one copy of the class arrays, never a sort of the
-        code vector.  The input partition is never written.
-        """
-        moved = old != new
-        rows, old, new = rows[moved], old[moved], new[moved]
-        leaving = old >= 0
-        entering = new >= 0
-        # One event per row leaving a key, then one per row entering a key.
-        event_rows = np.concatenate((rows[leaving], rows[entering]))
-        joins = np.arange(len(event_rows)) >= np.count_nonzero(leaving)
-        event_keys = np.concatenate((old[leaving], new[entering]))
-        keys = np.unique(event_keys)
-        if len(keys):
-            self._reserve(int(keys[-1]) + 1)
-        # Index of each event's key in ``keys``, through a key-space table.
-        key_index = np.empty(len(self.counts), dtype=np.int64)
-        key_index[keys] = np.arange(len(keys))
-        event_key = key_index[event_keys]
-        old_count = self.counts[keys]
-        first = self.first[keys]
-        new_count = old_count + np.bincount(
-            event_key, weights=np.where(joins, 1, -1), minlength=len(keys)
-        ).astype(np.int64)
-        self.counts[keys] = new_count
-
-        # A touched class stays in place unless it dissolves or its smallest
-        # member changes; classes are found by their smallest member.
-        rowids, offsets = partition.class_arrays()
-        class_mins = rowids[offsets[:-1]]
-        class_of = np.searchsorted(class_mins, first)
-        event_first = first[event_key]
-        reseat = np.zeros(len(keys), dtype=bool)
-        moves_min = np.where(joins, event_rows < event_first, event_rows == event_first)
-        reseat[event_key[moves_min]] = True
-        in_place = (old_count >= 2) & (new_count >= 2) & ~reseat
-        dropped = np.sort(class_of[(old_count >= 2) & ~in_place])
-
-        stays = in_place[event_key]
-        edit_rows = event_rows[stays]
-        edit_class = class_of[event_key[stays]]
-        edit_at = _class_positions(rowids, offsets, edit_class, edit_rows)
-        edit_joins = joins[stays]
-        joined, join_class = edit_rows[edit_joins], edit_class[edit_joins]
-
-        # Every other key that keeps rows is regrouped from its members: the
-        # old class (or singleton) minus the rows that left, plus arrivals.
-        self.first[keys[new_count == 0]] = -1
-        regroup = ~in_place & (new_count > 0)
-        if regroup.any():
-            gather = regroup & (old_count >= 2)
-            span = _spans(offsets[class_of[gather]], offsets[class_of[gather] + 1])
-            solo = regroup & (old_count == 1)
-            member_rows = np.concatenate((rowids[span], first[solo]))
-            member_keys = np.concatenate(
-                (np.repeat(keys[gather], old_count[gather]), keys[solo])
-            )
-            left = event_rows[~joins]
-            if len(left):
-                # ``left`` is ascending: one searchsorted tests membership.
-                hit = left[np.minimum(np.searchsorted(left, member_rows), len(left) - 1)]
-                kept = hit != member_rows
-                member_rows, member_keys = member_rows[kept], member_keys[kept]
-            arrive = joins & regroup[event_key]
-            seated, seated_offsets = self._seat(
-                np.concatenate((member_rows, event_rows[arrive])),
-                np.concatenate((member_keys, keys[event_key[arrive]])),
-            )
-        else:
-            seated, seated_offsets = _empty_arrays()
-        seated_sizes = np.diff(seated_offsets)
-        seat = np.searchsorted(class_mins, seated[seated_offsets[:-1]])
-
-        remove_at = edit_at[~edit_joins]
-        if len(dropped):
-            remove_at = np.concatenate((remove_at, _spans(offsets[dropped], offsets[dropped + 1])))
-        patched_rowids = _splice(
-            rowids,
-            np.sort(remove_at),
-            np.concatenate((edit_at[edit_joins], np.repeat(offsets[seat], seated_sizes))),
-            np.concatenate((joined, seated)),
-        )
-        sizes = np.diff(offsets)
-        sizes[class_of[in_place]] += (new_count - old_count)[in_place]
-        patched_offsets = _offsets_of(_splice(sizes, dropped, seat, seated_sizes))
-        covered = partition.covered_array()
-        lost = rows[leaving & ~entering]
-        gained = rows[entering & ~leaving]
-        if len(lost) or len(gained):
-            covered = _splice(
-                covered, np.searchsorted(covered, lost), np.searchsorted(covered, gained), gained
-            )
-        patched = StrippedPartition.from_arrays(
-            patched_rowids, patched_offsets, row_count, covered=covered
-        )
-        probe = partition._probe_array
-        if probe is not None:
-            # Shift class indices in one pass (dropped classes -> -1), then
-            # write the rows whose class changed.
-            renumber = np.arange(len(class_mins) + 1, dtype=np.int64)
-            renumber[-1] = -1
-            # Seated class ``i`` lands at its seat among the kept classes,
-            # after the ``i`` seated before it.
-            seat_after = seat - np.searchsorted(dropped, seat)
-            if len(dropped) or len(seat):
-                renumber[:-1] -= np.searchsorted(dropped, renumber[:-1])
-                renumber[:-1] += np.searchsorted(seat_after, renumber[:-1], side="right")
-                renumber[dropped] = -1
-                probe = renumber[probe]
-            else:
-                probe = probe.copy()
-            if row_count > len(probe):
-                grown = np.full(row_count - len(probe), -1, dtype=np.int64)
-                probe = np.concatenate((probe, grown))
-            probe[rows[leaving]] = -1
-            probe[joined] = renumber[join_class]
-            probe[seated] = np.repeat(seat_after + np.arange(len(seat)), seated_sizes)
-            patched._probe_array = probe
-        return patched
-
-    def _seat(self, rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class arrays of ``rows`` grouped by ``keys``, recording each
-        key's smallest member."""
-        order = np.argsort(rows)
-        sorted_keys, sorted_rows, starts, sizes = _group_runs(keys[order], rows[order])
-        self.first[sorted_keys[starts]] = sorted_rows[starts]
-        return _strip_runs(sorted_rows, starts, sizes)
 
 
 class _AttributeGroups(_LeafGroups):
@@ -944,6 +554,11 @@ class _AttributeGroups(_LeafGroups):
             keys[keys == empty_code] = -1
         return keys
 
+    def key_mask(self, column: DictionaryColumn, keys: np.ndarray) -> np.ndarray:
+        mask = np.zeros(column.distinct_count, dtype=bool)
+        mask[keys] = True
+        return mask
+
     def build(self, column: DictionaryColumn) -> StrippedPartition:
         """Codes are already group keys in first-seen (= smallest-member)
         order, so one stable argsort over the code vector yields the classes
@@ -956,18 +571,11 @@ class _AttributeGroups(_LeafGroups):
         empty_code = column.code_of("")
         counts = column.counts_array().copy()
         order = stable_order(codes)
-        # A code's run in ``order`` starts at the running total of the
-        # smaller codes' counts; its first row is the code's smallest.
-        self.first = np.full(len(counts), -1, dtype=np.int64)
-        present = counts > 0
-        self.first[present] = order[(np.cumsum(counts) - counts)[present]]
         if empty_code is not None:
             covered = np.flatnonzero(codes != empty_code).astype(np.int64)
             counts[empty_code] = 0
-            self.first[empty_code] = -1
         else:
             covered = np.arange(column.row_count, dtype=np.int64)
-        self.counts = counts
         keep_code = counts >= 2
         rowids = order[keep_code[codes[order]]].astype(np.int64)
         return StrippedPartition.from_arrays(
@@ -981,14 +589,13 @@ class _PatternGroups(_LeafGroups):
     The key of a code is the id of its distinct value's extracted
     constrained part (``-1`` = uncovered), in ``component_ids``; ids are
     handed out in first-seen order and never renumber.  Dictionary codes
-    never renumber either, so a flush only matches the values first seen
-    since the last :meth:`sync` before patching the classes.
+    never renumber either, so after a write :meth:`sync` only matches the
+    values first seen since the last one.
     """
 
     __slots__ = ("component_of", "component_ids")
 
     def __init__(self) -> None:
-        super().__init__()
         self.component_of: dict[str, int] = {}
         self.component_ids = np.zeros(0, dtype=np.int64)
 
@@ -1027,31 +634,35 @@ class _PatternGroups(_LeafGroups):
             return np.full(len(codes), -1, dtype=np.int64)
         return np.where(codes >= 0, self.component_ids[codes], -1)
 
+    def key_mask(self, column: DictionaryColumn, keys: np.ndarray) -> np.ndarray:
+        # One slot past the last component: the uncovered codes' ``-1``.
+        hit = np.zeros(len(self.component_of) + 1, dtype=bool)
+        hit[keys] = True
+        return hit[self.component_ids]
+
 
 class PartitionManager:
     """Build, cache, and intersect stripped partitions for one relation.
 
-    Obtained via :meth:`repro.dataset.relation.Relation.partitions`; the
-    relation hands every mutation to it — batch ingestion routes the
-    per-column dictionary deltas through :meth:`extend`, cell overwrites and
-    deletes route their dictionary updates through :meth:`apply_update` —
-    and each cached leaf queues them until its next read patches it, so a
-    served partition always reflects the current rows.  Counters in
-    :attr:`stats` survive invalidation — they describe the manager's whole
-    lifetime.
+    Obtained via :meth:`repro.dataset.relation.Relation.partitions`.  The
+    relation reports every write to it — batch ingestion through
+    :meth:`extend`, cell overwrites and deletes through
+    :meth:`apply_update` — and the manager drops the cached partitions the
+    write can change, so a served partition always reflects the current
+    rows.  The leaves' grouping states survive, which is what
+    :meth:`scoped_classes` reads.  Counters in :attr:`stats` describe the
+    manager's whole lifetime.
     """
 
     def __init__(self, relation: "Relation"):
         self._relation = relation
-        self._attribute: dict[str, StrippedPartition] = {}
-        self._attribute_groups: dict[str, _LeafGroups] = {}
-        self._pattern: dict[PartitionKey, StrippedPartition] = {}
-        self._pattern_groups: dict[PartitionKey, _PatternGroups] = {}
+        self._leaves: dict[PartitionKey, StrippedPartition] = {}
+        self._states: dict[PartitionKey, _LeafGroups] = {}
         self._intersections: dict[frozenset[PartitionKey], StrippedPartition] = {}
-        #: Intersections evicted by a mutation whose leaves were all
-        #: refreshed: the next request recomputes them from the refreshed
-        #: leaf classes and is counted as a refresh, not a cold build.
-        self._stale_intersections: set[frozenset[PartitionKey]] = set()
+        #: Per key tuple, the last :meth:`scoped_classes` answer: every
+        #: variable tableau row over the same leaves asks for the same scope
+        #: of one write.
+        self._scoped: dict[tuple[PartitionKey, ...], tuple[tuple[int, ...], tuple]] = {}
         self.stats = PartitionStats()
 
     # -- keys ----------------------------------------------------------------
@@ -1071,21 +682,7 @@ class PartitionManager:
     def attribute_partition(self, attribute: str) -> StrippedPartition:
         """Equivalence classes of whole attribute values (empty cells are
         uncovered, mirroring the grouping semantics of FD/PFD evaluation)."""
-        cached = self._attribute.get(attribute)
-        if cached is not None:
-            self.stats.attribute_hits += 1
-            groups = self._attribute_groups[attribute]
-            if groups.pending:
-                cached = groups.flush(cached, self._relation.dictionary(attribute))
-                self._attribute[attribute] = cached
-            return cached
-        self.stats.attribute_misses += 1
-        column = self._relation.dictionary(attribute)
-        groups = self._new_attribute_state(column)
-        partition = groups.build(column)
-        self._attribute[attribute] = partition
-        self._attribute_groups[attribute] = groups
-        return partition
+        return self.partition_for(PartitionKey(attribute))
 
     def pattern_partition(
         self,
@@ -1101,50 +698,130 @@ class PartitionManager:
         (attribute, pattern), no matter how many tableau rows, candidates,
         or detection passes ask again.
         """
-        key = self.key(attribute, pattern)
-        if key.pattern is None:
-            return self.attribute_partition(attribute)
-        return self._pattern_partition(key, evaluator)
-
-    # Leaf state factories: the sql backend swaps in spec-building states.
-    def _new_attribute_state(self, column: DictionaryColumn) -> _LeafGroups:
-        return _AttributeGroups()
-
-    def _new_pattern_state(self, column: DictionaryColumn) -> _PatternGroups:
-        return _PatternGroups()
-
-    def _pattern_partition(
-        self, key: PartitionKey, evaluator: Optional[PatternEvaluator]
-    ) -> StrippedPartition:
-        cached = self._pattern.get(key)
-        if cached is not None:
-            self.stats.pattern_hits += 1
-            state = self._pattern_groups[key]
-            if state.pending:
-                # Match the distinct values gained while queued, then patch.
-                column = self._relation.dictionary(key.attribute)
-                state.sync(column, key.pattern)
-                cached = state.flush(cached, column)
-                self._pattern[key] = cached
-            return cached
-        self.stats.pattern_misses += 1
-        evaluator = evaluator or default_evaluator()
-        column = self._relation.dictionary(key.attribute)
-        match = evaluator.match_column(key.pattern, column)
-        state = self._new_pattern_state(column)
-        state.add_values(column.values, match.results)
-        partition = state.build(column)
-        self._pattern[key] = partition
-        self._pattern_groups[key] = state
-        return partition
+        return self.partition_for(self.key(attribute, pattern), evaluator)
 
     def partition_for(
         self, key: PartitionKey, evaluator: Optional[PatternEvaluator] = None
     ) -> StrippedPartition:
         """The leaf partition of one canonical key."""
+        is_attribute = key.pattern is None
+        cached = self._leaves.get(key)
+        if cached is not None:
+            if is_attribute:
+                self.stats.attribute_hits += 1
+            else:
+                self.stats.pattern_hits += 1
+            return cached
+        if is_attribute:
+            self.stats.attribute_misses += 1
+        else:
+            self.stats.pattern_misses += 1
+        column = self._relation.dictionary(key.attribute)
+        partition = self._state(key, column, evaluator).build(column)
+        self._leaves[key] = partition
+        return partition
+
+    # Leaf state factories: the sql backend swaps in spec-building states.
+    def _new_attribute_state(self, column: DictionaryColumn) -> _AttributeGroups:
+        return _AttributeGroups()
+
+    def _new_pattern_state(self, column: DictionaryColumn) -> _PatternGroups:
+        return _PatternGroups()
+
+    def _state(
+        self,
+        key: PartitionKey,
+        column: DictionaryColumn,
+        evaluator: Optional[PatternEvaluator],
+    ) -> _LeafGroups:
+        """The grouping state of ``key``, current for ``column``'s values."""
+        state = self._states.get(key)
         if key.pattern is None:
-            return self.attribute_partition(key.attribute)
-        return self._pattern_partition(key, evaluator)
+            if state is None:
+                state = self._states[key] = self._new_attribute_state(column)
+        elif state is None:
+            match = (evaluator or default_evaluator()).match_column(key.pattern, column)
+            state = self._states[key] = self._new_pattern_state(column)
+            state.add_values(column.values, match.results)
+        else:
+            state.sync(column, key.pattern)
+        return state
+
+    # -- scoped classes ------------------------------------------------------
+
+    def scoped_classes(
+        self,
+        keys: Sequence[PartitionKey],
+        rows: Sequence[int],
+        evaluator: Optional[PatternEvaluator] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The class arrays of the classes of the product of the leaves
+        ``keys`` that hold one of ``rows``, in class order — the classes a
+        cold build of that partition lists for them.
+
+        Read from the grouping states and the code vectors; no partition is
+        built or read.  Per leaf, the changed rows' keys name the codes of
+        their classes and one pass over the column's codes marks the rows
+        carrying them.  The rows marked on every leaf agree with some
+        changed row on each key; grouped by their combined key, the groups
+        holding a changed row are the classes.
+        """
+        keys, rows = tuple(keys), tuple(rows)
+        last = self._scoped.get(keys)
+        if last is not None and last[0] == rows:
+            return last[1]
+        scoped = self._scope(keys, rows, evaluator)
+        self._scoped[keys] = (rows, scoped)
+        return scoped
+
+    def _scope(
+        self,
+        keys: tuple[PartitionKey, ...],
+        rows: tuple[int, ...],
+        evaluator: Optional[PatternEvaluator],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        relation = self._relation
+        changed = np.asarray(rows, dtype=np.int64)
+        changed = changed[changed < relation.row_count]
+        marked = None
+        leaves = []
+        for key in keys:
+            column = relation.dictionary(key.attribute)
+            state = self._state(key, column, evaluator)
+            codes = column.codes
+            changed_keys = state.row_keys(column, codes[changed])
+            mask = state.key_mask(column, changed_keys[changed_keys >= 0])
+            wanted = np.flatnonzero(mask)
+            if len(wanted) == 1:
+                hit = codes == int(wanted[0])
+                if len(keys) == 1:
+                    # One code on one leaf: its rows are the one class.
+                    rowids = np.flatnonzero(hit)
+                    if len(rowids) < 2:
+                        return _empty_arrays()
+                    return rowids, np.array([0, len(rowids)], dtype=np.int64)
+            else:
+                hit = np.take(mask, codes)
+            marked = hit if marked is None else marked & hit
+            leaves.append((state, column, codes))
+        members = np.flatnonzero(marked)
+        if not len(members):
+            return _empty_arrays()
+        group = None
+        for state, column, codes in leaves:
+            leaf_keys = state.row_keys(column, codes[members])
+            if group is None:
+                group = leaf_keys
+            else:
+                group = np.unique(
+                    group * (int(leaf_keys.max()) + 1) + leaf_keys, return_inverse=True
+                )[1]
+        if len(leaves) > 1:
+            at = np.minimum(np.searchsorted(members, changed), len(members) - 1)
+            held = group[at[members[at] == changed]]
+            keep = np.isin(group, held)
+            members, group = members[keep], group[keep]
+        return _group_stripped(group, members)
 
     # -- intersections -------------------------------------------------------
 
@@ -1169,11 +846,7 @@ class PartitionManager:
         if cached is not None:
             self.stats.intersection_hits += 1
             return cached
-        if key_set in self._stale_intersections:
-            self._stale_intersections.discard(key_set)
-            self.stats.intersection_refreshes += 1
-        else:
-            self.stats.intersection_misses += 1
+        self.stats.intersection_misses += 1
         ordered = sorted(key_set, key=_key_order)
         last = ordered[-1]
         prefix = self.intersection(ordered[:-1], evaluator)
@@ -1185,135 +858,48 @@ class PartitionManager:
     def attribute_set_partition(self, attributes: Sequence[str]) -> StrippedPartition:
         """The (possibly multi-) attribute partition of plain values — the
         grouping every FD-style consumer used to rebuild per candidate."""
-        keys = [PartitionKey(attribute) for attribute in attributes]
-        if len(keys) == 1:
-            return self.attribute_partition(keys[0].attribute)
-        return self.intersection(keys)
+        return self.intersection(PartitionKey(attribute) for attribute in attributes)
 
-    # -- delta maintenance ---------------------------------------------------
+    # -- writes --------------------------------------------------------------
 
     def extend(self, deltas: Mapping[str, DictionaryDelta]) -> None:
-        """Queue a batch of appended rows on every cached partition.
-
-        ``deltas`` maps attribute names to the
-        :class:`~repro.engine.dictionary.DictionaryDelta` their dictionary
-        returned from the in-place extend, one per attribute.  An append
-        touches every attribute: each cached leaf queues
-        its delta and is patched on its next read; memoized intersections
-        are marked stale and refreshed on next request by the partition
-        product over the patched leaf classes, reusing the level-wise prefix
-        descent.  Partition *objects* are never mutated — each cache slot
-        receives a fresh snapshot, so partitions handed out before the
-        append keep describing the old rows.
-        """
-        attributes, patterns = self._absorb(deltas, set(self._relation.attribute_names))
-        self.stats.attribute_extends += attributes
-        self.stats.pattern_extends += patterns
+        """Drop every cached partition: an append (one
+        :class:`~repro.engine.dictionary.DictionaryDelta` per attribute)
+        touches every attribute.  Partitions handed out earlier keep
+        describing the old rows."""
+        self._drop(set(self._relation.attribute_names))
 
     def apply_update(self, updates: Mapping[str, DictionaryUpdate]) -> None:
-        """Queue a batch of cell overwrites on every cached partition.
+        """Drop the cached partitions over the attributes a batch of cell
+        overwrites or deletes changed (the attributes whose
+        :class:`~repro.engine.dictionary.DictionaryUpdate` is not empty).
+        Partitions of untouched attributes, and intersections avoiding
+        them, stay cached."""
+        self._drop({name for name, update in updates.items() if update})
 
-        ``updates`` maps attribute names to the
-        :class:`~repro.engine.dictionary.DictionaryUpdate` their dictionary
-        returned from the in-place :meth:`DictionaryColumn.update_rows` —
-        the counterpart of :meth:`extend` for
-        :meth:`repro.dataset.relation.Relation.apply`.  Unlike an append
-        (which touches every attribute), an update touches only the listed
-        attributes, so partitions of untouched attributes — and every
-        memoized intersection whose leaves all avoid the updated attributes
-        — stay cached as-is.  Touched leaves queue the update; intersections
-        touching an updated attribute go stale and refresh lazily from the
-        patched leaves, exactly like an append.
-        """
-        touched = {name for name, update in updates.items() if update}
+    def _drop(self, touched: set[str]) -> None:
+        """Drop the leaves of the ``touched`` attributes and every
+        intersection or scope over one (grouping states stay)."""
         if not touched:
             return
-        attributes, patterns = self._absorb(updates, touched)
-        self.stats.attribute_updates += attributes
-        self.stats.pattern_updates += patterns
-
-    def _absorb(
-        self,
-        records: Mapping[str, Union[DictionaryDelta, DictionaryUpdate]],
-        touched: set[str],
-    ) -> tuple[int, int]:
-        """Queue each record's ``(3, n)`` code-change block (see
-        :meth:`~repro.engine.dictionary.DictionaryUpdate.code_changes`) on
-        the cached leaves of the ``touched`` attributes and mark the
-        intersections over them stale.
-
-        A block is built only for an attribute with a cached leaf.  A
-        touched leaf without a record, or whose distinct queued rows reach
-        the row count, is dropped.  Returns how many attribute and pattern
-        leaves queued a change.
-        """
-        row_count = self._relation.row_count
-        cached = set(self._attribute) | {key.attribute for key in self._pattern}
-        changes = {
-            name: record.code_changes() for name, record in records.items() if name in cached
+        self._leaves = {
+            key: partition
+            for key, partition in self._leaves.items()
+            if key.attribute not in touched
         }
-
-        def queued(state: _LeafGroups, attribute: str) -> bool:
-            block = changes.get(attribute)
-            return block is not None and state.pending.push(block, row_count)
-
-        attributes = patterns = 0
-        for attribute in [name for name in self._attribute if name in touched]:
-            if queued(self._attribute_groups[attribute], attribute):
-                attributes += 1
-            else:
-                self._drop_attribute(attribute)
-        for key in [key for key in self._pattern if key.attribute in touched]:
-            if queued(self._pattern_groups[key], key.attribute):
-                patterns += 1
-            else:
-                self._drop_pattern(key)
-        # Intersections go stale, not cold: entries whose leaves all survived
-        # are recomputed lazily — the next request re-runs the partition
-        # product over the patched leaf classes (the memoized prefix descent
-        # refreshes stale prefixes on the way).  Mutating is therefore
-        # O(touched leaves), never O(cached intersections), and entries a
-        # workload stopped reading cost nothing.
-        survivors: dict[frozenset[PartitionKey], StrippedPartition] = {}
-        for key_set, partition in self._intersections.items():
-            if any(key.attribute in touched for key in key_set):
-                self._stale_intersections.add(key_set)
-            else:
-                survivors[key_set] = partition
-        self._intersections = survivors
-        self._stale_intersections = {
-            key_set
-            for key_set in self._stale_intersections
-            if all(self._has_leaf(key) or key.attribute not in touched for key in key_set)
+        self._intersections = {
+            key_set: partition
+            for key_set, partition in self._intersections.items()
+            if all(key.attribute not in touched for key in key_set)
         }
-        return attributes, patterns
-
-    def _has_leaf(self, key: PartitionKey) -> bool:
-        if key.pattern is None:
-            return key.attribute in self._attribute
-        return key in self._pattern
-
-    # -- invalidation --------------------------------------------------------
-
-    def _drop_attribute(self, attribute: str) -> None:
-        self._attribute.pop(attribute, None)
-        self._attribute_groups.pop(attribute, None)
-
-    def _drop_pattern(self, key: PartitionKey) -> None:
-        self._pattern.pop(key, None)
-        self._pattern_groups.pop(key, None)
-
-    def invalidate(self) -> None:
-        """Drop every cached partition (counters are kept)."""
-        self._attribute.clear()
-        self._attribute_groups.clear()
-        for key in list(self._pattern_groups):
-            self._drop_pattern(key)
-        self._intersections.clear()
-        self._stale_intersections.clear()
+        self._scoped = {
+            keys: scoped
+            for keys, scoped in self._scoped.items()
+            if all(key.attribute not in touched for key in keys)
+        }
 
     def cached_partition_count(self) -> int:
-        return len(self._attribute) + len(self._pattern) + len(self._intersections)
+        return len(self._leaves) + len(self._intersections)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -40,8 +40,8 @@ Ingestion rides the same object, through one delta path: every mutation
 — :meth:`CleaningSession.append` included, which is a one-op
 :class:`~repro.dataset.mutations.MutationBatch` of appends — goes through
 :meth:`CleaningSession.apply` and :meth:`Relation.apply` (which
-delta-maintain the dictionary / mask / partition caches instead of
-invalidating them) while keeping the memoized discovery, and accumulates
+patch the dictionaries and masks in place and drop only the partitions
+over the touched attributes) while keeping the memoized discovery, and accumulates
 the rows it touched into one pending delta.
 :meth:`CleaningSession.detect_changed` (alias :meth:`~CleaningSession.detect_new`)
 re-validates just that delta — only the touched tuples, only equivalence
@@ -460,9 +460,10 @@ class CleaningSession:
         """Apply a mutation batch, keeping the discovered PFDs.
 
         The unified CRUD entry point: routes through
-        :meth:`Relation.apply`, so the engine caches — dictionaries,
-        pattern-match masks, stripped partitions — are delta-maintained
-        rather than rebuilt.  The memoized *discovery* survives (the whole
+        :meth:`Relation.apply`, so the dictionaries and pattern-match masks
+        are patched in place rather than rebuilt, and only the stripped
+        partitions over the touched attributes are dropped (a scoped
+        detection reads none).  The memoized *discovery* survives (the whole
         point of ingestion is validating new data against the constraints
         already learned), and so does the detection view: the batch's
         changed rows are recorded in it, O(batch), and the next

@@ -17,10 +17,15 @@ instead — a ``FROM``/``WHERE``/group-expression triple over the store's
   ``error`` never materialize a single row id;
 * variable-row PFD violation search runs as a violating-groups query (see
   :mod:`repro.core.pfd`), fetching only the classes that actually violate.
+  A search scoped to the rows a write changed pushes them into that query
+  on a fresh spec of the leaf (:meth:`SqlPartitionManager.leaf_spec`), so
+  it reads no cached partition.
 
-Every spec pins ``rid < max_rid`` at build time, so partitions handed out
-before an append keep describing the old rows — the same snapshot contract
-the in-memory delta maintenance guarantees.  Materializing the class arrays
+A write drops the cached specs over the touched attributes, as in memory;
+each leaf's grouping state (a pattern leaf's ``(code, comp)`` scratch
+table) survives and only gains the codes first seen since.  Every spec pins
+``rid < max_rid`` at build time, so partitions handed out before an append
+keep describing the old rows.  Materializing the class arrays
 and covered rows stays available as a lazy fallback (a rid-ascending fetch
 grouped into the same ``(rowids, offsets)`` arrays an in-memory build
 produces), which is what the array algebra — intersections, refinement,
@@ -36,11 +41,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..engine.dictionary import DictionaryColumn
+from ..engine.evaluator import PatternEvaluator
 from ..engine.partitions import (
+    PartitionKey,
     PartitionManager,
     StrippedPartition,
+    _AttributeGroups,
     _group_stripped,
-    _LeafGroups,
     _PatternGroups,
 )
 from .relation import SqlDictionaryColumn, SqlRelation
@@ -204,16 +211,14 @@ class SqlStrippedPartition(StrippedPartition):
         return [tuple(rows) for rows in groups.values()]
 
 
-class SqlAttributeState(_LeafGroups):
-    """Attribute-partition state of the sql backend: every build and
-    refresh is a fresh spec snapshot (new rid bound, re-checked empty code)
-    over rows the store already holds, so SQLite regroups on demand and the
-    queued code changes are not needed."""
+class SqlAttributeState(_AttributeGroups):
+    """Attribute-partition state of the sql backend: every build is a fresh
+    spec snapshot (new rid bound, re-checked empty code) over rows the
+    store already holds, so SQLite regroups on demand."""
 
     __slots__ = ("store",)
 
     def __init__(self, store: SqlStore) -> None:
-        super().__init__()
         self.store = store
 
     def build(self, column: SqlDictionaryColumn) -> SqlStrippedPartition:
@@ -225,9 +230,6 @@ class SqlAttributeState(_LeafGroups):
         if empty_code is not None:
             where += f" AND r.c{col} != {empty_code}"
         return SqlStrippedPartition.build(store, "rows r", where, f"r.c{col}", max_rid)
-
-    def refresh(self, partition, column, rows, old_codes, new_codes) -> SqlStrippedPartition:
-        return self.build(column)
 
 
 class SqlPatternState(_PatternGroups):
@@ -266,18 +268,15 @@ class SqlPatternState(_PatternGroups):
             max_rid,
         )
 
-    def refresh(self, partition, column, rows, old_codes, new_codes) -> "SqlStrippedPartition":
-        return self.build(column)
-
 
 class SqlPartitionManager(PartitionManager):
     """A :class:`PartitionManager` whose leaf partitions are SQL specs.
 
-    Cache keys, hit/miss/refresh counters, intersection memoization, and
-    the snapshot contract are all inherited; only the leaf states change.
-    A leaf flushed on its first read after mutations is a fresh spec
-    snapshot over rows the store already holds (no class arrays to patch),
-    so SQLite regroups on demand and leaves nobody reads build no spec.
+    Cache keys, hit/miss counters, intersection memoization, the drop on
+    writes and the snapshot contract are all inherited; only the leaf
+    states change.  A leaf rebuilt after a write is a fresh spec over rows
+    the store already holds (a pattern leaf's scratch table only gains the
+    codes first seen since), so SQLite regroups on demand.
     """
 
     def __init__(self, relation: SqlRelation):
@@ -292,10 +291,11 @@ class SqlPartitionManager(PartitionManager):
     def _new_pattern_state(self, column: SqlDictionaryColumn) -> SqlPatternState:
         return SqlPatternState(self._store, column._col_index)
 
-    # -- invalidation (also releases the scratch tables) ----------------------
-
-    def _drop_pattern(self, key) -> None:
-        state = self._pattern_groups.get(key)
-        if state is not None and state.table:
-            self._store.drop_table(state.table)
-        super()._drop_pattern(key)
+    def leaf_spec(
+        self, key: PartitionKey, evaluator: Optional[PatternEvaluator] = None
+    ) -> SqlStrippedPartition:
+        """A fresh spec of one leaf, outside the cache: a scoped search
+        pushes its changed rows into the spec's query, so it needs no
+        cached partition and counts as neither hit nor miss."""
+        column = self._relation.dictionary(key.attribute)
+        return self._state(key, column, evaluator).build(column)

@@ -144,7 +144,7 @@ class TestPartitionManager:
         assert manager.pattern_partition("zip", r"{{\D{3}}}\D{2}") is not pattern_partition
         assert manager.attribute_set_partition(("zip", "city")) is not intersection
 
-    def test_append_row_extends_instead_of_invalidating(self, relation):
+    def test_append_drops_leaves_and_rebuilds_them_equal(self, relation):
         manager = relation.partitions()
         manager.attribute_partition("zip")
         manager.attribute_partition("city")
@@ -153,15 +153,19 @@ class TestPartitionManager:
 
         relation.append_rows([("90002", "Los Angeles", "CA")])
 
-        # The leaves were patched in place; the memoized intersection went
-        # stale and is refreshed from the patched classes on next request.
-        assert manager.cached_partition_count() == 2
-        assert manager.stats.attribute_extends == 2
+        # An append touches every attribute: every cached partition goes,
+        # and the next read rebuilds it cold, equal to a fresh relation's.
+        assert manager.cached_partition_count() == 0
+        misses = manager.stats.misses
+        fresh = relation.copy().partitions()
         partition = manager.attribute_partition("zip")
         assert (2, 6) in partition.classes  # the appended row promoted 90002
-        refreshed = manager.attribute_set_partition(("zip", "city"))
-        assert manager.stats.intersection_refreshes == 1
-        assert (2, 6) in refreshed.classes
+        assert partition.classes == fresh.attribute_partition("zip").classes
+        assert partition.covered == fresh.attribute_partition("zip").covered
+        rebuilt = manager.attribute_set_partition(("zip", "city"))
+        assert (2, 6) in rebuilt.classes
+        assert rebuilt.classes == fresh.attribute_set_partition(("zip", "city")).classes
+        assert manager.stats.misses == misses + 3  # zip, city, (zip, city)
         assert manager.cached_partition_count() == 3
 
     def test_pfd_evaluation_sees_mutations_through_partition_invalidation(self):
