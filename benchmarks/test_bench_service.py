@@ -16,18 +16,27 @@ Recorded as ``extra_info``: warm/cold medians, the warm/cold ratio, and a
 requests-per-second figure over a round-robin of tenants served through one
 bounded service (more tenants than live slots, so the rate includes
 rehydration traffic).
+
+Over HTTP, a detect that sends back the ``version`` of the client's copy
+gets only what changed since; the last benchmark records, for an unchanged
+tenant, the bytes of the whole reply and of the ``since`` reply and the
+client's detect latency for each, and asserts that the ``since`` reply
+carries no errors.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import statistics
+import threading
 import time
 
 import pytest
 
 from repro.datagen.suite import build_table
 from repro.discovery.config import DiscoveryConfig
-from repro.service import CleaningService, ConstraintRegistry
+from repro.service import CleaningService, ConstraintRegistry, ServiceClient, start_server
 
 CONFIG = DiscoveryConfig(min_support=4, min_coverage=0.05, generalize=False)
 
@@ -127,3 +136,60 @@ def test_bench_multi_tenant_throughput(benchmark, tmp_path, alumni_rows):
     benchmark.extra_info["detect_p95_ms"] = stats["endpoints"]["detect"].get(
         "p95_ms"
     )
+
+
+def _detect_bytes(address, body: dict) -> bytes:
+    connection = http.client.HTTPConnection(*address[:2], timeout=60)
+    try:
+        connection.request("POST", "/tenants/alumni/detect", json.dumps(body))
+        return connection.getresponse().read()
+    finally:
+        connection.close()
+
+
+def test_bench_detect_since_on_an_unchanged_tenant(benchmark, tmp_path, alumni_rows):
+    columns, rows = alumni_rows
+    service = CleaningService(ConstraintRegistry(tmp_path / "registry"), config=CONFIG)
+    service.load_tenant("alumni", columns=columns, rows=rows)
+    service.discover("alumni")
+    server = start_server(service, port=0, quiet=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+
+    def run():
+        whole = _detect_bytes(server.server_address, {})
+        since = _detect_bytes(server.server_address, {"since": json.loads(whole)["version"]})
+        full_times, since_times = [], []
+        with ServiceClient(server.url) as client:
+            client.detect("alumni")
+            for _ in range(20):
+                with ServiceClient(server.url) as fresh:
+                    fresh.health()  # connect outside the timed detect
+                    start = time.perf_counter()
+                    full_doc = fresh.detect("alumni")
+                    full_times.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                since_doc = client.detect("alumni")
+                since_times.append(time.perf_counter() - start)
+        return whole, since, full_times, since_times, full_doc, since_doc
+
+    try:
+        whole, since, full_times, since_times, full_doc, since_doc = benchmark.pedantic(
+            run, rounds=1, iterations=1
+        )
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.close()
+
+    whole_reply, since_reply = json.loads(whole), json.loads(since)
+    assert whole_reply["error_count"] > 0, "benchmark table must contain errors"
+    assert since_reply["errors"] == [] and since_reply["removed"] == []
+    assert since_reply["error_count"] == whole_reply["error_count"]
+    assert since_doc == full_doc, "the client's copy must equal the whole report"
+
+    benchmark.extra_info["error_count"] = whole_reply["error_count"]
+    benchmark.extra_info["full_bytes"] = len(whole)
+    benchmark.extra_info["since_bytes"] = len(since)
+    benchmark.extra_info["full_detect_ms"] = round(statistics.median(full_times) * 1e3, 3)
+    benchmark.extra_info["since_detect_ms"] = round(statistics.median(since_times) * 1e3, 3)

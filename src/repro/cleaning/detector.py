@@ -16,6 +16,8 @@ report, instead of re-detecting the whole table.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import os
 from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
@@ -48,6 +50,9 @@ class DetectionReport:
     #: Engine backend the evaluation ran on (``"numpy"``/``"sql"``); both
     #: produce bit-identical reports — recorded for benchmarks/telemetry.
     backend: str = "numpy"
+    #: The :attr:`DetectionView.version` the report was read at (None when
+    #: it came from no view); not part of report equality.
+    version: Optional[str] = dataclasses.field(default=None, compare=False)
 
     @property
     def error_cells(self) -> set[CellRef]:
@@ -112,6 +117,15 @@ class DetectionView:
     empty with every row dirty, so its first refresh is a cold detection;
     splicing given rows into a new view leaves the scoped report of those
     rows (see :meth:`ErrorDetector.detect`).  All three run the same splice.
+
+    The report's state is named by :attr:`version`, ``"<nonce>.<n>"``: a
+    splice that touches cells bumps ``n`` and logs each touched cell, so
+    :meth:`changed_since` answers what changed after an earlier version in
+    O(delta) — the replica's changes, not the replica.  The nonce is drawn
+    anew after the view is emptied, when the version is first read, so a
+    version handed out by an earlier view (an evicted or restarted tenant,
+    a rediscovered PFD set, a splice that failed) never names this one's
+    state; until a version is read, splices log nothing.
     """
 
     def __init__(self, pfds: Sequence[PFD], evaluator: PatternEvaluator):
@@ -141,6 +155,15 @@ class DetectionView:
         self._violations: Optional[list[Violation]] = None
         #: ``(rows, violations per segment)`` of the last search.
         self._searched: Optional[tuple[Optional[tuple[int, ...]], dict]] = None
+        #: Drawn when :attr:`version` is first read.  Until then no one holds
+        #: a version of this view, so its splices log nothing: a throwaway
+        #: cold or scoped view never logs.
+        self._nonce: Optional[str] = None
+        self._n = 0
+        #: Per touched cell, the last ``n`` a splice touched it at, oldest
+        #: first; versions below ``_floor`` predate the log.
+        self._log: dict[_Cell, int] = {}
+        self._floor = 0
 
     # -- writes ----------------------------------------------------------------
 
@@ -199,6 +222,15 @@ class DetectionView:
 
     # -- reads -----------------------------------------------------------------
 
+    @property
+    def version(self) -> str:
+        """The report's state: ``"<nonce>.<n>"``."""
+        if self._nonce is None:
+            # os.urandom, not secrets: that imports hmac and with it OpenSSL.
+            self._nonce = os.urandom(8).hex()
+            self._floor = self._n
+        return f"{self._nonce}.{self._n}"
+
     def report(self, relation: Relation, min_evidence: int = 1) -> DetectionReport:
         """The view's report (call :meth:`refresh` first)."""
         return DetectionReport(
@@ -208,7 +240,36 @@ class DetectionView:
             ],
             violations=list(self.violations()),
             backend=relation.backend,
+            version=self.version,
         )
+
+    def changed_since(
+        self, version: str, min_evidence: int = 1
+    ) -> Optional[tuple[list[DetectedError], list[_Cell]]]:
+        """The report's changes after ``version``: the errors, by cell, of
+        the cells touched since that the report holds at ``min_evidence``,
+        and the touched cells it no longer holds.  O(delta); None when
+        ``version`` is not this view's or predates its log."""
+        nonce, _, n = version.rpartition(".")
+        if nonce != self._nonce or not (n.isascii() and n.isdigit()):
+            return None
+        since = int(n)
+        if not self._floor <= since <= self._n:
+            return None
+        log, cells = self._log, []
+        for at in reversed(log):
+            if log[at] <= since:
+                break
+            cells.append(at)
+        errors: list[DetectedError] = []
+        removed: list[_Cell] = []
+        for at in sorted(cells):
+            error = self._errors.get(at)
+            if error is not None and error.evidence_count >= min_evidence:
+                errors.append(error)
+            else:
+                removed.append(at)
+        return errors, removed
 
     def violations(self) -> list[Violation]:
         """Every violation, by PFD, tableau position, then row or class."""
@@ -363,11 +424,15 @@ class DetectionView:
 
     def _aggregate(self, relation: Relation, touched: set[_Cell]) -> None:
         """Recompute the errors of the touched cells, keeping the errors
-        sorted by cell."""
+        sorted by cell, under a new version."""
+        if not touched:
+            return
+        self._n += 1
         errors = self._errors
         last = next(reversed(errors), None)
         unordered = False
-        for at in sorted(touched):
+        ordered = sorted(touched)
+        for at in ordered:
             cell, evidence = self._evidence[at]
             if not evidence:
                 del self._evidence[at]
@@ -394,6 +459,23 @@ class DetectionView:
             )
         if unordered:
             self._errors = {at: errors[at] for at in sorted(errors)}
+        if self._nonce is not None:
+            self._log_touched(ordered)
+
+    def _log_touched(self, cells: list[_Cell]) -> None:
+        """Log ``cells`` under the current version, and drop the oldest
+        entries once the log holds more cells than twice the report: a
+        delta that long costs more than the report."""
+        log, n = self._log, self._n
+        for at in cells:
+            log.pop(at, None)
+            log[at] = n
+        excess = len(log) - 2 * len(self._errors)
+        if excess > 0:
+            oldest = list(itertools.islice(log, excess))
+            self._floor = log[oldest[-1]]
+            for at in oldest:
+                del log[at]
 
 
 def _entries_of(

@@ -52,7 +52,7 @@ import time
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .. import __version__
-from ..cleaning.detector import DetectionReport
+from ..cleaning.detector import DetectedError, DetectionReport
 from ..cleaning.repair import RepairResult
 from ..dataset.csvio import read_csv
 from ..dataset.mutations import MutationBatch, UpsertOp, batch_from_document
@@ -310,12 +310,36 @@ class CleaningService:
             )
         return runtime.pfds
 
-    def detect(self, tenant: str, min_evidence: int = 1) -> dict:
+    def detect(self, tenant: str, min_evidence: int = 1, since: Optional[str] = None) -> dict:
+        """The tenant's detection report, with its ``version``.
+
+        ``since`` is the ``version`` of an earlier report at the same
+        ``min_evidence``.  When the tenant's detection view still knows it,
+        the document's ``errors`` hold only the errors that changed since
+        then, and ``removed`` the ``[row, attribute]`` cells that left the
+        report; the counts and ``version`` describe the whole report.  An
+        unknown or stale ``since`` gets the whole report (no ``removed``).
+        """
         with self._timed("detect"):
             with self._tenant_locked(tenant) as runtime:
                 pfds = self._active_pfds(runtime)
-                report = runtime.session.detect(pfds, min_evidence=min_evidence)
-                return _detection_doc(report, runtime, kind="detect")
+                session = runtime.session
+                report = session.detect(pfds, min_evidence=min_evidence)
+                # The view's version is the same at every min_evidence; the
+                # suffix keeps one level's version from naming another's.
+                version = f"{report.version}/{min_evidence}"
+                delta = None
+                if since is not None:
+                    view_version, _, level = since.rpartition("/")
+                    if level == str(min_evidence):
+                        delta = session.changed_since(report, view_version, min_evidence)
+                if delta is None:
+                    doc = _detection_doc(report, runtime, kind="detect")
+                else:
+                    doc = _detection_doc(report, runtime, kind="detect", errors=delta[0])
+                    doc["removed"] = [list(cell) for cell in delta[1]]
+                doc["version"] = version
+                return doc
 
     def validate(self, tenant: str) -> dict:
         with self._timed("validate"):
@@ -603,7 +627,30 @@ def _profile_doc(profile: TableProfile, runtime: TenantRuntime) -> dict:
     return doc
 
 
-def _detection_doc(report: DetectionReport, runtime: TenantRuntime, kind: str) -> dict:
+def _detection_doc(
+    report: DetectionReport,
+    runtime: TenantRuntime,
+    kind: str,
+    errors: Optional[Sequence[DetectedError]] = None,
+) -> dict:
+    """``report`` as a document listing ``errors`` (default: all of them).
+
+    The constraints (PFD tableau rows) an error names go out once per
+    document, in the ``constraints`` table; each error's ``constraints``
+    are indices into it.
+    """
+    table: dict[str, int] = {}
+    encoded = [
+        {
+            "row": error.cell.row_id,
+            "attribute": error.cell.attribute,
+            "value": error.current_value,
+            "suggested": error.suggested_value,
+            "evidence": error.evidence_count,
+            "constraints": [table.setdefault(text, len(table)) for text in error.constraints],
+        }
+        for error in (report.errors if errors is None else errors)
+    ]
     doc = _runtime_header(runtime)
     doc.update(
         {
@@ -612,17 +659,8 @@ def _detection_doc(report: DetectionReport, runtime: TenantRuntime, kind: str) -
             "error_count": len(report.errors),
             "violation_count": len(report.violations),
             "clean": not report.errors,
-            "errors": [
-                {
-                    "row": error.cell.row_id,
-                    "attribute": error.cell.attribute,
-                    "value": error.current_value,
-                    "suggested": error.suggested_value,
-                    "evidence": error.evidence_count,
-                    "constraints": list(error.constraints),
-                }
-                for error in report.errors
-            ],
+            "constraints": list(table),
+            "errors": encoded,
         }
     )
     return doc

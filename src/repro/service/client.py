@@ -9,6 +9,11 @@ smoke job, the tests) never parse error bodies themselves.
 Requests reuse kept-alive connections, so a request pays no TCP connect and
 the daemon no new handler thread.  Requests from one thread at a time share
 one connection; concurrent requests each take an idle one or open another.
+
+``detect`` keeps a copy of each report it returned and asks the daemon only
+for what changed since that copy's ``version``; callers still get the whole
+report.  Detection documents come back with each error's ``constraints``
+decoded from the wire's constraint table back to constraint strings.
 """
 
 from __future__ import annotations
@@ -25,9 +30,18 @@ from typing import Optional, Sequence
 from ..exceptions import ServiceError
 
 
+#: A client's copy of one detect report: its version, and its decoded error
+#: documents by ``(row, attribute)``, in that order.  Never mutated once
+#: stored, so a delta can be applied while another thread reads it.
+_Copy = tuple[str, dict[tuple[int, str], dict]]
+
+
 class ServiceClient:
     """JSON-over-HTTP client for one cleaning-service daemon.
 
+    Thread-safe: threads may share one client.  It keeps a copy of the last
+    ``detect`` report per tenant and ``min_evidence``, so the daemon sends
+    only the errors changed since; a 4xx reply to a detect drops the copy.
     Close it (or use it as a context manager) to drop its connections.
     """
 
@@ -37,6 +51,8 @@ class ServiceClient:
         self._netloc = urllib.parse.urlsplit(self.base_url).netloc
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
+        self._copies: dict[tuple[str, int], _Copy] = {}
+        self._copies_lock = threading.Lock()
 
     # -- transport -----------------------------------------------------------
 
@@ -57,7 +73,7 @@ class ServiceClient:
         data = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+            data = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
             headers["Content-Type"] = "application/json; charset=utf-8"
         request = urllib.request.Request(url, data=data, headers=headers, method=method)
         connection = self._checkout()
@@ -166,9 +182,32 @@ class ServiceClient:
         return self._request("POST", f"/tenants/{tenant}/discover", config)
 
     def detect(self, tenant: str, min_evidence: int = 1) -> dict:
-        return self._request(
-            "POST", f"/tenants/{tenant}/detect", {"min_evidence": min_evidence}
-        )
+        """The tenant's whole detection report, fetched as the changes since
+        this client's copy when it has one."""
+        key = (tenant, min_evidence)
+        with self._copies_lock:
+            copy = self._copies.get(key)
+        payload: dict = {"min_evidence": min_evidence}
+        if copy is not None:
+            payload["since"] = copy[0]
+        try:
+            doc = _decoded(self._request("POST", f"/tenants/{tenant}/detect", payload))
+        except ServiceError as error:
+            if 400 <= error.status < 500:
+                with self._copies_lock:
+                    self._copies.pop(key, None)
+            raise
+        removed = doc.pop("removed", None)  # only a reply to a "since"
+        if removed is None:
+            errors = {(error["row"], error["attribute"]): error for error in doc["errors"]}
+        else:
+            errors = _patched(copy[1], doc["errors"], removed)
+        with self._copies_lock:
+            self._copies[key] = (doc["version"], errors)
+        doc["errors"] = [
+            {**error, "constraints": list(error["constraints"])} for error in errors.values()
+        ]
+        return doc
 
     def validate(self, tenant: str) -> dict:
         return self._request("POST", f"/tenants/{tenant}/validate", {})
@@ -190,7 +229,7 @@ class ServiceClient:
             payload["rows"] = [list(row) for row in rows]
         if csv_text is not None:
             payload["csv"] = csv_text
-        return self._request("POST", f"/tenants/{tenant}/ingest", payload)
+        return _decoded(self._request("POST", f"/tenants/{tenant}/ingest", payload))
 
     def update(self, tenant: str, document: dict, min_evidence: int = 1) -> dict:
         """POST a mutation document (``cells`` / ``delete`` / ``rows`` /
@@ -198,13 +237,15 @@ class ServiceClient:
         wire form)."""
         payload = dict(document)
         payload["min_evidence"] = min_evidence
-        return self._request("POST", f"/tenants/{tenant}/update", payload)
+        return _decoded(self._request("POST", f"/tenants/{tenant}/update", payload))
 
     def delete_rows(self, tenant: str, row_ids: Sequence[int], min_evidence: int = 1) -> dict:
-        return self._request(
-            "POST",
-            f"/tenants/{tenant}/delete",
-            {"rows": list(row_ids), "min_evidence": min_evidence},
+        return _decoded(
+            self._request(
+                "POST",
+                f"/tenants/{tenant}/delete",
+                {"rows": list(row_ids), "min_evidence": min_evidence},
+            )
         )
 
     def drop(self, tenant: str) -> dict:
@@ -228,3 +269,35 @@ class ServiceClient:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ServiceClient({self.base_url!r})"
+
+
+def _decoded(doc: dict) -> dict:
+    """A detection document with each error's constraint indices replaced
+    by the strings of the document's ``constraints`` table."""
+    table = doc.pop("constraints")
+    for error in doc["errors"]:
+        error["constraints"] = [table[index] for index in error["constraints"]]
+    return doc
+
+
+def _patched(
+    errors: dict[tuple[int, str], dict], changed: list[dict], removed: list
+) -> dict[tuple[int, str], dict]:
+    """A copy of ``errors`` with a detect delta applied, still in cell order
+    (``changed`` comes in cell order, as the report lists it)."""
+    patched = dict(errors)
+    for row, attribute in removed:
+        patched.pop((row, attribute), None)
+    last = next(reversed(patched), None)
+    ordered = True
+    for error in changed:
+        cell = (error["row"], error["attribute"])
+        if cell not in patched:
+            if last is not None and cell < last:
+                ordered = False
+            else:
+                last = cell
+        patched[cell] = error
+    if not ordered:
+        patched = {cell: patched[cell] for cell in sorted(patched)}
+    return patched

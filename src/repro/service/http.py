@@ -16,7 +16,7 @@ Routes (all bodies and responses are JSON)::
     POST   /tenants/<t>/load            {"csv": text} | {"columns":[...],"rows":[[...]]}
     POST   /tenants/<t>/profile         {}
     POST   /tenants/<t>/discover        discovery-config knobs (all optional)
-    POST   /tenants/<t>/detect          {"min_evidence": 1}
+    POST   /tenants/<t>/detect          {"min_evidence": 1, "since": version}  ("since" optional)
     POST   /tenants/<t>/validate        {}
     POST   /tenants/<t>/repair          {"min_evidence": 1}
     POST   /tenants/<t>/ingest          {"rows": [[...]]} | {"csv": text}
@@ -26,6 +26,18 @@ Routes (all bodies and responses are JSON)::
     DELETE /tenants/<t>                 drop tenant (registry + live session)
     POST   /shutdown                    stop serving after this response
 
+A detection document (``detect``, and the scoped reports ``ingest``,
+``update`` and ``delete`` return) lists each suspect cell once in
+``errors`` as ``{"row", "attribute", "value", "suggested", "evidence",
+"constraints"}``; its ``constraints`` are indices into the document's one
+``constraints`` table of constraint strings.  ``detect`` also returns the
+report's ``version``.  Sent back as ``since``, a version the tenant's
+detection view still knows gets only the errors changed since, plus
+``removed``: the ``[row, attribute]`` cells that left the report; the
+counts, ``clean`` and ``version`` always describe the whole report.  Any
+other ``since`` gets the whole report, without ``removed``.  Responses are
+compact JSON (no spaces after separators).
+
 Errors come back as ``{"error": message}`` with the status carried by the
 raised :class:`~repro.exceptions.ServiceError` (400 by default, 404 for
 unknown tenants, 409 for state conflicts); unexpected failures are 500.
@@ -34,6 +46,7 @@ unknown tenants, 409 for state conflicts); unexpected failures are 500.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -60,6 +73,9 @@ class CleaningServiceServer(ThreadingHTTPServer):
         self.service = service
         #: Silence per-request stderr lines (per server, not per process).
         self.quiet = quiet
+        #: The sockets of the connections being served, kept alive or not.
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
 
     @property
     def url(self) -> str:
@@ -67,16 +83,38 @@ class CleaningServiceServer(ThreadingHTTPServer):
         display = "127.0.0.1" if host in ("0.0.0.0", "") else host
         return f"http://{display}:{port}"
 
+    def finish_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            with self._connections_lock:
+                self._connections.discard(request)
+
     def close(self) -> None:
+        """Stop listening and end every open connection, as a daemon exit
+        would: a kept-alive connection's handler thread would otherwise go
+        on serving requests from the closed service."""
         self.server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its client
+                pass
         self.service.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "pfd-service/1"
     protocol_version = "HTTP/1.1"
-    # A reply goes out as two writes (headers, body); with Nagle on, a
-    # kept-alive connection holds the second until the client's delayed ACK.
+    # Buffer the reply so headers and body leave in one send (``_reply``
+    # flushes); a body larger than the buffer goes out as a second write,
+    # which with Nagle on a kept-alive connection would wait for the
+    # client's delayed ACK.
+    wbufsize = -1
     disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
@@ -107,7 +145,7 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _reply(self, document: dict, status: int = 200) -> None:
-        payload = json.dumps(document, ensure_ascii=False).encode("utf-8")
+        payload = json.dumps(document, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
         if status >= 400:
             # Error paths may not have read the request body (413 oversize,
             # unknown routes); with keep-alive the leftover bytes would be
@@ -120,6 +158,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
+        self.wfile.flush()
 
     def _dispatch(self, method: str) -> None:
         try:
@@ -192,7 +231,7 @@ class _Handler(BaseHTTPRequestHandler):
         if action == "discover":
             return service.discover(tenant, **body)
         if action == "detect":
-            return service.detect(tenant, min_evidence=_min_evidence(body))
+            return service.detect(tenant, min_evidence=_min_evidence(body), since=_since(body))
         if action == "validate":
             return service.validate(tenant)
         if action == "repair":
@@ -229,8 +268,16 @@ class _Handler(BaseHTTPRequestHandler):
 
 def _min_evidence(body: dict) -> int:
     value = body.get("min_evidence", 1)
-    if not isinstance(value, int) or value < 1:
+    # JSON true decodes to a bool, which is an int.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ServiceError("'min_evidence' must be an integer >= 1")
+    return value
+
+
+def _since(body: dict) -> Optional[str]:
+    value = body.get("since")
+    if value is not None and not isinstance(value, str):
+        raise ServiceError("'since' must be a version string from an earlier detect")
     return value
 
 

@@ -58,7 +58,7 @@ import threading
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .cleaning.detector import DetectionReport, DetectionView, ErrorDetector
+from .cleaning.detector import DetectedError, DetectionReport, DetectionView, ErrorDetector
 from .cleaning.repair import Repairer, RepairResult
 from .core.pfd import PFD, prime_for_pfds
 from .dataset.csvio import estimate_csv_rows, read_csv
@@ -660,6 +660,22 @@ class CleaningSession:
             self._detection = (key, report)
             self._mark("detect")
             return report
+
+    def changed_since(
+        self, report: DetectionReport, since: str, min_evidence: int = 1
+    ) -> Optional[tuple[list[DetectedError], list[tuple[int, str]]]]:
+        """How ``report``, a :meth:`detect` report at ``min_evidence``,
+        differs from the report at the earlier view version ``since``: the
+        changed errors and the removed ``(row, attribute)`` cells (see
+        :meth:`DetectionView.changed_since`).  None when ``since`` is
+        unknown to the session's view or the view has moved past
+        ``report``; the caller then needs the whole report."""
+        with self._state_lock:
+            self._sync()
+            view = self._view
+            if view is None or view[1].version != report.version:
+                return None
+            return view[1].changed_since(since, min_evidence)
 
     def _view_for(self, marker: object, resolved: list[PFD]) -> DetectionView:
         """The detection view of ``resolved``; a new PFD set replaces the
