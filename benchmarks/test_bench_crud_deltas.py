@@ -21,6 +21,11 @@ A second benchmark records the latency of a one-row update +
 ``detect_changed`` at 12k / 48k / 192k rows (× ``--repro-scale``): with
 delta maintenance it should stay near flat as the table grows.  Only the
 reports' exactness is asserted; the per-size p50 goes to ``extra_info``.
+
+A third records the same latency against the size of a constant tableau
+(10 / 100 / 1,000 rows of the high-cardinality shape, one row per serial
+number): a compiled tableau plan should keep it near flat as the tableau
+grows.  Again only exactness is asserted.
 """
 
 from __future__ import annotations
@@ -199,4 +204,59 @@ def test_bench_single_row_update_latency_sweep(benchmark, repro_scale):
         ]
         p50_ms = statistics.median(timings) * 1e3
         benchmark.extra_info[f"p50_ms_{row_count}_rows"] = round(p50_ms, 4)
+    benchmark.pedantic(one_row_cycle, args=(0,), rounds=3, iterations=1)
+
+
+def _serial_pfd(tableau_rows: int):
+    verdicts = ("pass", "fail")
+    return make_pfd(
+        "serial",
+        "qa",
+        [
+            {"serial": rf"\A*\S{{{{{number:05d}}}}}\A*", "qa": verdicts[number % 2]}
+            for number in range(tableau_rows)
+        ],
+    )
+
+
+def test_bench_constant_tableau_update_latency(benchmark, repro_scale):
+    """p50 of one-row update + ``detect_changed`` per constant-tableau size.
+
+    The table holds serials ``XX-ddddd`` whose numbers cycle through 1,000,
+    each with the verdict its tableau row expects.  Each timed op writes one
+    row's verdict wrong (the report must flag exactly that cell), then back
+    (the report must be clean).  Flatness across tableau sizes is recorded,
+    not asserted.
+    """
+    row_count = max(2000, int(8000 * repro_scale))
+    prefixes = ("HQ", "XB", "GP")
+    rows = [
+        (f"{prefixes[k % 3]}-{k % 1000:05d}", ("pass", "fail")[k % 1000 % 2])
+        for k in range(row_count)
+    ]
+    for tableau_rows in (10, 100, 1000):
+        pfds = [_serial_pfd(tableau_rows)]
+        session = CleaningSession(
+            Relation.from_rows(["serial", "qa"], rows, name="hicard"), workers=1
+        )
+        assert len(session.detect(pfds)) == 0, "the base table must start clean"
+
+        def one_row_cycle(row_id):
+            verdict = rows[row_id][1]
+            wrong = "fail" if verdict == "pass" else "pass"
+            covered = row_id % 1000 < tableau_rows
+            timings = []
+            for value, flagged in ((wrong, {row_id} if covered else set()), (verdict, set())):
+                start = time.perf_counter()
+                session.apply(MutationBatch.update_cells([(row_id, "qa", value)]))
+                report = session.detect_changed(pfds)
+                timings.append(time.perf_counter() - start)
+                assert {error.cell.row_id for error in report.errors} == flagged
+            return timings
+
+        timings = [
+            seconds for i in range(60) for seconds in one_row_cycle((i * 7919) % row_count)
+        ]
+        p50_ms = statistics.median(timings) * 1e3
+        benchmark.extra_info[f"p50_ms_{tableau_rows}_tableau_rows"] = round(p50_ms, 4)
     benchmark.pedantic(one_row_cycle, args=(0,), rounds=3, iterations=1)

@@ -15,6 +15,7 @@ report, instead of re-detecting the whole table.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import os
@@ -93,7 +94,9 @@ class DetectionView:
     one equivalence class for a variable row, keyed by the class's smallest
     member (the order partitions list their classes in).  Every suspect cell
     maps to the violations naming it, tagged ``(segment, entry, index)``,
-    which sorts in the report's violation order.
+    which sorts in the report's violation order.  Segments are numbered
+    off the PFDs' compiled tableau plans (:attr:`PFD.plan`); when a
+    tableau gains a row, its plan is replaced and the view empties itself.
 
     :meth:`mark` records the rows a write changed, and :meth:`refresh`
     propagates them into the view with :meth:`splice` (Polynesia-style
@@ -111,6 +114,10 @@ class DetectionView:
       they cover the classes a changed row left;
     * evidence, suggestion, current value and constraint order are
       recomputed only for the cells a retracted or added violation names.
+
+    Only the segments a splice can change are visited: those with found
+    violations, the variable ones holding entries, and the constant ones
+    with an entry at a changed row (see :meth:`_affected`).
 
     A class with no changed row that met no found class is the same class
     with the same values as before, so its entry stands.  A new view is
@@ -131,13 +138,35 @@ class DetectionView:
     def __init__(self, pfds: Sequence[PFD], evaluator: PatternEvaluator):
         self.pfds = list(pfds)
         self.evaluator = evaluator
-        #: ``(pfd index, pfd, tableau row, is constant)`` per segment.
-        self._segments = [
-            (index, pfd, row, row.is_constant_row(pfd.lhs, pfd.rhs))
-            for index, pfd in enumerate(self.pfds)
-            for row in pfd.tableau
-        ]
+        self._compile()
         self._clear()
+
+    def _compile(self) -> None:
+        """Read the PFDs' compiled plans: segment ``bases[i] + position``
+        is tableau row ``position`` of PFD ``i``."""
+        self._plans = [pfd.plan for pfd in self.pfds]
+        self._bases = list(itertools.accumulate((len(plan.rows) for plan in self._plans), initial=0))
+        self._variable_segments = [
+            base + position
+            for plan, base in zip(self._plans, self._bases)
+            for position in plan.variable_positions
+        ]
+        #: The attributes a constant row's suspect cells can name.
+        self._rhs_attributes = tuple(dict.fromkeys(a for pfd in self.pfds for a in pfd.rhs))
+
+    def _locate(self, segment: int) -> tuple[int, int]:
+        """The ``(pfd index, tableau position)`` of a segment."""
+        index = bisect.bisect_right(self._bases, segment) - 1
+        return index, segment - self._bases[index]
+
+    def _recompile_if_stale(self) -> None:
+        """Empty the view when a PFD's tableau gained a row since the plans
+        were read: its segments no longer number the rows."""
+        for pfd, plan in zip(self.pfds, self._plans):
+            if pfd.plan is not plan:
+                self._compile()
+                self._clear()
+                return
 
     def _clear(self) -> None:
         """Empty the view and mark every row dirty."""
@@ -153,6 +182,8 @@ class DetectionView:
         self._evidence: dict[_Cell, tuple[CellRef, dict[tuple[int, int, int], Violation]]] = {}
         self._errors: dict[_Cell, DetectedError] = {}
         self._violations: Optional[list[Violation]] = None
+        #: Per PFD, its number of violations.
+        self._counts = [0] * len(self.pfds)
         #: ``(rows, violations per segment)`` of the last search.
         self._searched: Optional[tuple[Optional[tuple[int, ...]], dict]] = None
         #: Drawn when :attr:`version` is first read.  Until then no one holds
@@ -185,6 +216,7 @@ class DetectionView:
         """Reuse ``other``'s last search for the next :meth:`refresh` when
         it covered exactly this view's dirty rows, for the same PFDs — a
         scoped detection of the pending writes is that very search."""
+        self._recompile_if_stale()
         searched, dirty = other._searched, self._dirty
         if searched is None or searched[0] is None or dirty is None:
             return
@@ -193,11 +225,13 @@ class DetectionView:
             np.count_nonzero(dirty) == len(rows)
             and (not len(rows) or (rows[-1] < len(dirty) and dirty[rows].all()))
             and other.pfds == self.pfds
+            and all(mine is theirs for mine, theirs in zip(self._plans, other._plans))
         ):
             self._searched = searched
 
     def refresh(self, relation: Relation) -> None:
         """Splice the dirty rows into the view (a no-op when none are)."""
+        self._recompile_if_stale()
         dirty = self._dirty
         self.splice(relation, None if dirty is None else tuple(np.flatnonzero(dirty).tolist()))
         if dirty is None:
@@ -208,6 +242,7 @@ class DetectionView:
     def splice(self, relation: Relation, rows: Optional[tuple[int, ...]]) -> None:
         """Propagate the changes of ``rows`` (unique and ascending; None for
         every row) into the view.  Dirty marks are left to :meth:`refresh`."""
+        self._recompile_if_stale()
         for pfd in self.pfds:
             relation.schema.validate_attributes(pfd.attributes())
         if rows == ():
@@ -281,10 +316,7 @@ class DetectionView:
 
     def violation_counts(self) -> list[int]:
         """The number of violations of each PFD, in PFD order."""
-        counts = [0] * len(self.pfds)
-        for segment in self._entries:
-            counts[self._segments[segment][0]] += len(self._segment(segment))
-        return counts
+        return list(self._counts)
 
     def _segment(self, segment: int) -> list[Violation]:
         ordered = self._ordered.get(segment)
@@ -300,26 +332,24 @@ class DetectionView:
         self, relation: Relation, scope: Optional[tuple[int, ...]]
     ) -> dict[int, list[Violation]]:
         """The violations per segment of the rows in ``scope`` (all rows for
-        None): prime once for every PFD, then one pass per PFD.  Only an
-        unscoped search builds partition leaves; a scoped one finds its
-        classes from the leaves' grouping states."""
+        None): prime once for every PFD, then one pass per PFD over its
+        constant rows and one per variable row.  Only an unscoped search
+        builds partition leaves; a scoped one finds its classes from the
+        leaves' grouping states."""
         prime_for_pfds(relation, self.pfds, self.evaluator)
         if scope is None:
             prime_partitions_for_pfds(relation, self.pfds, self.evaluator)
         found: dict[int, list[Violation]] = {}
-        segment = 0
-        for pfd in self.pfds:
+        for pfd, plan, base in zip(self.pfds, self._plans, self._bases):
             constant = pfd._constant_violations(relation, self.evaluator, scope)
-            for position, row in enumerate(pfd.tableau):
-                if self._segments[segment][3]:
-                    violations = constant.get(position)
-                else:
-                    violations = pfd._variable_row_violations(
-                        relation, row, self.evaluator, scope
-                    )
+            for position, violations in constant.items():
+                found[base + position] = violations
+            for position in plan.variable_positions:
+                violations = pfd._variable_row_violations(
+                    relation, plan.rows[position], self.evaluator, scope
+                )
                 if violations:
-                    found[segment] = violations
-                segment += 1
+                    found[base + position] = violations
         return found
 
     def _splice(
@@ -331,7 +361,10 @@ class DetectionView:
         touched: set[_Cell] = set()
         scope_rows = None if scope is None else np.asarray(scope, dtype=np.int64)
         scope_set: Optional[set[int]] = None
-        for segment, (_, pfd, row, is_constant) in enumerate(self._segments):
+        for segment in sorted(self._affected(scope, found)):
+            index, position = self._locate(segment)
+            pfd, plan = self.pfds[index], self._plans[index]
+            is_constant = bool(plan.constant[position])
             entries = self._entries.get(segment)
             added = _entries_of(found.get(segment, ()), is_constant)
             if not entries and not added:
@@ -357,6 +390,7 @@ class DetectionView:
             gone = [(key, entries.pop(key)) for key in retracted]
             for key, violations in gone:
                 self._unlink(segment, key, violations, touched)
+                self._counts[index] -= len(violations)
             if gone and probe is not None:
                 # The classes a changed row left: search the classes now
                 # holding a row of a retracted class that no class searched
@@ -368,13 +402,14 @@ class DetectionView:
                 if len(rows):
                     added += _entries_of(
                         pfd._variable_row_violations(
-                            relation, row, self.evaluator, tuple(rows.tolist())
+                            relation, plan.rows[position], self.evaluator, tuple(rows.tolist())
                         ),
                         False,
                     )
             for key, violations in added:
                 entries[key] = violations
                 self._link(segment, key, violations, touched)
+                self._counts[index] += len(violations)
             if gone or added:
                 self._ordered.pop(segment, None)
                 self._class_rows.pop(segment, None)
@@ -382,6 +417,28 @@ class DetectionView:
             if not entries:
                 del self._entries[segment]
         self._aggregate(relation, touched)
+
+    def _affected(
+        self, scope: Optional[tuple[int, ...]], found: dict[int, list[Violation]]
+    ) -> set[int]:
+        """The segments a splice of ``scope`` may change: those with found
+        violations, and those with entries the scope can retract.  Every
+        variable segment with entries qualifies (a changed row may have
+        left one of its classes); a constant segment does when it has an
+        entry at a scope row, which then names a suspect cell ``(row, rhs
+        attribute)`` in the evidence.  So a small scope costs O(scope),
+        not O(segments with entries)."""
+        entries = self._entries
+        if scope is None or len(scope) * len(self._rhs_attributes) >= len(entries):
+            return entries.keys() | found.keys()
+        segments = found.keys() | {s for s in self._variable_segments if s in entries}
+        evidence_of = self._evidence
+        for row in scope:
+            for attribute in self._rhs_attributes:
+                evidence = evidence_of.get((row, attribute))
+                if evidence is not None:
+                    segments.update(tag[0] for tag in evidence[1] if tag[1] == row)
+        return segments
 
     def _meeting(self, segment: int, rows: np.ndarray) -> list[int]:
         """The keys of a variable segment's entries whose class rows meet

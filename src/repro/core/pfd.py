@@ -27,7 +27,12 @@ Every per-tuple question — constant-row violations, support, coverage,
 matching rows — is answered in distinct-code-tuple space instead
 (:func:`covered_tuples`): a tableau row covers a code tuple when each LHS
 code is non-empty and set in the evaluator's per-code match mask, so these
-checks read no partition at all.
+checks read no partition at all.  The masks of a tableau's distinct LHS
+patterns on one column are one stacked matrix in the evaluator
+(:meth:`~repro.engine.evaluator.PatternEvaluator.mask_stack`), and the
+tableau's compiled plan (:attr:`PFD.plan`) maps each row to its pattern's
+index in it, so the hit matrix of a scope is a numpy gather:
+a search over a few changed tuples does no Python work per tableau row.
 
 Pattern matching itself is vectorized through :mod:`repro.engine`: every
 tableau cell is matched once per *distinct* column value (via the memoized
@@ -37,13 +42,17 @@ columns.  All evaluation entry points accept an optional ``evaluator`` so
 discovery, validation, and detection can share one match cache; when omitted
 the process-wide default evaluator is used.
 
-On top of that, evaluation is *set-at-a-time*: before a tableau is walked
-row by row, :func:`prime_for_pfds` hands all of its patterns per attribute
+On top of that, evaluation is *set-at-a-time*: before a tableau is
+evaluated, :func:`prime_for_pfds` hands all of its patterns per attribute
 to :meth:`~repro.engine.evaluator.PatternEvaluator.match_column_many`, which
 compiles them into one shared DFA and scans each distinct column value once
-for the whole set.  The subsequent per-row calls are then seeded from the
-resulting masks, so a K-row tableau costs one scan — not K — per distinct
-value (plus constrained-part extraction on the values that matched).
+for the whole set.  The masks and per-pattern results read afterwards are
+seeded from that scan, so a K-row tableau costs one scan — not K — per
+distinct value (plus constrained-part extraction on the values that
+matched).  Priming is done once per (plan, column) on an evaluator: a later
+call that finds every plan already primed returns after O(PFDs x
+attributes) lookups, and the distinct values a write adds are matched when
+a mask or result is next read.
 """
 
 from __future__ import annotations
@@ -62,8 +71,9 @@ from ..engine.evaluator import PatternEvaluator, default_evaluator
 from ..engine.partitions import PartitionKey, PartitionManager, StrippedPartition, _spans
 from ..exceptions import ConstraintError
 from ..patterns.ast import Pattern
+from ..patterns.matcher import CompiledPattern
 from ..storage.partitions import SqlPartitionManager, SqlStrippedPartition
-from .tableau import _WILDCARD_PATTERN, CellSpec, PatternTableau, PatternTuple, Wildcard
+from .tableau import CellSpec, PatternTableau, PatternTuple, TableauPlan, Wildcard
 
 
 def gather_tableau_patterns(pfds: Iterable["PFD"]) -> dict[str, list[Pattern]]:
@@ -73,7 +83,8 @@ def gather_tableau_patterns(pfds: Iterable["PFD"]) -> dict[str, list[Pattern]]:
     the *variable* rows (constant rows check their RHS by plain equality, so
     their RHS patterns are never matched).  Order is preserved and duplicates
     are dropped, making the result directly usable as a
-    ``match_column_many`` batch per attribute.
+    ``match_column_many`` batch per attribute.  Read off each PFD's
+    compiled plan, so the cost is per distinct pattern, not per row.
 
     RHS patterns are included only when an attribute accumulates at least two
     distinct ones (a real batch): variable-row RHS matching is conditional —
@@ -84,12 +95,11 @@ def gather_tableau_patterns(pfds: Iterable["PFD"]) -> dict[str, list[Pattern]]:
     lhs_by_attribute: dict[str, dict[Pattern, None]] = defaultdict(dict)
     rhs_by_attribute: dict[str, dict[Pattern, None]] = defaultdict(dict)
     for pfd in pfds:
-        for row in pfd.tableau:
-            for attribute in pfd.lhs:
-                lhs_by_attribute[attribute][row.pattern(attribute)] = None
-            if not row.is_constant_row(pfd.lhs, pfd.rhs):
-                for attribute in pfd.rhs:
-                    rhs_by_attribute[attribute][row.pattern(attribute)] = None
+        plan = pfd.plan
+        for attribute, patterns in zip(plan.lhs, plan.lhs_patterns):
+            lhs_by_attribute[attribute].update(dict.fromkeys(patterns))
+        for attribute, patterns in zip(plan.rhs, plan.rhs_patterns):
+            rhs_by_attribute[attribute].update(dict.fromkeys(patterns))
     gathered = {
         attribute: dict(patterns) for attribute, patterns in lhs_by_attribute.items()
     }
@@ -113,12 +123,27 @@ def prime_for_pfds(
     follows is answered from the memoized masks.  Attributes missing from the
     relation's schema are skipped here; the per-PFD evaluation reports them.
     Single-pattern attributes are left to the per-pattern path.
+
+    Priming is needed once per (plan, column) on an evaluator: the
+    evaluator records the plans it primed
+    (:meth:`~repro.engine.evaluator.PatternEvaluator.mark_primed`), and a
+    call whose plans were all primed on these columns returns after
+    O(PFDs x attributes) lookups.  Codes a column gains later are matched
+    when a mask is read.
     """
     evaluator = evaluator or default_evaluator()
-    known = set(relation.attribute_names)
-    for attribute, patterns in gather_tableau_patterns(pfds).items():
-        if attribute in known and len(patterns) >= 2:
-            evaluator.match_column_many(patterns, relation.dictionary(attribute))
+    pfds = list(pfds)
+    known = relation.attribute_names
+    fresh = False
+    for pfd in pfds:
+        plan = pfd.plan
+        for attribute in pfd.attributes():
+            if attribute in known and evaluator.mark_primed(plan, relation.dictionary(attribute)):
+                fresh = True
+    if fresh:
+        for attribute, patterns in gather_tableau_patterns(pfds).items():
+            if attribute in known and len(patterns) >= 2:
+                evaluator.match_column_many(patterns, relation.dictionary(attribute))
     return evaluator
 
 
@@ -142,12 +167,12 @@ def prime_partitions_for_pfds(
     """
     manager = relation.partitions()
     known = set(relation.attribute_names)
-    keys = {
-        (attribute, row.pattern(attribute)): None
-        for pfd in pfds
-        for row in pfd.variable_rows()
-        for attribute in pfd.lhs
-    }
+    keys: dict[tuple[str, CompiledPattern], None] = {}
+    for pfd in pfds:
+        plan = pfd.plan
+        for position in plan.variable_positions:
+            lhs_patterns, _ = plan.compiled_cells(plan.rows[position])
+            keys.update(dict.fromkeys(zip(plan.lhs, lhs_patterns)))
     for attribute, pattern in keys:
         if attribute in known:
             manager.pattern_partition(attribute, pattern, evaluator=evaluator)
@@ -156,52 +181,52 @@ def prime_partitions_for_pfds(
 
 def covered_tuples(
     relation: Relation,
-    lhs: Sequence[str],
-    rows: Sequence[PatternTuple],
+    plan: TableauPlan,
     lhs_codes: np.ndarray,
     evaluator: PatternEvaluator,
+    positions: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``(tuple, row)`` index pairs, sorted by tuple then row, where
-    tableau row ``rows[k]`` covers the code tuple ``lhs_codes[t]``: each LHS
-    code is non-empty and set in the evaluator's per-code match mask of the
-    row's pattern (the wildcard matches every value).
+    tableau row ``positions[k]`` (``k`` when ``positions`` is None: every
+    row) covers the code tuple ``lhs_codes[t]``: each LHS code is non-empty
+    and set in the row's pattern mask (the wildcard matches every value).
 
-    Per attribute, every row's mask is read only at the distinct codes the
-    tuples hold, giving a rows x codes hit matrix.  The first attribute
-    expands each tuple into its code's hitting rows, every further one keeps
-    the pairs whose row hits the tuple's code there.  A scope of a few tuples
-    thus costs O(rows), not O(rows x distinct values); beyond the hit
-    matrices the work is O(tuples + covered pairs).
+    Per attribute, the masks of the plan's distinct patterns are one
+    stacked matrix (:meth:`~repro.engine.evaluator.PatternEvaluator.
+    mask_stack`); reading it at the distinct codes the tuples hold and the
+    rows' pattern indices gives a codes x rows hit matrix in two numpy
+    gathers.  The first attribute expands each tuple into its code's
+    hitting rows, every further one keeps the pairs whose row hits the
+    tuple's code there.  No Python work is done per tableau row; beyond the
+    hit matrices the work is O(tuples + covered pairs).
     """
     tuple_ids: Optional[np.ndarray] = None
-    for position, attribute in enumerate(lhs):
+    for position, attribute in enumerate(plan.lhs):
         column = relation.dictionary(attribute)
         codes, inverse = np.unique(lhs_codes[:, position], return_inverse=True)
-        masks = [_match_mask(column, row.pattern(attribute), evaluator) for row in rows]
-        hits = np.array([codes >= 0 if mask is None else mask[codes] for mask in masks])
-        hits &= codes != column.code_of("")  # all True when no cell is empty
+        index = plan.lhs_index[position]
+        if positions is not None:
+            index = index[positions]
+        patterns = plan.lhs_masks[position]
+        if len(patterns):
+            # A wildcard row's index (-1) reads some mask; it is reset below.
+            hits = evaluator.mask_stack(patterns, column)[codes][:, index]
+            hits[:, index < 0] = True
+        else:
+            hits = np.ones((len(codes), len(index)), dtype=bool)
+        hits &= (codes != column.code_of(""))[:, None]  # all True when no cell is empty
         if tuple_ids is None:
             # Hitting rows grouped by code, ascending within each code.
-            code_ids, hitting = np.nonzero(hits.T)
+            code_ids, hitting = np.divmod(np.flatnonzero(hits), len(index))
             counts = np.bincount(code_ids, minlength=len(codes))
             starts = (np.cumsum(counts) - counts)[inverse]
             stops = starts + counts[inverse]
             tuple_ids = np.repeat(np.arange(len(lhs_codes), dtype=np.int64), stops - starts)
             row_ids = hitting[_spans(starts, stops)]
         else:
-            keep = hits[row_ids, inverse[tuple_ids]]
+            keep = hits[inverse[tuple_ids], row_ids]
             tuple_ids, row_ids = tuple_ids[keep], row_ids[keep]
     return tuple_ids, row_ids
-
-
-def _match_mask(
-    column: DictionaryColumn, pattern: Pattern, evaluator: PatternEvaluator
-) -> Optional[np.ndarray]:
-    """The per-code match mask of ``pattern`` on ``column`` (None for the
-    wildcard, which matches every code)."""
-    if pattern == _WILDCARD_PATTERN:
-        return None
-    return evaluator.match_column(pattern, column).matched_array()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -442,27 +467,40 @@ class PFD:
             result.append(PFD(self.lhs, (attr,), PatternTableau(rows), self.relation_name))
         return result
 
+    @property
+    def plan(self) -> TableauPlan:
+        """The tableau compiled for this PFD's ``lhs -> rhs`` (see
+        :meth:`PatternTableau.plan`)."""
+        return self.tableau.plan(self.lhs, self.rhs)
+
     def constant_rows(self) -> list[PatternTuple]:
         """Rows applicable to single tuples (constant constrained parts)."""
-        return [row for row in self.tableau if row.is_constant_row(self.lhs, self.rhs)]
+        plan = self.plan
+        return [plan.rows[position] for position in plan.constant_positions]
 
     def variable_rows(self) -> list[PatternTuple]:
         """Rows that require a pair of tuples to witness a violation."""
-        return [row for row in self.tableau if not row.is_constant_row(self.lhs, self.rhs)]
+        plan = self.plan
+        return [plan.rows[position] for position in plan.variable_positions]
 
     @property
     def is_constant(self) -> bool:
-        return not self.variable_rows()
+        return not self.plan.variable_positions
 
     @property
     def is_variable(self) -> bool:
-        return bool(self.variable_rows())
+        return bool(self.plan.variable_positions)
 
     # -- matching helpers ------------------------------------------------------
 
-    def _row_keys(self, manager: PartitionManager, row: PatternTuple) -> list[PartitionKey]:
-        """The partition keys of a variable tableau row's LHS leaves."""
-        return [manager.key(attribute, row.pattern(attribute)) for attribute in self.lhs]
+    def _row_keys(
+        self, manager: PartitionManager, lhs_patterns: Sequence[CompiledPattern]
+    ) -> list[PartitionKey]:
+        """The partition keys of a variable tableau row's LHS leaves, from
+        its compiled LHS patterns (:meth:`TableauPlan.compiled_cells`)."""
+        return [
+            manager.key(attribute, pattern) for attribute, pattern in zip(self.lhs, lhs_patterns)
+        ]
 
     def _row_partition(
         self,
@@ -480,7 +518,8 @@ class PFD:
         the relation row by row.
         """
         manager = relation.partitions()
-        return manager.intersection(self._row_keys(manager, row), evaluator)
+        lhs_patterns, _ = self.plan.compiled_cells(row)
+        return manager.intersection(self._row_keys(manager, lhs_patterns), evaluator)
 
     def matching_rows(
         self,
@@ -490,8 +529,14 @@ class PFD:
     ) -> list[int]:
         """Tuple ids matching every LHS pattern of ``row`` (its support set), ascending."""
         evaluator = evaluator or default_evaluator()
+        plan = self.plan
+        position = plan.position(row)
+        if position is None:
+            plan, position = TableauPlan([row], self.lhs, self.rhs), 0
         tuples, _ = relation.code_cooccurrence(self.lhs)
-        tuple_ids, _ = covered_tuples(relation, self.lhs, [row], tuples, evaluator)
+        tuple_ids, _ = covered_tuples(
+            relation, plan, tuples, evaluator, np.array([position], dtype=np.int64)
+        )
         return relation.rows_with_code_tuples(self.lhs, tuples[tuple_ids])[0].tolist()
 
     # -- satisfaction / violations ---------------------------------------------
@@ -542,13 +587,16 @@ class PFD:
         if changed_rows is not None and not changed_rows:
             return []
         constant = self._constant_violations(relation, evaluator, changed_rows)
+        plan = self.plan
         found: list[Violation] = []
-        for position, row in enumerate(self.tableau):
-            if row.is_constant_row(self.lhs, self.rhs):
-                found.extend(constant.get(position, ()))
+        for position in sorted((*constant, *plan.variable_positions)):
+            if plan.constant[position]:
+                found.extend(constant[position])
             else:
                 found.extend(
-                    self._variable_row_violations(relation, row, evaluator, changed_rows)
+                    self._variable_row_violations(
+                        relation, plan.rows[position], evaluator, changed_rows
+                    )
                 )
         return found
 
@@ -566,28 +614,21 @@ class PFD:
         :func:`covered_tuples`) violates on each RHS attribute whose code is
         not the expected constant's.  Only the violating tuples' rows are
         fetched; each row's violations come by row id, then RHS attribute.
+        The constant rows, their patterns and expected constants come from
+        the compiled plan, so no Python work is done per tableau row.
         """
-        positions = [
-            position
-            for position, row in enumerate(self.tableau)
-            if row.is_constant_row(self.lhs, self.rhs)
-        ]
+        plan = self.plan
+        positions = plan.constant_positions
         if not positions:
             return {}
-        rows = [self.tableau[position] for position in positions]
         names = self.lhs + self.rhs
         width = len(self.lhs)
         tuples, _ = relation.code_cooccurrence(names, changed_rows)
         tuple_ids, row_ids = covered_tuples(
-            relation, self.lhs, rows, tuples[:, :width], evaluator
+            relation, plan, tuples[:, :width], evaluator, plan.constant_array
         )
-        expected = [
-            [row.pattern(attribute).constant_value() for attribute in self.rhs] for row in rows
-        ]
-        columns = [relation.dictionary(attribute) for attribute in self.rhs]
-        codes = [[c.code_of(value) for c, value in zip(columns, values)] for values in expected]
-        expected_codes = np.array(
-            [[-1 if code is None else code for code in row] for row in codes], dtype=np.int64
+        expected_codes = plan.expected_codes(
+            [relation.dictionary(attribute) for attribute in self.rhs]
         )
         bad = tuples[tuple_ids, width:] != expected_codes[row_ids]
         violating = bad.any(axis=1)
@@ -610,9 +651,9 @@ class PFD:
             bad[pairs].tolist(),
         ):
             if k not in reprs:
-                reprs[k] = self._row_repr(rows[k])
+                reprs[k] = self._row_repr(plan.rows[positions[k]])
             emitted = found.setdefault(positions[k], [])
-            for attribute, value, flag in zip(self.rhs, expected[k], flags):
+            for attribute, value, flag in zip(self.rhs, plan.expected[k], flags):
                 if flag:
                     emitted.append(
                         Violation(
@@ -643,7 +684,8 @@ class PFD:
         # codes (``PartitionManager.scoped_classes``) without building a
         # partition; the sql backend pushes a one-leaf scope down instead.
         manager = relation.partitions()
-        keys = self._row_keys(manager, row)
+        lhs_patterns, rhs_patterns = self.plan.compiled_cells(row)
+        keys = self._row_keys(manager, lhs_patterns)
         if changed_rows is None:
             partition = manager.intersection(keys, evaluator)
         elif isinstance(manager, SqlPartitionManager) and len(keys) == 1:
@@ -661,11 +703,9 @@ class PFD:
         if len(offsets) <= 1:
             return []
         rhs = []
-        for attribute in self.rhs:
+        for attribute, pattern in zip(self.rhs, rhs_patterns):
             column = relation.dictionary(attribute)
-            buckets = RhsBuckets.of(
-                attribute, column, evaluator.match_column(row.pattern(attribute), column)
-            )
+            buckets = RhsBuckets.of(attribute, column, evaluator.match_column(pattern, column))
             rhs.append((buckets, column.codes[rowids]))
         return variable_class_violations(
             self._row_repr(row), self.lhs, rowids, offsets, rhs
@@ -695,14 +735,11 @@ class PFD:
         rhs_cols: list[int] = []
         bucket_tables: list[str] = []
         rhs_buckets: list[RhsBuckets] = []
+        _, rhs_patterns = self.plan.compiled_cells(row)
         try:
-            for attribute in self.rhs:
+            for attribute, pattern in zip(self.rhs, rhs_patterns):
                 column = relation.dictionary(attribute)
-                buckets = RhsBuckets.of(
-                    attribute,
-                    column,
-                    evaluator.match_column(row.pattern(attribute), column),
-                )
+                buckets = RhsBuckets.of(attribute, column, evaluator.match_column(pattern, column))
                 rhs_buckets.append(buckets)
                 rhs_cols.append(column._col_index)
                 bucket_tables.append(store.int_map_table(enumerate(buckets.ids.tolist())))
@@ -755,16 +792,15 @@ class PFD:
         """Support and violation counts per tableau row."""
         evaluator = prime_for_pfds(relation, (self,), evaluator)
         constant = self._constant_violations(relation, evaluator)
+        plan = self.plan
         tuples, counts = relation.code_cooccurrence(self.lhs)
-        tuple_ids, row_ids = covered_tuples(
-            relation, self.lhs, list(self.tableau), tuples, evaluator
-        )
+        tuple_ids, row_ids = covered_tuples(relation, plan, tuples, evaluator)
         supports = np.bincount(
-            row_ids, weights=counts[tuple_ids], minlength=len(self.tableau)
+            row_ids, weights=counts[tuple_ids], minlength=len(plan.rows)
         ).astype(np.int64)
         statistics: list[RowStatistics] = []
-        for position, row in enumerate(self.tableau):
-            if row.is_constant_row(self.lhs, self.rhs):
+        for position, row in enumerate(plan.rows):
+            if plan.constant[position]:
                 violations = constant.get(position, ())
             else:
                 violations = self._variable_row_violations(relation, row, evaluator)
@@ -785,7 +821,7 @@ class PFD:
         """Number of tuples matched by at least one tableau row's LHS."""
         evaluator = prime_for_pfds(relation, (self,), evaluator)
         tuples, counts = relation.code_cooccurrence(self.lhs)
-        tuple_ids, _ = covered_tuples(relation, self.lhs, list(self.tableau), tuples, evaluator)
+        tuple_ids, _ = covered_tuples(relation, self.plan, tuples, evaluator)
         return int(counts[np.unique(tuple_ids)].sum())
 
     def coverage(

@@ -11,13 +11,22 @@ wildcard of CFDs — requires plain equality of the whole value when two tuples
 are compared.  Internally it is therefore treated as the constrained pattern
 ``{{\\A*}}`` (match anything, constrain everything), which makes the
 satisfaction check uniform.
+
+A tableau is compiled once per embedded FD into a :class:`TableauPlan`
+(:meth:`PatternTableau.plan`): the row classification and the distinct
+patterns per attribute that evaluation reads, so a search does not walk
+the rows to rebuild them.  Adding a row drops the plans.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
+from ..engine.evaluator import PatternList
 from ..exceptions import TableauError
 from ..patterns.ast import ConstrainedGroup, Pattern, Repeat, ClassAtom
 from ..patterns.alphabet import CharClass
@@ -160,21 +169,9 @@ class PatternTuple:
     def is_constant_row(self, lhs: Sequence[str], rhs: Sequence[str]) -> bool:
         """True if this row can be applied to single tuples: every LHS cell
         has a constant constrained part and every RHS cell is a constant
-        pattern (so the expected value is determined).
-
-        The row is immutable, so the answer is cached per ``(lhs, rhs)``.
+        pattern (so the expected value is determined).  Evaluation reads
+        the answer off the tableau's compiled plan (:class:`TableauPlan`).
         """
-        memo = self.__dict__.get("_constant_rows")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_constant_rows", memo)
-        key = (tuple(lhs), tuple(rhs))
-        cached = memo.get(key)
-        if cached is None:
-            memo[key] = cached = self._classify_constant_row(lhs, rhs)
-        return cached
-
-    def _classify_constant_row(self, lhs: Sequence[str], rhs: Sequence[str]) -> bool:
         if not all(self.constrains_constant(attr) for attr in lhs):
             return False
         for attr in rhs:
@@ -229,6 +226,103 @@ class PatternTuple:
         return "(" + ", ".join(self._render_cell(name) for name, _ in self.cells) + ")"
 
 
+class TableauPlan:
+    """A tableau compiled for one embedded FD ``lhs -> rhs``.
+
+    Built once from the rows (:meth:`PatternTableau.plan`) and never
+    changed; adding a row to the tableau drops it.  It holds what
+    evaluation would otherwise re-derive row by row:
+
+    * ``constant`` — per row, whether it applies to single tuples
+      (:meth:`PatternTuple.is_constant_row`), and the positions of the
+      constant rows (also as ``constant_array``) and of the variable rows;
+    * per LHS attribute, ``lhs_patterns`` (the distinct cell patterns in
+      row order, the wildcard's ``{{\\A*}}`` included), ``lhs_masks`` (the
+      distinct non-wildcard ones as a :class:`~repro.engine.evaluator.
+      PatternList`, whose stacked masks the evaluator keeps) and
+      ``lhs_index`` (per row, its pattern's index in ``lhs_masks``; ``-1``
+      for the wildcard, which matches every value);
+    * per RHS attribute, ``rhs_patterns``: the distinct patterns of the
+      variable rows (constant rows check their RHS by equality);
+    * per constant row, ``expected``: its RHS constants; their codes in a
+      relation come from :meth:`expected_codes`.
+    """
+
+    def __init__(self, rows: Sequence[PatternTuple], lhs: Sequence[str], rhs: Sequence[str]):
+        self.rows = tuple(rows)
+        self.lhs, self.rhs = tuple(lhs), tuple(rhs)
+        constant = [row.is_constant_row(self.lhs, self.rhs) for row in self.rows]
+        self.constant = np.array(constant, dtype=bool)
+        self.constant_array = np.flatnonzero(self.constant)
+        self.constant_positions = tuple(self.constant_array.tolist())
+        self.variable_positions = tuple(np.flatnonzero(~self.constant).tolist())
+        self.lhs_patterns: list[tuple[Pattern, ...]] = []
+        self.lhs_masks: list[PatternList] = []
+        self.lhs_index: list[np.ndarray] = []
+        for attribute in self.lhs:
+            patterns = [row.pattern(attribute) for row in self.rows]
+            masked = {p: None for p in patterns if p != _WILDCARD_PATTERN}
+            position = {p: index for index, p in enumerate(masked)}
+            self.lhs_patterns.append(tuple(dict.fromkeys(patterns)))
+            self.lhs_masks.append(PatternList(masked))
+            self.lhs_index.append(
+                np.array([position.get(p, -1) for p in patterns], dtype=np.int64)
+            )
+        self.rhs_patterns = [
+            tuple(dict.fromkeys(self.rows[p].pattern(attribute) for p in self.variable_positions))
+            for attribute in self.rhs
+        ]
+        self.expected = [
+            tuple(self.rows[p].pattern(attribute).constant_value() for attribute in self.rhs)
+            for p in self.constant_positions
+        ]
+        self._position_of = {row: position for position, row in enumerate(self.rows)}
+        self._compiled: dict[PatternTuple, tuple[tuple[CompiledPattern, ...], ...]] = {}
+        #: Per RHS attribute, per column (weakly): ``(distinct count, codes)``.
+        self._expected_codes = [weakref.WeakKeyDictionary() for _ in self.rhs]
+
+    def position(self, row: PatternTuple) -> Optional[int]:
+        """The position of ``row`` in the tableau (None when absent)."""
+        return self._position_of.get(row)
+
+    def compiled_cells(
+        self, row: PatternTuple
+    ) -> tuple[tuple[CompiledPattern, ...], tuple[CompiledPattern, ...]]:
+        """The compiled LHS and RHS cell patterns of ``row`` (memoized for
+        the tableau's own rows)."""
+        cells = self._compiled.get(row)
+        if cells is None:
+            cells = (
+                tuple(row.compiled(attribute) for attribute in self.lhs),
+                tuple(row.compiled(attribute) for attribute in self.rhs),
+            )
+            if row in self._position_of:
+                self._compiled[row] = cells
+        return cells
+
+    def expected_codes(self, columns: Sequence) -> np.ndarray:
+        """The constant rows' expected RHS codes in ``columns`` (the RHS
+        dictionaries, in RHS order), ``constant rows x rhs``; ``-1`` where
+        the column does not hold the constant.  Memoized per column, and
+        looked up again only for the missing constants when the column
+        gained values."""
+        codes = []
+        for index, column in enumerate(columns):
+            memo = self._expected_codes[index]
+            cached = memo.get(column)
+            if cached is None or cached[0] != column.distinct_count:
+                if cached is None:
+                    found = np.full(len(self.expected), -1, dtype=np.int64)
+                else:
+                    found = cached[1].copy()
+                for k in np.flatnonzero(found < 0).tolist():
+                    code = column.code_of(self.expected[k][index])
+                    found[k] = -1 if code is None else code
+                cached = memo[column] = (column.distinct_count, found)
+            codes.append(cached[1])
+        return codes[0][:, None] if len(codes) == 1 else np.column_stack(codes)
+
+
 class PatternTableau:
     """An ordered collection of :class:`PatternTuple` rows."""
 
@@ -240,6 +334,7 @@ class PatternTableau:
             else:
                 resolved.append(PatternTuple.from_mapping(row))
         self._rows: list[PatternTuple] = resolved
+        self._plans: dict[tuple[tuple[str, ...], tuple[str, ...]], TableauPlan] = {}
 
     # -- container behaviour ---------------------------------------------------
 
@@ -260,18 +355,37 @@ class PatternTableau:
     def __hash__(self) -> int:
         return hash(tuple(self._rows))
 
+    def __getstate__(self) -> dict:
+        # Plans hold weak memos; a copy compiles its own.
+        return {"_rows": self._rows}
+
+    def __setstate__(self, state: dict) -> None:
+        self._rows = state["_rows"]
+        self._plans = {}
+
     @property
     def rows(self) -> tuple[PatternTuple, ...]:
         return tuple(self._rows)
 
+    def plan(self, lhs: Sequence[str], rhs: Sequence[str]) -> TableauPlan:
+        """The tableau compiled for ``lhs -> rhs`` (built once; a new plan
+        object after every :meth:`add` that adds a row)."""
+        key = (tuple(lhs), tuple(rhs))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = TableauPlan(self._rows, *key)
+        return plan
+
     # -- mutation ----------------------------------------------------------------
 
     def add(self, row: Union[PatternTuple, Mapping[str, CellSpec]]) -> None:
-        """Append a row (deduplicated: identical rows are added only once)."""
+        """Append a row (deduplicated: identical rows are added only once).
+        Adding a row drops the compiled plans."""
         if not isinstance(row, PatternTuple):
             row = PatternTuple.from_mapping(row)
         if row not in self._rows:
             self._rows.append(row)
+            self._plans = {}
 
     def extend(self, rows: Iterable[Union[PatternTuple, Mapping[str, CellSpec]]]) -> None:
         for row in rows:

@@ -37,12 +37,26 @@ the per-pattern matcher for constrained-part results.  Because any evaluator
 may hold masks for a column the relation just extended, healing happens at
 read time per evaluator; no notification protocol is needed, and a stale
 length can never be observed by consumers that go through the evaluator.
+
+Per-tuple PFD checks read many patterns' masks at a few codes at once, so
+the evaluator also keeps *stacked masks*: for a :class:`PatternList` (a
+compiled tableau's distinct patterns on one attribute) and a column,
+:meth:`PatternEvaluator.mask_stack` holds one boolean matrix, codes x
+patterns, filled from the :class:`ColumnMatchSet` bits (or, for a one-pattern
+list, the :class:`ColumnMatch` results).  Its lifetime is that of both keys:
+it is memoized weakly per column and, within a column, weakly per
+``PatternList``, so a throwaway candidate's stack goes with its tableau.  It
+grows by the codes the column gained only, into spare capacity that doubles
+when full, so appends cost amortized O(new codes) per pattern.  A
+``match_column_many`` call handed an already registered ``PatternList`` on
+a column that has not grown returns at once, without compiling or hashing
+its patterns.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,13 +156,15 @@ class ColumnMatchSet:
     which seeds itself from these masks).
     """
 
-    __slots__ = ("_column_ref", "_members", "_bit_of", "bits", "_mask_arrays")
+    __slots__ = ("_column_ref", "_members", "_bit_of", "bits", "_mask_arrays", "lists")
 
     def __init__(self, column: DictionaryColumn):
         self._column_ref = weakref.ref(column)
         self._members: list[CompiledPattern] = []
         self._bit_of: dict[CompiledPattern, int] = {}
         self.bits: list[int] = [0] * column.distinct_count
+        #: The :class:`PatternList` objects whose every pattern is a member.
+        self.lists: "weakref.WeakSet[PatternList]" = weakref.WeakSet()
         #: Per-member cached boolean ndarrays of ``matched_mask``, keyed by
         #: bit and tagged with the bits length they were derived from (so a
         #: grown ``bits`` vector invalidates them lazily).
@@ -248,6 +264,71 @@ def _compiled(pattern: PatternLike) -> CompiledPattern:
     return compile_pattern(pattern)
 
 
+class PatternList:
+    """A fixed sequence of distinct compiled patterns with an identity.
+
+    The evaluator memoizes per ``PatternList`` object, not per content:
+    :meth:`PatternEvaluator.mask_stack` keeps one mask matrix per list and
+    column, and :meth:`PatternEvaluator.match_column_many` recognizes a
+    list it has registered without looking at its patterns.  Lists are
+    weakly referenced by those memos, so their owner (a compiled tableau)
+    decides how long the memoized work lives.
+    """
+
+    __slots__ = ("compiled", "__weakref__")
+
+    def __init__(self, patterns: Iterable[PatternLike]):
+        self.compiled: tuple[CompiledPattern, ...] = tuple(
+            dict.fromkeys(_compiled(pattern) for pattern in patterns)
+        )
+
+    def __len__(self) -> int:
+        return len(self.compiled)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"PatternList(patterns={len(self.compiled)})"
+
+
+class _MaskStack:
+    """The stacked masks of one :class:`PatternList` on one column:
+    ``matrix[code, i]`` is member ``i``'s match flag at ``code``, for codes
+    below ``size``; rows past it are spare capacity.  ``bits`` holds
+    the members' bits in the column's :class:`ColumnMatchSet` once read
+    (a member's bit never changes)."""
+
+    __slots__ = ("matrix", "size", "bits")
+
+    def __init__(self, patterns: int, capacity: int):
+        self.matrix = np.zeros((capacity, patterns), dtype=bool)
+        self.size = 0
+        self.bits: Optional[np.ndarray] = None
+
+
+#: Codes unpacked per chunk when filling a stack from set bits.
+_UNPACK_CHUNK = 1024
+
+
+def _unpack_bits(words: Sequence[int], bits: np.ndarray, out: np.ndarray) -> None:
+    """Write the flag of bit ``bits[i]`` of ``words[j]`` to ``out[j, i]``.
+    Each word is cut to the bytes spanning the wanted bits and the bytes
+    are unpacked with numpy, a chunk of words at a time, so the Python work
+    is O(words) whatever the number of bits and the temporaries stay small."""
+    if not len(words) or not len(bits):
+        return
+    low = int(bits.min()) & ~7
+    width = (int(bits.max()) - low) // 8 + 1
+    keep = (1 << (8 * width)) - 1
+    columns = bits - low
+    for start in range(0, len(words), _UNPACK_CHUNK):
+        chunk = words[start:start + _UNPACK_CHUNK]
+        raw = np.frombuffer(
+            b"".join(((word >> low) & keep).to_bytes(width, "little") for word in chunk),
+            dtype=np.uint8,
+        ).reshape(len(chunk), width)
+        flags = np.unpackbits(raw, axis=1, bitorder="little")
+        out[start:start + len(chunk)] = flags[:, columns]
+
+
 class PatternEvaluator:
     """A shared, memoized pattern-on-column matcher.
 
@@ -297,6 +378,12 @@ class PatternEvaluator:
             weakref.WeakKeyDictionary()
         )
         self._multi: "weakref.WeakKeyDictionary[DictionaryColumn, ColumnMatchSet]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._stacks: "weakref.WeakKeyDictionary[DictionaryColumn, weakref.WeakKeyDictionary[PatternList, _MaskStack]]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._primed: "weakref.WeakKeyDictionary[DictionaryColumn, weakref.WeakSet]" = (
             weakref.WeakKeyDictionary()
         )
         self.match_calls = 0
@@ -362,24 +449,88 @@ class PatternEvaluator:
         missing patterns — and sets whose subset construction exceeds
         :attr:`state_budget` — fall back to the per-pattern path (whose
         results are shared with :meth:`match_column` either way).
+
+        A :class:`PatternList` the set has registered before is answered
+        without touching its patterns: only codes the column gained since
+        the last scan are matched.
         """
-        requested: list[CompiledPattern] = []
-        seen: set[CompiledPattern] = set()
-        for pattern in patterns:
-            compiled = _compiled(pattern)
-            if compiled not in seen:
-                seen.add(compiled)
-                requested.append(compiled)
         match_set = self._multi.get(column)
         if match_set is None:
             match_set = ColumnMatchSet(column)
             self._multi[column] = match_set
         else:
             self._sync_match_set(match_set, column)
+        if isinstance(patterns, PatternList):
+            if patterns in match_set.lists:
+                return match_set
+            requested = patterns.compiled
+        else:
+            requested = tuple(dict.fromkeys(_compiled(pattern) for pattern in patterns))
         missing = [c for c in requested if c not in match_set._bit_of]
         if missing:
             self._extend_match_set(match_set, column, missing)
+        if isinstance(patterns, PatternList):
+            match_set.lists.add(patterns)
         return match_set
+
+    def mask_stack(self, patterns: PatternList, column: DictionaryColumn) -> np.ndarray:
+        """The match masks of ``patterns`` on ``column`` as one bool matrix,
+        ``codes x patterns`` (a view; do not write to it): a scope's few
+        codes are a gather of contiguous rows.
+
+        Memoized per (column, list), both weakly.  The first call fills it
+        from the column's :class:`ColumnMatchSet` bits, registering the list
+        through :meth:`match_column_many` (a one-pattern list reads its
+        :meth:`match_column` results instead); later calls only fill the
+        codes the column gained, into capacity that doubles when full.
+        """
+        stacks = self._stacks.get(column)
+        if stacks is None:
+            stacks = self._stacks[column] = weakref.WeakKeyDictionary()
+        size = column.distinct_count
+        stack = stacks.get(patterns)
+        if stack is None:
+            stack = stacks[patterns] = _MaskStack(len(patterns), size)
+        if stack.size < size:
+            self._grow_stack(stack, patterns, column)
+        return stack.matrix[:size]
+
+    def _grow_stack(
+        self, stack: _MaskStack, patterns: PatternList, column: DictionaryColumn
+    ) -> None:
+        start, size = stack.size, column.distinct_count
+        if size > len(stack.matrix):
+            grown = np.zeros((max(size, 2 * len(stack.matrix)), len(patterns)), dtype=bool)
+            grown[:start] = stack.matrix[:start]
+            stack.matrix = grown
+        if len(patterns) == 1:
+            results = self.match_column(patterns.compiled[0], column).results[start:size]
+            stack.matrix[start:size, 0] = np.fromiter(
+                (result.matched for result in results), dtype=bool, count=size - start
+            )
+        elif len(patterns):
+            match_set = self.match_column_many(patterns, column)
+            if stack.bits is None:
+                bit_of = match_set._bit_of
+                stack.bits = np.fromiter(
+                    (bit_of[compiled] for compiled in patterns.compiled),
+                    dtype=np.int64,
+                    count=len(patterns),
+                )
+            _unpack_bits(match_set.bits[start:size], stack.bits, stack.matrix[start:size])
+        stack.size = size
+
+    def mark_primed(self, token: object, column: DictionaryColumn) -> bool:
+        """Record that ``token`` (any weakly referenceable object) was primed
+        on ``column``; False when it had been already.  Lets a caller skip
+        batching work it has done before, in O(1)."""
+        primed = self._primed.get(column)
+        if primed is None:
+            primed = self._primed[column] = weakref.WeakSet()
+        if token in primed:
+            return False
+        primed.add(token)
+        return True
 
     def _heal_column_match(
         self,
@@ -528,6 +679,8 @@ class PatternEvaluator:
         """Drop every memoized result (counters are kept)."""
         self._cache = weakref.WeakKeyDictionary()
         self._multi = weakref.WeakKeyDictionary()
+        self._stacks = weakref.WeakKeyDictionary()
+        self._primed = weakref.WeakKeyDictionary()
 
     def cached_column_count(self) -> int:
         return len(self._cache)

@@ -113,6 +113,24 @@ def _quantile(ordered: Sequence[float], q: float) -> float:
     ]
 
 
+class _Timer:
+    """Context manager that records the time it encloses as one request
+    of ``endpoint`` (failed requests included)."""
+
+    __slots__ = ("_service", "_endpoint", "_start")
+
+    def __init__(self, service: "CleaningService", endpoint: str):
+        self._service = service
+        self._endpoint = endpoint
+
+    def __enter__(self) -> "_Timer":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._service._record(self._endpoint, time.perf_counter() - self._start)
+
+
 class CleaningService:
     """Concurrent cleaning sessions over a persistent constraint registry."""
 
@@ -149,18 +167,8 @@ class CleaningService:
                 reservoir = self._latencies[endpoint] = _LatencyReservoir()
             reservoir.record(seconds)
 
-    def _timed(self, endpoint: str):
-        service = self
-
-        class _Timer:
-            def __enter__(self) -> "_Timer":
-                self._start = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc_info) -> None:
-                service._record(endpoint, time.perf_counter() - self._start)
-
-        return _Timer()
+    def _timed(self, endpoint: str) -> "_Timer":
+        return _Timer(self, endpoint)
 
     # -- tenant locking ------------------------------------------------------
 

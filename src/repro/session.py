@@ -625,11 +625,16 @@ class CleaningSession:
 
     def _resolve_pfds(self, pfds: Optional[Sequence[PFD]]) -> tuple[object, list[PFD]]:
         """Explicit PFDs, or the session's discovered set (with a stable
-        memo-key marker so "the discovered set" survives re-discovery)."""
+        memo-key marker so "the discovered set" survives re-discovery).
+        The marker also names the PFDs' compiled tableau plans, so a row
+        added to a tableau misses every memo and the detection view."""
         if pfds is None:
-            return _DISCOVERED, self.discover().pfds
-        resolved = list(pfds)
-        return tuple(resolved), resolved
+            resolved = self.discover().pfds
+            marker: object = _DISCOVERED
+        else:
+            resolved = list(pfds)
+            marker = tuple(resolved)
+        return (marker, tuple(pfd.plan for pfd in resolved)), resolved
 
     def detect(
         self,
